@@ -13,11 +13,8 @@
 // waiting for the next probe. Fleet telemetry lands in the cluster_*
 // metric families and, with -report, in the machine-readable run report.
 //
-// With -envelope the gateway runs the stage-0 cascade at the edge:
-// samples inside the benign envelope get a synthesized benign verdict at
-// the gateway and are never forwarded, cutting shard load on benign-heavy
-// traffic. -cascade-threshold tunes (or, negative, disables) the
-// short-circuit boundary.
+// The gateway forwards every sample; the stage-0 cascade runs on the
+// shards (smartserve -envelope, or a registry entry's envelope).
 //
 // On SIGINT/SIGTERM the gateway drains gracefully — stops accepting,
 // forwards everything already queued — and exits 130.
@@ -37,10 +34,8 @@ import (
 	"strings"
 	"time"
 
-	"twosmart/internal/anomaly"
 	"twosmart/internal/cli"
 	"twosmart/internal/cluster"
-	"twosmart/internal/persist"
 	"twosmart/internal/samplelog"
 	"twosmart/internal/trace"
 )
@@ -60,8 +55,6 @@ func main() {
 	sampleLogDir := flag.String("samplelog", "", "record every sample arriving at the gateway edge (features only, no verdict) to this durable log directory for smartload -replay; written off the hot path")
 	sampleLogSegment := flag.Int64("samplelog-segment", 8<<20, "with -samplelog: rotate segments at this many bytes")
 	sampleLogRetain := flag.Int("samplelog-retain", 64, "with -samplelog: keep at most this many segments, pruning oldest-first (-1 = unbounded)")
-	envelopeIn := flag.String("envelope", "", "stage-0 anomaly envelope (JSON, from smartrain -envelope): short-circuit clear-benign samples at the gateway edge instead of forwarding them to a shard")
-	cascadeThreshold := flag.Float64("cascade-threshold", 0, "stage-0 short-circuit threshold: 0 uses the envelope's calibrated threshold, >0 overrides it, <0 disables the edge cascade even when an envelope is present")
 	flag.Parse()
 	ctx := app.Start()
 	defer app.Close()
@@ -93,32 +86,16 @@ func main() {
 			"segment_bytes", *sampleLogSegment, "retain", *sampleLogRetain)
 	}
 
-	var envelope *anomaly.Envelope
-	if *envelopeIn != "" {
-		blob, err := os.ReadFile(*envelopeIn)
-		if err != nil {
-			app.Fatal(err)
-		}
-		envelope, err = persist.UnmarshalEnvelope(blob)
-		if err != nil {
-			app.Fatal(fmt.Errorf("envelope %s: %w", *envelopeIn, err))
-		}
-		app.Log.Info("envelope loaded", "path", *envelopeIn,
-			"features", envelope.NumFeatures(), "threshold", envelope.Threshold)
-	}
-
 	gw, err := cluster.New(cluster.Config{
-		Shards:           fleet,
-		Replicas:         *replicas,
-		CheckInterval:    *checkInterval,
-		DialTimeout:      *dialTimeout,
-		QueueDepth:       *queueDepth,
-		Envelope:         envelope,
-		CascadeThreshold: *cascadeThreshold,
-		Telemetry:        app.Telemetry,
-		Tracer:           tracer,
-		SampleLog:        sampleLog,
-		Log:              app.Log,
+		Shards:        fleet,
+		Replicas:      *replicas,
+		CheckInterval: *checkInterval,
+		DialTimeout:   *dialTimeout,
+		QueueDepth:    *queueDepth,
+		Telemetry:     app.Telemetry,
+		Tracer:        tracer,
+		SampleLog:     sampleLog,
+		Log:           app.Log,
 	})
 	if err != nil {
 		app.Fatal(err)
@@ -150,15 +127,6 @@ func main() {
 		if sampleLog != nil {
 			rep.Results["samplelog_appended"] = float64(logStats.Appended)
 			rep.Results["samplelog_dropped"] = float64(logStats.Dropped)
-		}
-		if envelope != nil && *cascadeThreshold >= 0 {
-			short := app.Telemetry.Counter("cascade_short_total").Value()
-			pass := app.Telemetry.Counter("cascade_pass_total").Value()
-			rep.Results["cascade_short_circuited"] = float64(short)
-			rep.Results["cascade_passed_on"] = float64(pass)
-			if total := short + pass; total > 0 {
-				rep.Results["cascade_short_fraction"] = float64(short) / float64(total)
-			}
 		}
 		if err := rep.WriteFile(*reportOut); err != nil {
 			app.Log.Error("write run report", "path", *reportOut, "err", err)

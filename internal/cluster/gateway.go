@@ -5,11 +5,13 @@
 // (agent, app) stream to a shard by consistent hash and relays samples up
 // and verdicts back.
 //
-// The gateway reuses the internal/session stream engine for its hot path:
-// the same drop-oldest ingress ring, unsheddable control queue and
-// adaptive micro-batch worker loop that internal/serve scores with, but
-// with a forwarding handler instead of a scoring one. One copy of the
-// per-stream machinery, two tiers (DESIGN §12).
+// The agent-facing connection lifecycle is internal/session's front end,
+// the same one internal/serve runs: handshake, read loop, drop-oldest
+// ingress ring, adaptive micro-batch worker and graceful drain. The
+// gateway supplies only its policy: the Welcome is the template probed
+// from the shards (CodeUnavailable while none has answered), Heartbeats
+// echo verbatim, and each connection runs a single-worker forwarder
+// instead of a scorer. Metrics land in the cluster_* families.
 //
 // Placement: streams route on a consistent-hash ring with virtual nodes
 // (see Ring) keyed by RouteKey(agent, app), over the currently healthy
@@ -36,25 +38,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"twosmart/internal/anomaly"
 	"twosmart/internal/samplelog"
 	"twosmart/internal/serve"
 	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
 	"twosmart/internal/wire"
-	"twosmart/internal/workload"
 )
-
-// handshakeTimeout bounds the agent-side Hello/Welcome exchange.
-const handshakeTimeout = 10 * time.Second
 
 // Config configures a Gateway.
 type Config struct {
@@ -82,27 +78,9 @@ type Config struct {
 	// durable sample log at the gateway edge. Forwarded records carry no
 	// verdict (FlagScored clear) — the gateway never sees scores
 	// correlated to features — so backtests skip them while replay uses
-	// them like any other record. Records the edge cascade short-circuits
-	// are the exception: they carry their synthesized benign verdict
-	// (FlagScored|FlagShortCircuit). Append copies and never blocks. The
+	// them like any other record. Append copies and never blocks. The
 	// caller keeps ownership and Closes it after Serve returns.
 	SampleLog *samplelog.Writer
-	// Envelope, when non-nil, runs the stage-0 anomaly cascade at the
-	// fleet edge: samples the envelope scores as clear benign are answered
-	// directly by the gateway (a synthesized benign Verdict carrying
-	// wire.FlagShortCircuit) and never forwarded, so the shard tier only
-	// spends scoring work on pass-throughs. Shard-side EWMA smoothing then
-	// observes only the passed samples — the gateway's synthesized
-	// verdicts carry no smoothing (DESIGN §15 records the tradeoff). The
-	// envelope's feature width is checked against the fleet's Welcome
-	// template per agent connection; on mismatch the cascade is skipped
-	// for that connection and a warning logged once.
-	Envelope *anomaly.Envelope
-	// CascadeThreshold is the operator's short-circuit knob, matching
-	// smartserve's: 0 uses the envelope's calibrated threshold, > 0
-	// overrides it, < 0 disables the edge cascade even with an Envelope
-	// configured.
-	CascadeThreshold float64
 	// Log receives lifecycle events (default slog.Default).
 	Log *slog.Logger
 }
@@ -168,9 +146,7 @@ type shardMetrics struct {
 // shard fleet.
 type Gateway struct {
 	cfg Config
-
-	ln net.Listener
-	wg sync.WaitGroup
+	fe  *session.Frontend
 
 	routeP  atomic.Pointer[routeState]
 	welcome atomic.Pointer[wire.Welcome] // shard Welcome template for agent handshakes
@@ -182,35 +158,15 @@ type Gateway struct {
 	perSh    map[string]*shardMetrics
 	versions map[string]uint32 // live per-shard model version, fed by heartbeat echoes
 
-	connsActive    telemetry.Gauge
-	connsTotal     telemetry.Counter
-	samplesIn      telemetry.Counter
-	shed           telemetry.Counter
-	protoErrs      telemetry.Counter
 	rerouted       telemetry.Counter
 	drained        telemetry.Counter
 	dropped        telemetry.Counter
 	shardsHealthy  telemetry.Gauge
 	memberChanges  telemetry.Counter
-	batchSize      telemetry.Histogram
 	healthFailures telemetry.Counter
 	canaryStreams  telemetry.Counter
 	canarySamples  telemetry.Counter
-
-	// edge cascade, resolved at New (nil = disabled). The cascade_*
-	// instruments exist only on a cascade-running gateway.
-	cascade          *anomaly.Compiled
-	cascadeWidth     int
-	cascadeThreshold float64
-	cascadeWarn      sync.Once
-	cascadeShort     telemetry.Counter
-	cascadePass      telemetry.Counter
-	cascadeNanos     telemetry.Counter
-	cascadeSamples   telemetry.Counter
 }
-
-// batchSizeBuckets mirrors serve's adaptive micro-batch histogram layout.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // New validates the configuration and builds a gateway. Call Listen then
 // Serve.
@@ -226,36 +182,33 @@ func New(cfg Config) (*Gateway, error) {
 		probes:         make(map[string]*serve.Client, len(filled.Shards)),
 		perSh:          make(map[string]*shardMetrics, len(filled.Shards)),
 		versions:       make(map[string]uint32, len(filled.Shards)),
-		connsActive:    reg.Gauge("cluster_connections_active"),
-		connsTotal:     reg.Counter("cluster_connections_total"),
-		samplesIn:      reg.Counter("cluster_samples_total"),
-		shed:           reg.Counter("cluster_shed_total"),
-		protoErrs:      reg.Counter("cluster_protocol_errors_total"),
 		rerouted:       reg.Counter("cluster_streams_rerouted_total"),
 		drained:        reg.Counter("cluster_streams_drained_total"),
 		dropped:        reg.Counter("cluster_samples_dropped_total"),
 		shardsHealthy:  reg.Gauge("cluster_shards_healthy"),
 		memberChanges:  reg.Counter("cluster_membership_changes_total"),
-		batchSize:      reg.Histogram("cluster_batch_size", batchSizeBuckets),
 		healthFailures: reg.Counter("cluster_health_check_failures_total"),
 		canaryStreams:  reg.Counter("cluster_canary_streams_total"),
 		canarySamples:  reg.Counter("cluster_canary_samples_total"),
 	}
-	if filled.Envelope != nil && filled.CascadeThreshold >= 0 {
-		if err := filled.Envelope.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: cascade envelope: %w", err)
-		}
-		g.cascade = filled.Envelope.Compile()
-		g.cascadeWidth = filled.Envelope.NumFeatures()
-		g.cascadeThreshold = filled.Envelope.Threshold
-		if filled.CascadeThreshold > 0 {
-			g.cascadeThreshold = filled.CascadeThreshold
-		}
-		g.cascadeShort = reg.Counter("cascade_short_total")
-		g.cascadePass = reg.Counter("cascade_pass_total")
-		g.cascadeNanos = reg.Counter("cascade_stage0_nanos_total")
-		g.cascadeSamples = reg.Counter("cascade_stage0_samples_total")
-	}
+	// Workers is pinned to 1: the forwarder's upstream map and stream
+	// routing state are worker-owned, and forwarding is I/O-bound — the
+	// per-stream fan-out that pays for scoring would only buy races here.
+	g.fe = session.NewFrontend(session.Tier{
+		Welcome:    g.agentWelcome,
+		NewHandler: g.forward,
+		Workers:    1,
+		QueueDepth: filled.QueueDepth,
+		Metrics: session.Metrics{
+			ConnsActive: reg.Gauge("cluster_connections_active"),
+			ConnsTotal:  reg.Counter("cluster_connections_total"),
+			Samples:     reg.Counter("cluster_samples_total"),
+			Shed:        reg.Counter("cluster_shed_total"),
+			ProtoErrs:   reg.Counter("cluster_protocol_errors_total"),
+			BatchSize:   reg.Histogram("cluster_batch_size", session.BatchSizeBuckets),
+		},
+		Log: filled.Log,
+	})
 	g.routeP.Store(&routeState{epoch: 0, ring: BuildRing(nil, filled.Replicas)})
 	return g, nil
 }
@@ -470,14 +423,7 @@ func (g *Gateway) checkAll(ctx context.Context) {
 }
 
 // Listen binds the gateway's TCP listener and returns the bound address.
-func (g *Gateway) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	g.ln = ln
-	return ln.Addr(), nil
-}
+func (g *Gateway) Listen(addr string) (net.Addr, error) { return g.fe.Listen(addr) }
 
 // Serve runs the health loop and accepts agent connections until ctx is
 // cancelled, then drains: the listener closes, every agent connection's
@@ -485,20 +431,8 @@ func (g *Gateway) Listen(addr string) (net.Addr, error) {
 // returns nil. The first health pass runs synchronously so the earliest
 // agents have a routable fleet.
 func (g *Gateway) Serve(ctx context.Context) error {
-	if g.ln == nil {
-		return errors.New("cluster: Serve before Listen")
-	}
 	g.checkAll(ctx)
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			g.ln.Close()
-		case <-stop:
-		}
-	}()
+	hctx, stopHealth := context.WithCancel(ctx)
 	healthDone := make(chan struct{})
 	go func() {
 		defer close(healthDone)
@@ -506,32 +440,15 @@ func (g *Gateway) Serve(ctx context.Context) error {
 		defer t.Stop()
 		for {
 			select {
-			case <-ctx.Done():
+			case <-hctx.Done():
 				return
 			case <-t.C:
-				g.checkAll(ctx)
+				g.checkAll(hctx)
 			}
 		}
 	}()
-
-	for {
-		nc, err := g.ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			g.wg.Wait()
-			<-healthDone
-			return fmt.Errorf("cluster: accept: %w", err)
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.handle(ctx, nc)
-		}()
-	}
-	g.cfg.Log.Info("gateway draining", "reason", context.Cause(ctx))
-	g.wg.Wait()
+	err := g.fe.Serve(ctx)
+	stopHealth()
 	<-healthDone
 	g.mu.Lock()
 	for s, p := range g.probes {
@@ -539,221 +456,29 @@ func (g *Gateway) Serve(ctx context.Context) error {
 		delete(g.probes, s)
 	}
 	g.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
 	return nil
 }
 
-// gconn is the agent side of one gateway connection: wire transport plus
-// the session engine driving a forwarder.
-type gconn struct {
-	g   *Gateway
-	nc  net.Conn
-	r   *wire.Reader
-	fwd *forwarder
-	eng *session.Engine
-
-	// cascade is the gateway's compiled edge envelope, bound after the
-	// handshake iff its width matches the fleet's feature width (nil
-	// otherwise — the cascade silently disables for this connection).
-	cascade          *anomaly.Compiled
-	cascadeThreshold float64
-
-	wmu sync.Mutex
-	w   *wire.Writer
-
-	readerDone chan struct{}
-}
-
-func (g *Gateway) handle(ctx context.Context, nc net.Conn) {
-	g.connsTotal.Inc()
-	g.connsActive.Add(1)
-	defer g.connsActive.Add(-1)
-	defer nc.Close()
-	log := g.cfg.Log.With("remote", nc.RemoteAddr().String())
-
-	c := &gconn{
-		g:          g,
-		nc:         nc,
-		w:          wire.NewWriter(nc),
-		readerDone: make(chan struct{}),
-	}
-	agent, err := c.handshake()
-	if err != nil {
-		log.Warn("handshake", "err", err)
-		return
-	}
-	if g.cascade != nil {
-		if n := int(g.welcome.Load().NumFeatures); n == g.cascadeWidth {
-			c.cascade = g.cascade
-			c.cascadeThreshold = g.cascadeThreshold
-		} else {
-			g.cascadeWarn.Do(func() {
-				g.cfg.Log.Warn("edge cascade disabled: envelope width does not match fleet",
-					"envelope", g.cascadeWidth, "fleet", n)
-			})
-		}
-	}
-	c.fwd = &forwarder{c: c, agent: agent, ups: make(map[string]*upstream)}
-	// Workers is pinned to 1: the forwarder's upstream map and stream
-	// routing state are worker-owned, and forwarding is I/O-bound — the
-	// per-stream fan-out that pays for scoring would only buy races here.
-	c.eng, err = session.New(session.Config{
-		Handler:    c.fwd,
-		QueueDepth: g.cfg.QueueDepth,
-		Workers:    1,
-		OnReject:   c.reject,
-		BatchSize:  g.batchSize,
-	})
-	if err != nil {
-		log.Error("session", "err", err)
-		return
-	}
-
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeRead(nc)
-		case <-stopWatch:
-		}
-	}()
-
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		if err := c.eng.Run(c.readerDone); err != nil {
-			log.Warn("connection worker", "err", err)
-			nc.Close()
-		}
-	}()
-
-	rerr := c.readLoop()
-	close(c.readerDone)
-	<-workerDone
-
-	if ctx.Err() != nil {
-		c.writeFrame(wire.Error{Code: wire.CodeDraining, Msg: "gateway draining"})
-	}
-	c.flush()
-	c.fwd.shutdown()
-	if rerr != nil && !errors.Is(rerr, io.EOF) && ctx.Err() == nil {
-		log.Warn("connection closed", "err", rerr)
-	} else {
-		log.Debug("connection closed")
-	}
-}
-
-func closeRead(nc net.Conn) {
-	type readCloser interface{ CloseRead() error }
-	if rc, ok := nc.(readCloser); ok {
-		rc.CloseRead()
-		return
-	}
-	nc.SetReadDeadline(time.Now())
-}
-
-// handshake accepts the agent's Hello and answers with the fleet's
-// Welcome template (captured from shard probes). With no shard ever seen
-// the gateway cannot promise a feature width, so it refuses the
-// connection with CodeUnavailable and the agent retries later.
-func (c *gconn) handshake() (agent string, err error) {
-	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	r := wire.NewReader(c.nc)
-	f, err := r.Next()
-	if err != nil {
-		return "", err
-	}
-	hello, ok := f.(wire.Hello)
-	if !ok {
-		c.writeFrame(wire.Error{Code: wire.CodeProtocol, Msg: "expected Hello"})
-		c.flush()
-		return "", fmt.Errorf("first frame is %T, want Hello", f)
-	}
-	if hello.Proto != wire.ProtoVersion {
-		c.writeFrame(wire.Error{Code: wire.CodeVersion,
-			Msg: fmt.Sprintf("protocol v%d unsupported, gateway speaks v%d", hello.Proto, wire.ProtoVersion)})
-		c.flush()
-		return "", fmt.Errorf("client protocol v%d, want v%d", hello.Proto, wire.ProtoVersion)
-	}
-	w := c.g.welcome.Load()
+// agentWelcome answers agent handshakes with the fleet's Welcome template
+// (captured from shard probes). With no shard ever seen the gateway
+// cannot promise a feature width, so it refuses with CodeUnavailable and
+// the agent retries later.
+func (g *Gateway) agentWelcome() (wire.Welcome, *wire.Error) {
+	w := g.welcome.Load()
 	if w == nil {
-		c.writeFrame(wire.Error{Code: wire.CodeUnavailable, Msg: "no healthy shard behind the gateway"})
-		c.flush()
-		return "", errors.New("no shard welcome template yet")
+		return wire.Welcome{}, &wire.Error{Code: wire.CodeUnavailable, Msg: "no healthy shard behind the gateway"}
 	}
-	c.nc.SetReadDeadline(time.Time{})
-	c.r = r
-	c.writeFrame(*w)
-	return hello.Agent, c.flush()
+	return *w, nil
 }
 
-// readLoop parses agent frames into the engine until EOF or error —
-// the same shape as the shard's read loop, because the agent cannot tell
-// the tiers apart.
-func (c *gconn) readLoop() error {
-	numFeatures := int(c.g.welcome.Load().NumFeatures)
-	for {
-		f, err := c.r.Next()
-		if err != nil {
-			return err
-		}
-		switch fr := f.(type) {
-		case wire.Sample:
-			if len(fr.Features) != numFeatures {
-				c.g.protoErrs.Inc()
-				c.writeFrame(wire.Error{Code: wire.CodeBadFeatures,
-					Msg: fmt.Sprintf("sample has %d features, model wants %d", len(fr.Features), numFeatures)})
-				c.flush()
-				return fmt.Errorf("sample width %d, want %d", len(fr.Features), numFeatures)
-			}
-			c.g.samplesIn.Inc()
-			// Origin 0: the gateway is the fleet's ingress edge; its own
-			// receive time (the Push timestamp) becomes the stamp the
-			// forwarder puts on the upstream Sample frames.
-			if c.eng.Push(fr.Stream, fr.Seq, 0, time.Now(), fr.Features) {
-				c.g.shed.Inc()
-			}
-		case wire.OpenStream:
-			c.eng.Open(fr.Stream, fr.App)
-		case wire.CloseStream:
-			c.eng.Close(fr.Stream)
-		case wire.Heartbeat:
-			c.writeFrame(fr)
-			c.flush()
-		default:
-			c.g.protoErrs.Inc()
-			c.writeFrame(wire.Error{Code: wire.CodeProtocol, Msg: fmt.Sprintf("unexpected frame type 0x%02x", f.Type())})
-			c.flush()
-			return fmt.Errorf("unexpected frame %T", f)
-		}
-	}
-}
-
-func (c *gconn) reject(id uint32, app string, reason session.RejectReason) {
-	c.g.protoErrs.Inc()
-	switch reason {
-	case session.RejectDupStream:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream, Msg: fmt.Sprintf("stream %d already open", id)})
-	case session.RejectDupApp:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream,
-			Msg: fmt.Sprintf("app %q already streamed on this connection", app)})
-	case session.RejectUnknownClose:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream, Msg: fmt.Sprintf("stream %d not open", id)})
-	case session.RejectUnknownSample:
-		// Counted only, like the shard tier.
-	}
-}
-
-func (c *gconn) writeFrame(f wire.Frame) {
-	c.wmu.Lock()
-	c.w.Write(f)
-	c.wmu.Unlock()
-}
-
-func (c *gconn) flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.Flush()
+// forward builds one agent connection's forwarder; its teardown closes
+// the connection's upstreams once the worker is done with them.
+func (g *Gateway) forward(c *session.Conn, agent string) (session.Handler, func(), error) {
+	f := &forwarder{g: g, c: c, agent: agent, ups: make(map[string]*upstream)}
+	return f, f.shutdown, nil
 }
 
 // forwarder is the gateway's session.Handler: it relays each stream's
@@ -761,7 +486,8 @@ func (c *gconn) flush() error {
 // fwdStream methods run on the engine's single worker goroutine; only the
 // per-upstream relay goroutines run beside it.
 type forwarder struct {
-	c     *gconn
+	g     *Gateway
+	c     *session.Conn
 	agent string
 	ups   map[string]*upstream // worker-owned: live upstream per shard
 }
@@ -772,11 +498,6 @@ type forwarder struct {
 // connections.
 func (f *forwarder) OpenStream(id uint32, app string) (session.Stream, error) {
 	st := &fwdStream{f: f, id: id, app: app, key: RouteKey(f.agent, app)}
-	if f.c.cascade != nil {
-		reg := f.c.g.cfg.Telemetry
-		st.appShort = reg.Counter(telemetry.Label("cascade_app_short_total", "app", app))
-		st.appPass = reg.Counter(telemetry.Label("cascade_app_pass_total", "app", app))
-	}
 	st.ensureRoute()
 	return st, nil
 }
@@ -790,10 +511,10 @@ func (f *forwarder) RoundEnd() error {
 		}
 		if err := up.cli.Flush(); err != nil {
 			up.fail()
-			f.c.g.cfg.Log.Warn("upstream flush", "shard", shard, "err", err)
+			f.g.cfg.Log.Warn("upstream flush", "shard", shard, "err", err)
 		}
 	}
-	return f.c.flush()
+	return f.c.Flush()
 }
 
 // upstreamFor returns the live upstream connection to shard, dialing one
@@ -806,7 +527,7 @@ func (f *forwarder) upstreamFor(shard string) (*upstream, error) {
 		up.cli.Close()
 		delete(f.ups, shard)
 	}
-	g := f.c.g
+	g := f.g
 	// DialOnce, not Dial: a refused connection must fail the placement
 	// immediately (and refresh the ring via reportFailure) — the agent
 	// retry-on-refused loop would park the engine worker for DialTimeout
@@ -852,11 +573,6 @@ func (f *forwarder) shutdown() {
 type closeState struct {
 	suppress bool
 	shed     uint64
-	// short is the gateway-side short-circuit count folded into the
-	// shard's StreamSummary.Samples, so the agent's closing record still
-	// accounts for every sample it sent even though the shard never saw
-	// the short-circuited ones.
-	short uint64
 }
 
 // upstream is one gateway→shard data connection shared by all streams of
@@ -864,7 +580,7 @@ type closeState struct {
 // carrying shard frames back to the agent.
 type upstream struct {
 	g       *Gateway
-	c       *gconn
+	c       *session.Conn
 	shard   string
 	cli     *serve.Client
 	met     *shardMetrics
@@ -917,7 +633,7 @@ func (up *upstream) relay() {
 		}
 		switch fr := f.(type) {
 		case wire.Verdict:
-			up.c.writeFrame(fr)
+			up.c.WriteFrame(fr)
 			up.met.relayed.Inc()
 		case wire.StreamSummary:
 			cs := up.takeCloseState(fr.Stream)
@@ -925,8 +641,7 @@ func (up *upstream) relay() {
 				continue
 			}
 			fr.Shed += cs.shed
-			fr.Samples += cs.short
-			up.c.writeFrame(fr)
+			up.c.WriteFrame(fr)
 		case wire.Heartbeat:
 			// Echo of a keepalive; nothing to relay.
 		case wire.Error:
@@ -940,7 +655,7 @@ func (up *upstream) relay() {
 			}
 		}
 		if up.cli.Buffered() == 0 {
-			up.c.flush()
+			up.c.Flush()
 		}
 	}
 }
@@ -957,17 +672,6 @@ type fwdStream struct {
 
 	opened bool   // placed at least once (first placement counts as routed)
 	sent   uint64 // samples forwarded, for summaries synthesized after shard death
-	short  uint64 // samples the edge cascade answered without forwarding
-
-	// edge-cascade per-app counters (set iff the connection runs the
-	// cascade) and the reusable pass-through gather arenas.
-	appShort  telemetry.Counter
-	appPass   telemetry.Counter
-	shortMask []bool
-	fseqs     []uint32
-	fats      []time.Time
-	forigins  []int64
-	fsamples  [][]float64
 }
 
 // ensureRoute returns the stream's live upstream, (re)placing it when the
@@ -977,7 +681,7 @@ type fwdStream struct {
 // upstream, its summary suppressed) and opens on the new shard. Returns
 // nil when no healthy shard can take the stream.
 func (st *fwdStream) ensureRoute() *upstream {
-	g := st.f.c.g
+	g := st.f.g
 	cur := g.route()
 	if st.up != nil && st.epoch == cur.epoch && !st.up.dead.Load() {
 		return st.up
@@ -1028,23 +732,20 @@ func (st *fwdStream) ensureRoute() *upstream {
 	return nil
 }
 
-// Process runs the edge cascade (when configured) and forwards the
-// pass-through remainder to the stream's shard, rerouting and re-sending
-// the whole batch once if the send hits a dead upstream. With no healthy
-// shard the batch is dropped and counted; the agent connection survives.
-// When the gateway traces, one sample per sampled forwarded batch gets a
-// gateway-tier record attributing ring wait, the edge envelope pass,
+// Process forwards the batch to the stream's shard, rerouting and
+// re-sending the whole batch once if the send hits a dead upstream. With
+// no healthy shard the batch is dropped and counted; the agent
+// connection survives. When the gateway traces, one sample per sampled
+// batch gets a gateway-tier record attributing ring wait,
 // routing/assembly and the upstream write.
 func (st *fwdStream) Process(b session.Batch) error {
-	g := st.f.c.g
-	fb, shortMask, stage0 := st.cascadeFilter(b)
+	g := st.f.g
 	if sl := g.cfg.SampleLog; sl != nil {
 		// Log arrivals at the fleet edge, before routing: replay wants the
 		// traffic that reached the gateway, whether or not a shard was
-		// healthy enough to score it. Forwarded samples have no verdict yet,
-		// so their records are unscored (FlagScored clear) and backtests
-		// skip them; edge-cascade short-circuits carry their synthesized
-		// benign verdict.
+		// healthy enough to score it. The samples have no verdict yet, so
+		// their records are unscored (FlagScored clear) and backtests skip
+		// them.
 		var version uint32
 		if w := g.welcome.Load(); w != nil {
 			version = w.ModelVersion
@@ -1058,17 +759,10 @@ func (st *fwdStream) Process(b session.Batch) error {
 				ModelVersion: version,
 				Features:     b.Samples[i],
 			}
-			if shortMask != nil && shortMask[i] {
-				recs[i].Flags = samplelog.FlagScored | samplelog.FlagShortCircuit
-				recs[i].Class = uint8(workload.Benign)
-			}
 		}
 		sl.AppendBatch(recs)
 	}
-	if fb.Len() == 0 {
-		return nil
-	}
-	traceIdx, traceID, traced := g.cfg.Tracer.SampleBatch(fb.Len())
+	traceIdx, traceID, traced := g.cfg.Tracer.SampleBatch(b.Len())
 	var sendStart time.Time
 	if traced {
 		sendStart = time.Now()
@@ -1078,95 +772,31 @@ func (st *fwdStream) Process(b session.Batch) error {
 		if up == nil {
 			break
 		}
-		if err := st.sendBatch(up, fb); err != nil {
+		if err := st.sendBatch(up, b); err != nil {
 			up.fail()
 			continue
 		}
-		st.sent += uint64(fb.Len())
-		up.met.forwarded.Add(uint64(fb.Len()))
+		st.sent += uint64(b.Len())
+		up.met.forwarded.Add(uint64(b.Len()))
 		if up.met.isCanary.Load() {
-			g.canarySamples.Add(uint64(fb.Len()))
+			g.canarySamples.Add(uint64(b.Len()))
 		}
 		if traced {
-			st.capture(fb, traceIdx, traceID, sendStart, stage0, up.shard)
+			st.capture(b, traceIdx, traceID, sendStart, up.shard)
 		}
 		return nil
 	}
-	g.dropped.Add(uint64(fb.Len()))
+	g.dropped.Add(uint64(b.Len()))
 	return nil
 }
 
-// cascadeFilter runs the edge envelope over one batch. Short-circuited
-// samples are answered on the spot — a synthesized benign Verdict with
-// FlagShortCircuit written straight to the agent (flushed with the
-// round) — and excluded from the returned batch. Returns the batch to
-// forward (b itself when the cascade is off), the per-sample short mask
-// (nil when off) and the wall time the pass took.
-func (st *fwdStream) cascadeFilter(b session.Batch) (session.Batch, []bool, time.Duration) {
-	c := st.f.c
-	if c.cascade == nil {
-		return b, nil, 0
-	}
-	g := c.g
-	start := time.Now()
-	n := b.Len()
-	if cap(st.shortMask) < n {
-		st.shortMask = make([]bool, n)
-	}
-	mask := st.shortMask[:n]
-	st.fseqs = st.fseqs[:0]
-	st.fats = st.fats[:0]
-	st.forigins = st.forigins[:0]
-	st.fsamples = st.fsamples[:0]
-	shorts := 0
-	for i, fv := range b.Samples {
-		if c.cascade.Score(fv) <= c.cascadeThreshold {
-			mask[i] = true
-			shorts++
-			c.writeFrame(wire.Verdict{
-				Stream: st.id,
-				Seq:    b.Seqs[i],
-				Flags:  wire.FlagShortCircuit,
-				Class:  uint8(workload.Benign),
-			})
-		} else {
-			mask[i] = false
-			st.fseqs = append(st.fseqs, b.Seqs[i])
-			st.fats = append(st.fats, b.Ats[i])
-			st.forigins = append(st.forigins, b.Origins[i])
-			st.fsamples = append(st.fsamples, b.Samples[i])
-		}
-	}
-	elapsed := time.Since(start)
-	st.short += uint64(shorts)
-	g.cascadeShort.Add(uint64(shorts))
-	g.cascadePass.Add(uint64(n - shorts))
-	st.appShort.Add(uint64(shorts))
-	st.appPass.Add(uint64(n - shorts))
-	g.cascadeNanos.Add(uint64(maxNanos(elapsed, 0)))
-	g.cascadeSamples.Add(uint64(n))
-	if shorts == 0 {
-		return b, mask, elapsed
-	}
-	return session.Batch{
-		Samples:   st.fsamples,
-		Seqs:      st.fseqs,
-		Ats:       st.fats,
-		Origins:   st.forigins,
-		DrainedAt: b.DrainedAt,
-	}, mask, elapsed
-}
-
 // capture assembles the gateway-tier trace record for the sampled sample
-// at batch index i: HopQueue is the ingress-ring wait, HopStage0 the edge
-// envelope pass over the sample's batch (zero without a cascade),
-// HopAssembly the drain→send grouping and routing, HopEmit the upstream
-// write(s) (including any failover re-send). HopGateway and HopScore stay
-// zero — the matching shard-tier record owns those.
-func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart time.Time, stage0 time.Duration, shard string) {
-	g := st.f.c.g
+// at batch index i: HopQueue is the ingress-ring wait, HopAssembly the
+// drain→send grouping and routing, HopEmit the upstream write(s)
+// (including any failover re-send). HopGateway, HopStage0 and HopScore
+// stay zero — the matching shard-tier record owns those.
+func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart time.Time, shard string) {
 	sendEnd := time.Now()
-	at := b.Ats[i]
 	rec := trace.Record{
 		TraceID: traceID,
 		Tier:    trace.TierGateway,
@@ -1175,15 +805,14 @@ func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart t
 		Stream:  st.id,
 		Seq:     b.Seqs[i],
 	}
-	rec.Hops[trace.HopQueue] = maxNanos(b.DrainedAt.Sub(at), 0)
-	rec.Hops[trace.HopStage0] = maxNanos(stage0, 0)
-	rec.Hops[trace.HopAssembly] = maxNanos(sendStart.Sub(b.DrainedAt)-stage0, 0)
+	rec.Hops[trace.HopQueue] = maxNanos(b.DrainedAt.Sub(b.Ats[i]), 0)
+	rec.Hops[trace.HopAssembly] = maxNanos(sendStart.Sub(b.DrainedAt), 0)
 	rec.Hops[trace.HopEmit] = sendEnd.Sub(sendStart).Nanoseconds()
 	for _, h := range rec.Hops {
 		rec.TotalNanos += h
 	}
 	rec.StartNanos = sendEnd.UnixNano() - rec.TotalNanos
-	g.cfg.Tracer.Add(rec)
+	st.f.g.cfg.Tracer.Add(rec)
 }
 
 func maxNanos(d time.Duration, floor int64) int64 {
@@ -1212,7 +841,7 @@ func (st *fwdStream) sendBatch(up *upstream, b session.Batch) error {
 func (st *fwdStream) Close(shed uint64) error {
 	up := st.up
 	if up != nil && !up.dead.Load() {
-		up.setCloseState(st.id, closeState{shed: shed, short: st.short})
+		up.setCloseState(st.id, closeState{shed: shed})
 		if err := up.cli.CloseStream(st.id); err == nil {
 			return nil
 		}
@@ -1220,13 +849,13 @@ func (st *fwdStream) Close(shed uint64) error {
 		up.fail()
 	}
 	var version uint32
-	if w := st.f.c.g.welcome.Load(); w != nil {
+	if w := st.f.g.welcome.Load(); w != nil {
 		version = w.ModelVersion
 	}
-	st.f.c.writeFrame(wire.StreamSummary{
+	st.f.c.WriteFrame(wire.StreamSummary{
 		Stream:       st.id,
 		ModelVersion: version,
-		Samples:      st.sent + st.short,
+		Samples:      st.sent,
 		Shed:         shed,
 	})
 	return nil

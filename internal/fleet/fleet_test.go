@@ -310,9 +310,6 @@ cluster_canary_samples_total %d
 	if g.Shards[1].Up {
 		t.Fatalf("down shard reported up: %+v", g.Shards[1])
 	}
-	if g.Cascade != nil {
-		t.Fatalf("no-cascade gateway grew a cascade section: %+v", g.Cascade)
-	}
 
 	if len(st.Errors) != 1 || st.Errors[0].Addr != dead {
 		t.Fatalf("errors = %+v, want the dead node", st.Errors)

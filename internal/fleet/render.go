@@ -37,9 +37,6 @@ func (st *Status) Render(w io.Writer) {
 		if g.TraceDropped > 0 {
 			fmt.Fprintf(w, " (dropped %d)", g.TraceDropped)
 		}
-		if g.Cascade != nil {
-			fmt.Fprintf(w, "  cascade=%s", cascadeCell(g.Cascade))
-		}
 		if g.CanaryStreams > 0 || g.CanarySampleRate > 0 {
 			fmt.Fprintf(w, "  canary_streams=%.0f (%.1f samples/s)", g.CanaryStreams, g.CanarySampleRate)
 		}

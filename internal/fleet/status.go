@@ -135,9 +135,6 @@ type GatewayStatus struct {
 	CanarySampleRate float64 `json:"canary_sample_rate,omitempty"`
 	TraceCount       int     `json:"trace_count"`
 	TraceDropped     uint64  `json:"trace_dropped"`
-	// Cascade is the gateway's edge-cascade view (nil when the gateway
-	// forwards everything).
-	Cascade *CascadeStatus `json:"cascade,omitempty"`
 }
 
 // NodeError records a node that could not be scraped.
@@ -313,7 +310,6 @@ func gatewayStatus(addr string, before, after *Metrics, sec float64, dump *trace
 	sort.Slice(g.Shards, func(i, j int) bool { return g.Shards[i].Shard < g.Shards[j].Shard })
 	g.CanaryStreams, _ = after.Get("cluster_canary_streams_total")
 	g.CanarySampleRate = Delta(before, after, "cluster_canary_samples_total") / sec
-	g.Cascade = cascadeStatus(before, after)
 	return g
 }
 

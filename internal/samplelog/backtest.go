@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"twosmart/internal/anomaly"
 	"twosmart/internal/core"
@@ -80,16 +79,10 @@ type BacktestResult struct {
 	Cascade *CascadeBacktest `json:"cascade,omitempty"`
 }
 
-// backtest divergence accumulator; shadow keeps its own unexported, so
-// the full-speed replay path carries a parallel-mergeable twin and emits
-// the shared shadow.Report shape at the end.
+// btStats is one backtest worker's accumulator: the shared shadow
+// divergence accumulator plus the cascade replay counters.
 type btStats struct {
-	scored        uint64
-	errors        uint64
-	disagreements uint64
-	sumAbsDelta   float64
-	maxDelta      float64
-	perClass      map[string]*btClass
+	div shadow.Stats
 
 	// cascade replay accounting (all zero when no envelope rides along)
 	cascadeShort  uint64
@@ -98,41 +91,14 @@ type btStats struct {
 	cascadeErrors uint64 // records whose width the envelope could not score
 }
 
-type btClass struct {
-	observed    uint64
-	disagreed   uint64
-	sumAbsDelta float64
-}
-
+// observe replays one record through the candidate against the verdict
+// the fleet recorded for it.
 func (st *btStats) observe(cand *core.CompiledDetector, rec Record) {
-	v, err := cand.Detect(rec.Features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	score, err := cand.MalwareScore(rec.Features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	st.scored++
-	delta := math.Abs(score - rec.Score)
-	st.sumAbsDelta += delta
-	if delta > st.maxDelta {
-		st.maxDelta = delta
-	}
-	name := workload.Class(rec.Class).String()
-	ca := st.perClass[name]
-	if ca == nil {
-		ca = &btClass{}
-		st.perClass[name] = ca
-	}
-	ca.observed++
-	ca.sumAbsDelta += delta
-	if v.Malware != rec.Malware() {
-		st.disagreements++
-		ca.disagreed++
-	}
+	st.div.Observe(cand, rec.Features, shadow.Primary{
+		Malware: rec.Malware(),
+		Class:   workload.Class(rec.Class).String(),
+		Score:   rec.Score,
+	})
 }
 
 // observeCascade replays one record through the stage-0 envelope and
@@ -153,52 +119,11 @@ func (st *btStats) observeCascade(env *anomaly.Compiled, threshold float64, rec 
 }
 
 func (st *btStats) merge(o btStats) {
-	st.scored += o.scored
-	st.errors += o.errors
-	st.disagreements += o.disagreements
-	st.sumAbsDelta += o.sumAbsDelta
-	if o.maxDelta > st.maxDelta {
-		st.maxDelta = o.maxDelta
-	}
-	for name, ca := range o.perClass {
-		dst := st.perClass[name]
-		if dst == nil {
-			dst = &btClass{}
-			st.perClass[name] = dst
-		}
-		dst.observed += ca.observed
-		dst.disagreed += ca.disagreed
-		dst.sumAbsDelta += ca.sumAbsDelta
-	}
+	st.div.Merge(o.div)
 	st.cascadeShort += o.cascadeShort
 	st.cascadePass += o.cascadePass
 	st.malwareShort += o.malwareShort
 	st.cascadeErrors += o.cascadeErrors
-}
-
-func (st *btStats) report(version int) shadow.Report {
-	rep := shadow.Report{
-		CandidateVersion: version,
-		Scored:           st.scored,
-		Errors:           st.errors,
-		Disagreements:    st.disagreements,
-		MaxScoreDelta:    st.maxDelta,
-	}
-	if st.scored > 0 {
-		rep.VerdictDivergence = float64(st.disagreements) / float64(st.scored)
-		rep.MeanAbsScoreDelta = st.sumAbsDelta / float64(st.scored)
-	}
-	if len(st.perClass) > 0 {
-		rep.PerClass = make(map[string]shadow.ClassStat, len(st.perClass))
-		for name, ca := range st.perClass {
-			cs := shadow.ClassStat{Observed: ca.observed, Disagreed: ca.disagreed}
-			if ca.observed > 0 {
-				cs.MeanAbsDelta = ca.sumAbsDelta / float64(ca.observed)
-			}
-			rep.PerClass[name] = cs
-		}
-	}
-	return rep
 }
 
 // Backtest replays a recorded log window through a candidate detector at
@@ -269,7 +194,7 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 		if runCascade {
 			env = opts.Envelope.Compile()
 		}
-		st := btStats{perClass: make(map[string]*btClass)}
+		var st btStats
 		for _, rec := range records[lo:hi] {
 			st.observe(cand, rec)
 			if env != nil {
@@ -281,14 +206,14 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 	if err != nil {
 		return res, err
 	}
-	total := btStats{perClass: make(map[string]*btClass)}
+	var total btStats
 	for _, st := range parts {
 		total.merge(st)
 	}
-	if total.errors > 0 && total.scored == 0 {
+	res.Report = total.div.Report(opts.Version, 0)
+	if res.Report.Errors > 0 && res.Report.Scored == 0 {
 		return res, fmt.Errorf("samplelog: candidate scored none of %d records (feature width mismatch?)", len(records))
 	}
-	res.Report = total.report(opts.Version)
 	if runCascade {
 		cb := &CascadeBacktest{
 			Threshold:             cascadeThreshold,

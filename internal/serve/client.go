@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"twosmart/internal/session"
 	"twosmart/internal/wire"
 )
 
@@ -76,7 +77,7 @@ func (c *Client) handshake(agent string) error {
 	if err != nil {
 		return fmt.Errorf("serve: handshake write: %w", err)
 	}
-	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(session.HandshakeTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
 	f, err := c.r.Next()
 	if err != nil {

@@ -1,42 +1,16 @@
-// Package serve is the fleet-scale streaming detection service: a TCP
-// server that speaks the internal/wire frame protocol, receives per-app
-// HPC sample streams from many agents, scores them through the compiled
-// allocation-free inference path and pushes verdict frames back.
+// Package serve is the shard tier of the streaming detection service:
+// it scores per-app HPC sample streams from many agents through the
+// compiled allocation-free inference path and pushes verdict frames
+// back over the internal/wire protocol.
 //
-// The dataflow per connection is
-//
-//	reader ──► bounded ingress ring (drop-oldest shed) ──► worker
-//	                                                        │ adaptive micro-batches,
-//	                                                        │ per-stream fan-out on
-//	                                                        │ internal/parallel
-//	writer ◄── verdict / summary frames ◄───────────────────┘
-//
-// The ring, worker loop, micro-batching and stream bookkeeping live in
-// internal/session — the engine this package shares with the sharded
-// gateway tier (internal/cluster) — with the scoring half supplied by
-// session.Scoring and the wire framing by this package's conn type.
-//
-// Backpressure is explicit: the ingress ring never grows past QueueDepth;
-// an overloaded server sheds the oldest queued samples (counted in
-// serve_shed_total and per-stream in StreamSummary.Shed) instead of
-// buffering without bound, and a slow client blocks its own worker's
-// writes until the ring sheds — one connection cannot consume unbounded
-// server memory. Scoring isolation follows the monitor layer's per-stream
-// ownership model: each (connection, app) stream owns a compiled detector
-// and monitor via a per-connection monitor.Tracker, so streams score
-// concurrently without sharing scratch space.
-//
-// Graceful drain: when the Serve context is cancelled the server stops
-// accepting, closes the read side of every connection, scores and flushes
-// everything already queued, then closes. cmd/smartserve maps that to
-// exit 130 on SIGINT/SIGTERM.
-//
-// Idle reaping: with IdleTimeout set, a connection that sends no frame —
-// not even a Heartbeat — for that long is reaped (Error{CodeIdle}, then
-// close, counted in serve_conns_reaped_total), so dead agents cannot pin
-// tracker and ring memory forever. Agents with sparse sample traffic keep
-// their connections alive with wire Heartbeat frames, which the server
-// echoes and which reset the idle clock like any other frame.
+// The connection lifecycle — accept, handshake, read loop, bounded
+// drop-oldest ingress ring, adaptive micro-batch worker, verdict frames,
+// idle reaping and graceful drain — is internal/session's front end,
+// shared with the gateway tier (internal/cluster). This package supplies
+// only the shard's policy: the Welcome names the active model, Heartbeat
+// echoes carry the live model version, each connection scores through
+// session.Scoring with the per-stream parallel fan-out, and
+// IdleTimeout reaps silent agents. Metrics land in the serve_* families.
 //
 // Zero-downtime model swap: the server holds the active model behind an
 // atomic pointer. Each stream binds the generation that was active when
@@ -51,12 +25,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
-	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,14 +43,6 @@ import (
 	"twosmart/internal/trace"
 	"twosmart/internal/wire"
 )
-
-// handshakeTimeout bounds how long a fresh connection may sit without
-// completing the Hello/Welcome exchange.
-const handshakeTimeout = 10 * time.Second
-
-// batchSizeBuckets is the serve_batch_size histogram layout: powers of
-// two up to the default queue depth.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // Config configures a streaming detection server.
 type Config struct {
@@ -234,27 +197,17 @@ func resolveCascade(m *Model, n int, override float64) error {
 type Server struct {
 	cfg         Config
 	numFeatures int
+	fe          *session.Frontend
 
 	active  atomic.Pointer[Model]
 	shadowP atomic.Pointer[shadow.Shadow]
-
-	ln net.Listener
-	wg sync.WaitGroup
 
 	// scoreHook, when set (tests only), runs before every per-stream
 	// scoring round; a slow hook makes load-shedding deterministic.
 	scoreHook func()
 
-	connsActive telemetry.Gauge
-	connsTotal  telemetry.Counter
-	connsReaped telemetry.Counter
-	samplesIn   telemetry.Counter
-	verdictsOut telemetry.Counter
-	shed        telemetry.Counter
-	protoErrs   telemetry.Counter
-	swaps       telemetry.Counter
-	batchSize   telemetry.Histogram
-	latency     telemetry.Histogram
+	swaps   telemetry.Counter
+	latency telemetry.Histogram
 }
 
 // New validates the configuration and builds a server. Call Listen then
@@ -279,17 +232,29 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         filled,
 		numFeatures: n,
-		connsActive: reg.Gauge("serve_connections_active"),
-		connsTotal:  reg.Counter("serve_connections_total"),
-		connsReaped: reg.Counter("serve_conns_reaped_total"),
-		samplesIn:   reg.Counter("serve_samples_total"),
-		verdictsOut: reg.Counter("serve_verdicts_total"),
-		shed:        reg.Counter("serve_shed_total"),
-		protoErrs:   reg.Counter("serve_protocol_errors_total"),
 		swaps:       reg.Counter("serve_model_swaps_total"),
-		batchSize:   reg.Histogram("serve_batch_size", batchSizeBuckets),
 		latency:     reg.Histogram("serve_verdict_latency_seconds", telemetry.LatencyBuckets),
 	}
+	s.fe = session.NewFrontend(session.Tier{
+		Welcome:     s.welcome,
+		Heartbeat:   s.heartbeat,
+		NewHandler:  s.newHandler,
+		Workers:     filled.Workers,
+		QueueDepth:  filled.QueueDepth,
+		IdleTimeout: filled.IdleTimeout,
+		Metrics: session.Metrics{
+			ConnsActive: reg.Gauge("serve_connections_active"),
+			ConnsTotal:  reg.Counter("serve_connections_total"),
+			ConnsReaped: reg.Counter("serve_conns_reaped_total"),
+			Samples:     reg.Counter("serve_samples_total"),
+			Shed:        reg.Counter("serve_shed_total"),
+			ProtoErrs:   reg.Counter("serve_protocol_errors_total"),
+			BatchSize:   reg.Histogram("serve_batch_size", session.BatchSizeBuckets),
+			Verdicts:    reg.Counter("serve_verdicts_total"),
+			Latency:     s.latency,
+		},
+		Log: filled.Log,
+	})
 	initial := &Model{
 		Detector: filled.Detector,
 		Version:  filled.ModelVersion,
@@ -376,81 +341,43 @@ func (s *Server) SetShadow(sh *shadow.Shadow) error {
 
 // Listen binds the server's TCP listener and returns the bound address
 // (useful with ":0").
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.ln = ln
-	return ln.Addr(), nil
-}
+func (s *Server) Listen(addr string) (net.Addr, error) { return s.fe.Listen(addr) }
 
 // Serve accepts and handles connections until ctx is cancelled, then
 // drains gracefully: the listener closes, every connection's read side is
 // shut, in-flight batches are scored and flushed, and Serve returns nil.
 // A listener failure other than the drain close is returned as an error.
 func (s *Server) Serve(ctx context.Context) error {
-	if s.ln == nil {
-		return errors.New("serve: Serve before Listen")
+	if err := s.fe.Serve(ctx); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.ln.Close()
-		case <-stop:
-		}
-	}()
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			s.wg.Wait()
-			return fmt.Errorf("serve: accept: %w", err)
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(ctx, nc)
-		}()
-	}
-	s.cfg.Log.Info("draining", "reason", context.Cause(ctx))
-	s.wg.Wait()
 	return nil
 }
 
-// conn is the wire transport around one connection's session engine: it
-// parses inbound frames into the engine and implements session.Emitter
-// to turn scored output back into Verdict/StreamSummary frames.
-type conn struct {
-	s   *Server
-	nc  net.Conn
-	eng *session.Engine
-	r   *wire.Reader
-
-	wmu sync.Mutex
-	w   *wire.Writer
-
-	readerDone chan struct{} // closed when the reader stops enqueueing
+// welcome answers every handshake with the active model.
+func (s *Server) welcome() (wire.Welcome, *wire.Error) {
+	am := s.active.Load()
+	return wire.Welcome{
+		Proto:        wire.ProtoVersion,
+		ModelFormat:  persist.FormatVersion,
+		ModelVersion: uint32(am.Version),
+		NumFeatures:  uint16(s.numFeatures),
+		Model:        am.Name,
+	}, nil
 }
 
-func (s *Server) handle(ctx context.Context, nc net.Conn) {
-	s.connsTotal.Inc()
-	s.connsActive.Add(1)
-	defer s.connsActive.Add(-1)
-	defer nc.Close()
-	log := s.cfg.Log.With("remote", nc.RemoteAddr().String())
+// heartbeat stamps the live serving version on the echo: probing
+// gateways use heartbeats as their version feed across hot swaps (the
+// dial-time Welcome goes stale).
+func (s *Server) heartbeat(hb wire.Heartbeat) wire.Heartbeat {
+	hb.ModelVersion = uint32(s.active.Load().Version)
+	return hb
+}
 
-	c := &conn{
-		s:          s,
-		nc:         nc,
-		w:          wire.NewWriter(nc),
-		readerDone: make(chan struct{}),
-	}
-	scoring, err := session.NewScoring(session.ScoringConfig{
+// newHandler scores one connection's streams, each bound to the model
+// generation active when it opens.
+func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(), error) {
+	h, err := session.NewScoring(session.ScoringConfig{
 		Source: func() session.Generation {
 			am := s.active.Load()
 			return session.Generation{
@@ -464,209 +391,20 @@ func (s *Server) handle(ctx context.Context, nc net.Conn) {
 		Emit:      c,
 		Monitor:   s.cfg.Monitor,
 		MaxBatch:  s.cfg.MaxBatch,
-		Tap:       c.tap,
+		Tap:       s.tap,
 		Tracer:    s.cfg.Tracer,
 		Latency:   s.latency,
 		Telemetry: s.cfg.Telemetry,
 		Hook:      s.scoreHook,
 	})
-	if err != nil {
-		log.Error("scoring", "err", err)
-		return
-	}
-	c.eng, err = session.New(session.Config{
-		Handler:    scoring,
-		QueueDepth: s.cfg.QueueDepth,
-		Workers:    s.cfg.Workers,
-		OnReject:   c.reject,
-		BatchSize:  s.batchSize,
-	})
-	if err != nil {
-		log.Error("session", "err", err)
-		return
-	}
-	if err := c.handshake(); err != nil {
-		log.Warn("handshake", "err", err)
-		return
-	}
-
-	// Drain watcher: a cancelled server closes the read side so the
-	// reader unblocks; everything already queued still gets scored.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeRead(nc)
-		case <-stopWatch:
-		}
-	}()
-
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		if err := c.eng.Run(c.readerDone); err != nil {
-			c.fail(err)
-		}
-	}()
-
-	rerr := c.readLoop()
-	close(c.readerDone)
-	<-workerDone
-
-	reaped := s.cfg.IdleTimeout > 0 && ctx.Err() == nil && errors.Is(rerr, os.ErrDeadlineExceeded)
-	if reaped {
-		s.connsReaped.Inc()
-		// Best-effort notice so a half-alive agent can tell a reap from a
-		// network failure; queued samples were already scored and flushed.
-		c.writeFrame(wire.Error{Code: wire.CodeIdle,
-			Msg: fmt.Sprintf("no frames for %s, reaping idle connection", s.cfg.IdleTimeout)})
-	}
-	if ctx.Err() != nil {
-		// Best-effort notice so agents can distinguish drain from a crash.
-		c.writeFrame(wire.Error{Code: wire.CodeDraining, Msg: "server draining"})
-	}
-	c.Flush()
-	switch {
-	case reaped:
-		log.Info("connection reaped", "idle_timeout", s.cfg.IdleTimeout)
-	case rerr != nil && !errors.Is(rerr, io.EOF) && ctx.Err() == nil:
-		log.Warn("connection closed", "err", rerr)
-	default:
-		log.Info("connection closed")
-	}
-}
-
-// closeRead half-closes the connection so a blocked reader sees EOF while
-// queued verdicts can still be written.
-func closeRead(nc net.Conn) {
-	type readCloser interface{ CloseRead() error }
-	if rc, ok := nc.(readCloser); ok {
-		rc.CloseRead()
-		return
-	}
-	nc.SetReadDeadline(time.Now())
-}
-
-func (c *conn) handshake() error {
-	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	r := wire.NewReader(c.nc)
-	f, err := r.Next()
-	if err != nil {
-		return err
-	}
-	hello, ok := f.(wire.Hello)
-	if !ok {
-		c.writeFrame(wire.Error{Code: wire.CodeProtocol, Msg: "expected Hello"})
-		c.Flush()
-		return fmt.Errorf("first frame is %T, want Hello", f)
-	}
-	if hello.Proto != wire.ProtoVersion {
-		c.writeFrame(wire.Error{Code: wire.CodeVersion,
-			Msg: fmt.Sprintf("protocol v%d unsupported, server speaks v%d", hello.Proto, wire.ProtoVersion)})
-		c.Flush()
-		return fmt.Errorf("client protocol v%d, want v%d", hello.Proto, wire.ProtoVersion)
-	}
-	c.nc.SetReadDeadline(time.Time{})
-	c.r = r
-	am := c.s.active.Load()
-	c.writeFrame(wire.Welcome{
-		Proto:        wire.ProtoVersion,
-		ModelFormat:  persist.FormatVersion,
-		ModelVersion: uint32(am.Version),
-		NumFeatures:  uint16(c.s.numFeatures),
-		Model:        am.Name,
-	})
-	return c.Flush()
-}
-
-// readLoop parses frames until EOF, a read error, an idle-timeout reap
-// or a protocol violation, feeding samples into the engine's ring and
-// stream opens/closes into its control queue.
-func (c *conn) readLoop() error {
-	idle := c.s.cfg.IdleTimeout
-	var lastArm time.Time
-	for {
-		// Arm the idle deadline lazily — re-arming costs a poller update,
-		// so refresh only after a quarter of the budget has elapsed. Any
-		// inbound frame (samples, opens, heartbeats) pushes it out; a
-		// connection that stays silent past IdleTimeout fails the read
-		// with os.ErrDeadlineExceeded and is reaped by the caller.
-		if idle > 0 {
-			if now := time.Now(); now.Sub(lastArm) > idle/4 {
-				c.nc.SetReadDeadline(now.Add(idle))
-				lastArm = now
-			}
-		}
-		f, err := c.r.Next()
-		if err != nil {
-			return err
-		}
-		switch fr := f.(type) {
-		case wire.Sample:
-			if len(fr.Features) != c.s.numFeatures {
-				c.s.protoErrs.Inc()
-				c.writeFrame(wire.Error{Code: wire.CodeBadFeatures,
-					Msg: fmt.Sprintf("sample has %d features, model wants %d", len(fr.Features), c.s.numFeatures)})
-				c.Flush()
-				return fmt.Errorf("sample width %d, want %d", len(fr.Features), c.s.numFeatures)
-			}
-			c.s.samplesIn.Inc()
-			if c.eng.Push(fr.Stream, fr.Seq, int64(fr.IngressNanos), time.Now(), fr.Features) {
-				c.s.shed.Inc()
-			}
-		case wire.OpenStream:
-			c.eng.Open(fr.Stream, fr.App)
-		case wire.CloseStream:
-			c.eng.Close(fr.Stream)
-		case wire.Heartbeat:
-			// Echo Nanos verbatim, but stamp the live serving version:
-			// probing gateways use heartbeats as their version feed
-			// across hot swaps (the dial-time Welcome goes stale).
-			fr.ModelVersion = uint32(c.s.active.Load().Version)
-			c.writeFrame(fr)
-			c.Flush()
-		default:
-			c.s.protoErrs.Inc()
-			c.writeFrame(wire.Error{Code: wire.CodeProtocol, Msg: fmt.Sprintf("unexpected frame type 0x%02x", f.Type())})
-			c.Flush()
-			return fmt.Errorf("unexpected frame %T", f)
-		}
-	}
-}
-
-// fail tears the connection down after a worker-side error (typically a
-// write failure to a dead client).
-func (c *conn) fail(err error) {
-	c.s.cfg.Log.Warn("connection worker", "remote", c.nc.RemoteAddr().String(), "err", err)
-	c.nc.Close() // unblocks the reader
-}
-
-// reject maps the engine's per-stream protocol violations onto wire
-// Error frames and the serve_protocol_errors_total counter; none of them
-// kill the connection.
-func (c *conn) reject(id uint32, app string, reason session.RejectReason) {
-	c.s.protoErrs.Inc()
-	switch reason {
-	case session.RejectDupStream:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream, Msg: fmt.Sprintf("stream %d already open", id)})
-	case session.RejectDupApp:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream,
-			Msg: fmt.Sprintf("app %q already streamed on this connection", app)})
-	case session.RejectUnknownClose:
-		c.writeFrame(wire.Error{Code: wire.CodeBadStream, Msg: fmt.Sprintf("stream %d not open", id)})
-	case session.RejectUnknownSample:
-		// Counted only: a shed OpenStream cannot happen (control frames
-		// are unsheddable), so this is an agent bug, not worth a frame
-		// per sample.
-	}
+	return h, nil, err
 }
 
 // tap offers every scored chunk to the attached shadow scorer and the
 // durable sample log, if configured — both off the hot path: Offer and
 // Append copy what they keep and never block.
-func (c *conn) tap(ch session.TapChunk) {
-	if sh := c.s.shadowP.Load(); sh != nil {
+func (s *Server) tap(ch session.TapChunk) {
+	if sh := s.shadowP.Load(); sh != nil {
 		for i := range ch.Samples {
 			sh.Offer(ch.Samples[i], shadow.Primary{
 				Malware: ch.Verdicts[i].Malware,
@@ -675,7 +413,7 @@ func (c *conn) tap(ch session.TapChunk) {
 			})
 		}
 	}
-	if sl := c.s.cfg.SampleLog; sl != nil {
+	if sl := s.cfg.SampleLog; sl != nil {
 		// One AppendBatch per chunk: per-record locking here serializes
 		// the scoring workers behind the log's mutex at full load. The
 		// chunk slice is per-call — taps run concurrently across streams.
@@ -704,71 +442,4 @@ func (c *conn) tap(ch session.TapChunk) {
 		}
 		sl.AppendBatch(recs)
 	}
-}
-
-// Verdicts implements session.Emitter: one scored chunk becomes a run of
-// Verdict frames, written under the connection's writer mutex so chunks
-// from concurrently scoring streams interleave at frame granularity.
-func (c *conn) Verdicts(id uint32, _ int, seqs []uint32, ats []time.Time,
-	verdicts []core.Verdict, scores []float64, events []monitor.Event) error {
-	now := time.Now()
-	c.wmu.Lock()
-	for i := range verdicts {
-		var flags uint8
-		if verdicts[i].Malware {
-			flags |= wire.FlagMalware
-		}
-		if events[i].Alarm {
-			flags |= wire.FlagAlarm
-		}
-		if events[i].Changed {
-			flags |= wire.FlagAlarmChanged
-		}
-		if verdicts[i].Stage == core.StageShortCircuit {
-			flags |= wire.FlagShortCircuit
-		}
-		if err := c.w.Write(wire.Verdict{
-			Stream:   id,
-			Seq:      seqs[i],
-			Flags:    flags,
-			Class:    uint8(verdicts[i].PredictedClass),
-			Score:    scores[i],
-			Smoothed: events[i].Smoothed,
-		}); err != nil {
-			c.wmu.Unlock()
-			return err
-		}
-		c.s.latency.ObserveDuration(now.Sub(ats[i]))
-	}
-	c.wmu.Unlock()
-	c.s.verdictsOut.Add(uint64(len(verdicts)))
-	return nil
-}
-
-// Summary implements session.Emitter: the closing account of a stream
-// becomes its StreamSummary frame, reporting the model epoch the stream
-// was opened under.
-func (c *conn) Summary(id uint32, version int, sum monitor.Summary, shed uint64) error {
-	c.writeFrame(wire.StreamSummary{
-		Stream:       id,
-		ModelVersion: uint32(version),
-		Samples:      uint64(sum.Samples),
-		Shed:         shed,
-		Alarms:       uint32(sum.Alarms),
-		MaxSmoothed:  sum.MaxSmoothed,
-	})
-	return nil
-}
-
-func (c *conn) writeFrame(f wire.Frame) {
-	c.wmu.Lock()
-	c.w.Write(f)
-	c.wmu.Unlock()
-}
-
-// Flush implements session.Emitter; the engine calls it once per round.
-func (c *conn) Flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.Flush()
 }

@@ -39,7 +39,7 @@ type Generation struct {
 // Emitter receives the scoring handler's output. Methods are called on
 // the engine's worker goroutines — concurrently across streams, in order
 // within one stream — so implementations serialize their shared output
-// path (the serve transport holds its frame-writer mutex per chunk).
+// path (the front end's Conn holds its frame-writer mutex per chunk).
 type Emitter interface {
 	// Verdicts delivers one scored chunk for stream id, bound to model
 	// epoch version: parallel slices where verdicts[i]/scores[i]/events[i]

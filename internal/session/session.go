@@ -1,9 +1,13 @@
-// Package session is the reusable per-connection stream engine shared by
-// the single-node serving tier (internal/serve, shard role) and the
-// sharded gateway tier (internal/cluster). It owns everything about a
-// connection's sample streams that does not depend on the transport or on
-// what "processing" means:
+// Package session is the wire front end and per-connection stream
+// engine shared by the shard tier (internal/serve) and the gateway tier
+// (internal/cluster). It owns everything about a connection that does
+// not depend on what "processing" means:
 //
+//   - the front end (Frontend, Conn): listen, accept, the Hello/Welcome
+//     handshake, the read loop with its feature-width check and lazily
+//     armed idle deadline, reject→wire.Error mapping, the framed writer,
+//     the Emitter that turns scored chunks into Verdict/StreamSummary
+//     frames, and graceful drain;
 //   - the bounded drop-oldest ingress ring with a feature-buffer free
 //     list and per-stream shed accounting (the backpressure model from
 //     DESIGN §10),
@@ -15,19 +19,20 @@
 //   - stream-table bookkeeping: duplicate-id/duplicate-app rejection,
 //     unknown-stream accounting, ordered open→process→close rounds.
 //
-// The transport supplies a Handler: the serve shard plugs in the Scoring
+// A tier supplies only its policy as a Tier: the Welcome source, the
+// Heartbeat echo, the per-connection Handler and its teardown, the idle
+// timeout and its own metric instruments. The shard plugs in the Scoring
 // handler from this package (compiled-detector epoch capture, tracker
-// lifecycle, fused verdict+smoothing evaluation), while the cluster
-// gateway plugs in a forwarder that relays each stream's samples to the
-// backend shard the consistent-hash ring picked. Both tiers therefore
-// run the identical hot path — one copy, pinned by the serve tests.
+// lifecycle, fused verdict+smoothing evaluation); the gateway plugs in a
+// forwarder that relays each stream's samples to the backend shard the
+// consistent-hash ring picked.
 //
-// Goroutine model (inherited from internal/serve and unchanged): one
-// reader goroutine calls Push/Open/Close, one worker goroutine runs Run,
-// and the handler's per-stream Process calls may execute concurrently
-// across *different* streams within a round but never for the same
-// stream. Handlers that share output state across streams (a frame
-// writer) serialize it themselves.
+// Goroutine model: per connection, one reader goroutine calls
+// Push/Open/Close, one worker goroutine runs Run, and the handler's
+// per-stream Process calls may execute concurrently across *different*
+// streams within a round but never for the same stream. Handlers that
+// share output state across streams serialize it themselves; Conn's
+// writer is mutex-guarded.
 package session
 
 import (
@@ -193,6 +198,7 @@ type Engine struct {
 	streams map[uint32]*entry // worker-owned after construction
 	drain   []item            // reusable drain buffer
 	touched []*entry          // reusable per-round stream list
+	closes  []uint32          // reusable per-round close list
 }
 
 // New validates the configuration and builds an engine.
@@ -278,12 +284,9 @@ func (e *Engine) round() error {
 	e.ctrls = nil
 	e.ctrlMu.Unlock()
 
-	for _, m := range ctrls {
-		if m.open {
-			if err := e.openStream(m.stream, m.app); err != nil {
-				return err
-			}
-		}
+	e.closes = e.closes[:0]
+	if err := e.apply(ctrls); err != nil {
+		return err
 	}
 
 	e.drain = e.q.drainInto(e.drain[:0])
@@ -294,6 +297,17 @@ func (e *Engine) round() error {
 		for i := range e.drain {
 			it := &e.drain[i]
 			st := e.streams[it.stream]
+			if st == nil {
+				// The stream's Open may have been queued after this round
+				// took its control snapshot, together with this sample.
+				pulled, err := e.pullOpen(it.stream)
+				if err != nil {
+					return err
+				}
+				if pulled {
+					st = e.streams[it.stream]
+				}
+			}
 			if st == nil {
 				e.reject(it.stream, "", RejectUnknownSample)
 				e.q.recycle(it.features)
@@ -331,14 +345,70 @@ func (e *Engine) round() error {
 		}
 	}
 
-	for _, m := range ctrls {
-		if !m.open {
-			if err := e.closeStream(m.stream); err != nil {
-				return err
-			}
+	for _, id := range e.closes {
+		if err := e.closeStream(id); err != nil {
+			return err
 		}
 	}
 	return e.cfg.Handler.RoundEnd()
+}
+
+// apply opens the streams of ctrls in order and queues its closes on
+// e.closes, which the round applies after processing.
+func (e *Engine) apply(ctrls []ctrl) error {
+	for _, m := range ctrls {
+		if !m.open {
+			e.closes = append(e.closes, m.stream)
+		} else if err := e.openStream(m.stream, m.app); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pullOpen takes the queued control prefix up to and including the
+// first Open of stream id and applies it in the current round. The
+// reader enqueues a stream's Open before pushing its samples, so a
+// drained sample whose stream is unknown has its Open queued here
+// unless the agent never sent one. The prefix stays queued when one of
+// its opens collides with a stream open now: that stream may close
+// only at the end of this round, and the next round orders it right.
+func (e *Engine) pullOpen(id uint32) (bool, error) {
+	e.ctrlMu.Lock()
+	n := -1
+	for i, m := range e.ctrls {
+		if m.open && m.stream == id {
+			n = i + 1
+			break
+		}
+	}
+	if n < 0 || e.collides(e.ctrls[:n]) {
+		e.ctrlMu.Unlock()
+		return false, nil
+	}
+	prefix := e.ctrls[:n:n]
+	e.ctrls = e.ctrls[n:]
+	e.ctrlMu.Unlock()
+	return true, e.apply(prefix)
+}
+
+// collides reports whether an open in ctrls names a stream id or app
+// that is open now.
+func (e *Engine) collides(ctrls []ctrl) bool {
+	for _, m := range ctrls {
+		if !m.open {
+			continue
+		}
+		if _, dup := e.streams[m.stream]; dup {
+			return true
+		}
+		for _, st := range e.streams {
+			if st.app == m.app {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (e *Engine) reject(id uint32, app string, reason RejectReason) {

@@ -298,3 +298,58 @@ func TestEngineConcurrentProducer(t *testing.T) {
 		}
 	}
 }
+
+// hookHandler runs onOpen after each stream open, which is the moment a
+// round has taken its control snapshot but not yet drained the ring.
+type hookHandler struct {
+	*fakeHandler
+	onOpen func(id uint32)
+}
+
+func (h *hookHandler) OpenStream(id uint32, app string) (Stream, error) {
+	st, err := h.fakeHandler.OpenStream(id, app)
+	h.onOpen(id)
+	return st, err
+}
+
+// TestEngineOpenAfterSnapshot pins the first-sample race: an Open and
+// its first sample that land between a round's control snapshot and its
+// ring drain are processed in that round, and a Close queued ahead of
+// that Open still applies after processing.
+func TestEngineOpenAfterSnapshot(t *testing.T) {
+	var rejects []string
+	h := &hookHandler{fakeHandler: newFakeHandler()}
+	e, err := New(Config{Handler: h, OnReject: func(id uint32, app string, reason RejectReason) {
+		rejects = append(rejects, fmt.Sprintf("%d/%s", id, reason))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.onOpen = func(id uint32) {
+		if id != 1 {
+			return
+		}
+		e.Push(1, 0, 0, time.Now(), []float64{1})
+		e.Close(1)
+		e.Open(2, "appB")
+		e.Push(2, 0, 0, time.Now(), []float64{2})
+	}
+	e.Open(1, "appA")
+	if err := e.round(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rejects) != 0 {
+		t.Fatalf("rejects = %v, want none", rejects)
+	}
+	for _, id := range []uint32{1, 2} {
+		if st := h.stream(id); st == nil || len(st.seqs) != 1 {
+			t.Fatalf("stream %d: %+v, want one processed sample", id, st)
+		}
+	}
+	if !h.stream(1).closed {
+		t.Fatal("stream 1's close, queued ahead of stream 2's open, was not applied")
+	}
+	if h.stream(2).closed {
+		t.Fatal("stream 2 closed without a Close")
+	}
+}

@@ -74,7 +74,12 @@ type Report struct {
 	PerClass          map[string]ClassStat `json:"per_class,omitempty"`
 }
 
-type stats struct {
+// Stats accumulates a candidate's divergence from primary decisions:
+// live shadow scoring, offline Evaluate and log backtests all fold
+// samples into one and emit its Report. Accumulators from parallel
+// workers combine with Merge. The zero value is ready to use; a Stats is
+// not safe for concurrent use.
+type Stats struct {
 	scored        uint64
 	errors        uint64
 	disagreements uint64
@@ -89,11 +94,22 @@ type classAcc struct {
 	sumAbsDelta float64
 }
 
-func newStats() stats { return stats{perClass: make(map[string]*classAcc)} }
+// class returns the per-class accumulator for name, creating it.
+func (st *Stats) class(name string) *classAcc {
+	if st.perClass == nil {
+		st.perClass = make(map[string]*classAcc)
+	}
+	ca := st.perClass[name]
+	if ca == nil {
+		ca = &classAcc{}
+		st.perClass[name] = ca
+	}
+	return ca
+}
 
-// observe scores one sample with the candidate and folds the comparison
-// into the accumulator.
-func (st *stats) observe(cand *core.CompiledDetector, features []float64, p Primary) {
+// Observe scores one sample with the candidate and folds the comparison
+// with the primary decision p into the accumulator.
+func (st *Stats) Observe(cand *core.CompiledDetector, features []float64, p Primary) {
 	v, err := cand.Detect(features)
 	if err != nil {
 		st.errors++
@@ -110,11 +126,7 @@ func (st *stats) observe(cand *core.CompiledDetector, features []float64, p Prim
 	if delta > st.maxDelta {
 		st.maxDelta = delta
 	}
-	ca := st.perClass[p.Class]
-	if ca == nil {
-		ca = &classAcc{}
-		st.perClass[p.Class] = ca
-	}
+	ca := st.class(p.Class)
 	ca.observed++
 	ca.sumAbsDelta += delta
 	if v.Malware != p.Malware {
@@ -123,7 +135,8 @@ func (st *stats) observe(cand *core.CompiledDetector, features []float64, p Prim
 	}
 }
 
-func (st *stats) merge(o stats) {
+// Merge folds another accumulator into st.
+func (st *Stats) Merge(o Stats) {
 	st.scored += o.scored
 	st.errors += o.errors
 	st.disagreements += o.disagreements
@@ -132,18 +145,16 @@ func (st *stats) merge(o stats) {
 		st.maxDelta = o.maxDelta
 	}
 	for name, ca := range o.perClass {
-		dst := st.perClass[name]
-		if dst == nil {
-			dst = &classAcc{}
-			st.perClass[name] = dst
-		}
+		dst := st.class(name)
 		dst.observed += ca.observed
 		dst.disagreed += ca.disagreed
 		dst.sumAbsDelta += ca.sumAbsDelta
 	}
 }
 
-func (st *stats) report(version int, dropped uint64) Report {
+// Report summarises the accumulated divergence for candidate version,
+// with dropped counting samples that never reached the accumulator.
+func (st *Stats) Report(version int, dropped uint64) Report {
 	rep := Report{
 		CandidateVersion: version,
 		Scored:           st.scored,
@@ -181,7 +192,7 @@ type Shadow struct {
 	wg    sync.WaitGroup
 
 	mu      sync.Mutex
-	st      stats
+	st      Stats
 	dropped uint64
 
 	observedC telemetry.Counter
@@ -203,7 +214,6 @@ func New(candidate *core.Detector, cfg Config) (*Shadow, error) {
 		version:   cfg.Version,
 		queue:     make(chan observation, cfg.Queue),
 		stop:      make(chan struct{}),
-		st:        newStats(),
 		observedC: cfg.Telemetry.Counter("shadow_observed_total"),
 		droppedC:  cfg.Telemetry.Counter("shadow_dropped_total"),
 		disagreeC: cfg.Telemetry.Counter("shadow_disagreements_total"),
@@ -265,7 +275,7 @@ func (s *Shadow) drain() {
 func (s *Shadow) score(o observation) {
 	s.mu.Lock()
 	before := s.st.disagreements
-	s.st.observe(s.cand, o.features, o.primary)
+	s.st.Observe(s.cand, o.features, o.primary)
 	disagreed := s.st.disagreements - before
 	var div float64
 	if s.st.scored > 0 {
@@ -283,7 +293,7 @@ func (s *Shadow) score(o observation) {
 func (s *Shadow) Report() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.st.report(s.version, s.dropped)
+	return s.st.Report(s.version, s.dropped)
 }
 
 // Close stops accepting samples, drains what is already queued, waits for
@@ -314,21 +324,21 @@ func Evaluate(ctx context.Context, baseline, candidate *core.Detector, samples [
 		workers = len(samples)
 	}
 	chunk := (len(samples) + workers - 1) / workers
-	parts, err := parallel.Map(ctx, workers, opts, func(_ context.Context, w int) (stats, error) {
+	parts, err := parallel.Map(ctx, workers, opts, func(_ context.Context, w int) (Stats, error) {
 		lo := w * chunk
 		hi := min(lo+chunk, len(samples))
 		base, cand := baseline.Compile(), candidate.Compile()
-		st := newStats()
+		var st Stats
 		for _, features := range samples[lo:hi] {
 			v, err := base.Detect(features)
 			if err != nil {
-				return stats{}, fmt.Errorf("shadow: baseline: %w", err)
+				return Stats{}, fmt.Errorf("shadow: baseline: %w", err)
 			}
 			score, err := base.MalwareScore(features)
 			if err != nil {
-				return stats{}, fmt.Errorf("shadow: baseline: %w", err)
+				return Stats{}, fmt.Errorf("shadow: baseline: %w", err)
 			}
-			st.observe(cand, features, Primary{
+			st.Observe(cand, features, Primary{
 				Malware: v.Malware,
 				Class:   v.PredictedClass.String(),
 				Score:   score,
@@ -339,12 +349,12 @@ func Evaluate(ctx context.Context, baseline, candidate *core.Detector, samples [
 	if err != nil {
 		return Report{}, err
 	}
-	total := newStats()
+	var total Stats
 	for _, st := range parts {
-		total.merge(st)
+		total.Merge(st)
 	}
 	if total.errors > 0 && total.scored == 0 {
 		return Report{}, fmt.Errorf("shadow: candidate scored none of %d samples (feature width mismatch?)", len(samples))
 	}
-	return total.report(0, 0), nil
+	return total.Report(0, 0), nil
 }

@@ -45,8 +45,7 @@ const (
 	HopAssembly
 	// HopStage0 is the stage-0 anomaly-envelope pass over the chunk: the
 	// cascade's pre-filter scoring plus the short-circuit partition. Zero
-	// when no cascade is configured (and on gateway-tier records unless
-	// the gateway runs an edge cascade).
+	// when no cascade is configured and on gateway-tier records.
 	HopStage0
 	// HopScore is the fused detect+observe scoring pass over the chunk
 	// (includes drift observation and the shadow tap offer). With a
