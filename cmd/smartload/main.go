@@ -471,14 +471,18 @@ send:
 			}
 			res.sent++
 		}
-		// Flush in bursts so frames actually hit the wire while keeping
-		// syscalls amortised. Each burst carries one heartbeat probe so the
-		// run samples wire RTT alongside verdict latency.
+		// At full speed, flush in bursts so frames hit the wire while
+		// syscalls stay amortised; paced, flush before every wait so no
+		// sample idles in the buffer for a period. Every 64th round carries
+		// a heartbeat probe so the run samples wire RTT alongside verdict
+		// latency.
 		if i%64 == 63 {
 			if err := c.Heartbeat(uint64(time.Now().UnixNano())); err != nil {
 				res.err = err
 				break send
 			}
+		}
+		if i%64 == 63 || tick != nil {
 			if err := c.Flush(); err != nil {
 				res.err = err
 				break send

@@ -243,6 +243,12 @@ send:
 		if amplify > 0 {
 			target := start.Add(time.Duration((rec.Nanos - first) / int64(amplify)))
 			if d := time.Until(target); d > 0 {
+				// Flush before waiting so sent samples do not idle in
+				// the buffer until the next every-64 flush.
+				if err := c.Flush(); err != nil {
+					res.err = err
+					break send
+				}
 				select {
 				case <-time.After(d):
 				case <-ctx.Done():

@@ -3,8 +3,10 @@
 // of a smartctl-managed registry), listens for agent connections
 // speaking the internal/wire protocol and streams verdicts back for
 // every HPC sample received. Each (connection, app) stream gets its own
-// compiled detector and smoothing monitor; an overloaded server sheds
-// the oldest queued samples instead of building unbounded backlog.
+// compiled detector and smoothing monitor, and each connection scores
+// its streams in arrival order on its own worker goroutine, so cores are
+// shared out by connection. An overloaded server sheds the oldest queued
+// samples instead of building unbounded backlog.
 //
 // With -registry the server supports zero-downtime model swaps: SIGHUP
 // re-reads the registry's active version, and -watch polls it so a
@@ -85,7 +87,6 @@ func main() {
 	reportOut := flag.String("report", "", "write the machine-readable run report (JSON: stage timings, drift assessment, shadow divergence) to this file (- for stdout)")
 	queueDepth := flag.Int("queue-depth", 4096, "per-connection ingress queue depth; beyond it the oldest samples are shed")
 	maxBatch := flag.Int("max-batch", 512, "largest per-stream scoring micro-batch")
-	workers := flag.Int("workers", 0, "per-connection scoring fan-out across streams (0 = NumCPU)")
 	shard := flag.Bool("shard", false, "run as a backend shard behind smartgw: tags logs with the shard role and defaults -idle-timeout to 5m so abandoned gateway connections are reaped")
 	shardID := flag.String("shard-id", "", "stable shard identity for per-shard version pins (the registry pin table key smartctl rollout targets); implies -shard. With -registry the shard serves its pinned version when one exists, the active version otherwise")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections that send no frame (not even a Heartbeat) for this long (0 = never; -shard defaults it to 5m)")
@@ -136,7 +137,13 @@ func main() {
 		if err != nil {
 			app.Fatal(err)
 		}
-		initial, err = loadFromRegistry(reg, *driftAlert, *shardID)
+		var entry registry.Entry
+		initial, entry, err = registryModel(reg, *driftAlert, *shardID)
+		if err == nil {
+			app.Log.Info("model loaded", "registry", reg.Root(), "version", entry.Version,
+				"sha256", entry.SHA256, "features", initial.Detector.NumFeatures(),
+				"drift", initial.Drift != nil, "envelope", initial.Envelope != nil)
+		}
 	} else {
 		initial, err = loadFromFile(*modelIn)
 		if err == nil && *envelopeIn != "" {
@@ -172,7 +179,6 @@ func main() {
 		Monitor:          monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
 		QueueDepth:       *queueDepth,
 		MaxBatch:         *maxBatch,
-		Workers:          *workers,
 		IdleTimeout:      *idleTimeout,
 		Telemetry:        app.Telemetry,
 		Tracer:           tracer,
@@ -287,14 +293,16 @@ func loadFromFile(path string) (serve.Model, error) {
 	return serve.Model{Detector: det, Name: filepath.Base(path)}, nil
 }
 
-// loadFromRegistry loads the shard's effective registry version — its
-// pin when -shard-id names one, the active version otherwise (integrity
-// checked against the manifest) — and builds its drift monitor when the
-// entry carries a training-time feature reference.
-func loadFromRegistry(reg *registry.Registry, alertPSI float64, shardID string) (serve.Model, error) {
+// registryModel loads the shard's effective registry version — its pin
+// when -shard-id names one, the active version otherwise (integrity
+// checked against the manifest) — refreshes the pinned gauge, and builds
+// the servable generation: its drift monitor when the entry carries a
+// training-time feature reference, and its stage-0 envelope when one was
+// published.
+func registryModel(reg *registry.Registry, alertPSI float64, shardID string) (serve.Model, registry.Entry, error) {
 	det, entry, err := reg.LoadEffective(shardID)
 	if err != nil {
-		return serve.Model{}, err
+		return serve.Model{}, entry, err
 	}
 	updatePinnedGauge(reg, shardID)
 	m := serve.Model{
@@ -304,16 +312,13 @@ func loadFromRegistry(reg *registry.Registry, alertPSI float64, shardID string) 
 	}
 	m.Drift, err = driftMonitorFor(det, entry, alertPSI)
 	if err != nil {
-		return serve.Model{}, err
+		return serve.Model{}, entry, err
 	}
 	m.Envelope, err = cascadeEnvelopeFor(entry)
 	if err != nil {
-		return serve.Model{}, err
+		return serve.Model{}, entry, err
 	}
-	app.Log.Info("model loaded", "registry", reg.Root(), "version", entry.Version,
-		"sha256", entry.SHA256, "features", det.NumFeatures(), "drift", m.Drift != nil,
-		"envelope", m.Envelope != nil)
-	return m, nil
+	return m, entry, nil
 }
 
 // loadEnvelope reads a stage-0 anomaly envelope written by smartrain
@@ -388,32 +393,14 @@ func driftMonitorFor(det *core.Detector, entry registry.Entry, alertPSI float64)
 // same-version trigger is a logged no-op.
 func swapFromRegistry(srv *serve.Server, reg *registry.Registry, alertPSI float64, shardID, trigger string) {
 	cur := srv.ActiveModel()
-	det, entry, err := reg.LoadEffective(shardID)
+	next, entry, err := registryModel(reg, alertPSI, shardID)
 	if err != nil {
 		app.Log.Error("hot swap failed", "trigger", trigger, "err", err)
 		return
 	}
-	updatePinnedGauge(reg, shardID)
 	if entry.Version == cur.Version {
 		app.Log.Info("hot swap skipped: version unchanged", "trigger", trigger, "version", entry.Version)
 		return
-	}
-	mon, err := driftMonitorFor(det, entry, alertPSI)
-	if err != nil {
-		app.Log.Error("hot swap failed", "trigger", trigger, "err", err)
-		return
-	}
-	env, err := cascadeEnvelopeFor(entry)
-	if err != nil {
-		app.Log.Error("hot swap failed", "trigger", trigger, "err", err)
-		return
-	}
-	next := serve.Model{
-		Detector: det,
-		Version:  entry.Version,
-		Name:     fmt.Sprintf("%s@v%d", filepath.Base(reg.Root()), entry.Version),
-		Drift:    mon,
-		Envelope: env,
 	}
 	if err := srv.Swap(next); err != nil {
 		app.Log.Error("hot swap failed", "trigger", trigger, "version", entry.Version, "err", err)

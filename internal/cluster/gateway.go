@@ -10,8 +10,8 @@
 // ingress ring, adaptive micro-batch worker and graceful drain. The
 // gateway supplies only its policy: the Welcome is the template probed
 // from the shards (CodeUnavailable while none has answered), Heartbeats
-// echo verbatim, and each connection runs a single-worker forwarder
-// instead of a scorer. Metrics land in the cluster_* families.
+// echo verbatim, and each connection runs a forwarder instead of a
+// scorer. Metrics land in the cluster_* families.
 //
 // Placement: streams route on a consistent-hash ring with virtual nodes
 // (see Ring) keyed by RouteKey(agent, app), over the currently healthy
@@ -191,13 +191,9 @@ func New(cfg Config) (*Gateway, error) {
 		canaryStreams:  reg.Counter("cluster_canary_streams_total"),
 		canarySamples:  reg.Counter("cluster_canary_samples_total"),
 	}
-	// Workers is pinned to 1: the forwarder's upstream map and stream
-	// routing state are worker-owned, and forwarding is I/O-bound — the
-	// per-stream fan-out that pays for scoring would only buy races here.
 	g.fe = session.NewFrontend(session.Tier{
 		Welcome:    g.agentWelcome,
 		NewHandler: g.forward,
-		Workers:    1,
 		QueueDepth: filled.QueueDepth,
 		Metrics: session.Metrics{
 			ConnsActive: reg.Gauge("cluster_connections_active"),

@@ -9,8 +9,8 @@
 // shared with the gateway tier (internal/cluster). This package supplies
 // only the shard's policy: the Welcome names the active model, Heartbeat
 // echoes carry the live model version, each connection scores through
-// session.Scoring with the per-stream parallel fan-out, and
-// IdleTimeout reaps silent agents. Metrics land in the serve_* families.
+// session.Scoring on its own worker, and IdleTimeout reaps silent
+// agents. Metrics land in the serve_* families.
 //
 // Zero-downtime model swap: the server holds the active model behind an
 // atomic pointer. Each stream binds the generation that was active when
@@ -78,10 +78,6 @@ type Config struct {
 	// effective micro-batch is adaptive: whatever accumulated in the ring
 	// since the last round, up to QueueDepth.
 	MaxBatch int
-	// Workers bounds the per-round scoring fan-out across a connection's
-	// streams (default: one worker per touched stream, capped by
-	// runtime.NumCPU via internal/parallel).
-	Workers int
 	// IdleTimeout, when positive, reaps connections whose agents send no
 	// frame for that long: the read side is torn down, queued samples are
 	// still scored and flushed, an Error{CodeIdle} notice is sent, and
@@ -239,7 +235,6 @@ func New(cfg Config) (*Server, error) {
 		Welcome:     s.welcome,
 		Heartbeat:   s.heartbeat,
 		NewHandler:  s.newHandler,
-		Workers:     filled.Workers,
 		QueueDepth:  filled.QueueDepth,
 		IdleTimeout: filled.IdleTimeout,
 		Metrics: session.Metrics{
@@ -415,8 +410,9 @@ func (s *Server) tap(ch session.TapChunk) {
 	}
 	if sl := s.cfg.SampleLog; sl != nil {
 		// One AppendBatch per chunk: per-record locking here serializes
-		// the scoring workers behind the log's mutex at full load. The
-		// chunk slice is per-call — taps run concurrently across streams.
+		// the connection workers behind the log's mutex at full load. The
+		// chunk slice is per-call — taps run concurrently across
+		// connections.
 		recs := make([]samplelog.Record, len(ch.Samples))
 		for i := range ch.Samples {
 			flags := samplelog.FlagScored

@@ -317,6 +317,85 @@ func TestServeStreamErrors(t *testing.T) {
 	}
 }
 
+// TestServeCloseReopenSameFlush closes an app's stream and reopens the
+// app under a new id within one flush, all landing in one engine round
+// (scoring of the first sample is held until the reader has queued the
+// rest). Every sample must come back as a verdict on its own stream, and
+// each incarnation must get its summary.
+func TestServeCloseReopenSameFlush(t *testing.T) {
+	reg := telemetry.New()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var gate sync.Once
+	ts := start(t, Config{Telemetry: reg}, func(s *Server) {
+		s.scoreHook = func() {
+			gate.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+	})
+	c := dial(t, ts)
+	_, data := fixtures(t)
+	const n = 16
+	samples := samplesFrom(data, n)
+	send := func(steps ...error) {
+		t.Helper()
+		for _, err := range steps {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(c.OpenStream(1, "app-a"), c.Send(1, 0, samples[0]), c.Flush())
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never started scoring")
+	}
+	for i := 1; i < n; i++ {
+		send(c.Send(1, uint32(i), samples[i]))
+	}
+	send(c.CloseStream(1), c.OpenStream(2, "app-a"))
+	for i := 0; i < n; i++ {
+		send(c.Send(2, uint32(i), samples[i]))
+	}
+	send(c.CloseStream(2), c.Flush())
+	for deadline := time.Now().Add(10 * time.Second); reg.Counter("serve_samples_total").Value() < 2*n; {
+		if time.Now().After(deadline) {
+			t.Fatal("reader never queued the second flush")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	next := map[uint32]uint32{}
+	summaries := map[uint32]wire.StreamSummary{}
+	for len(summaries) < 2 {
+		f, err := c.Next()
+		if err != nil {
+			t.Fatalf("after %d summaries: %v", len(summaries), err)
+		}
+		switch fr := f.(type) {
+		case wire.Verdict:
+			if fr.Seq != next[fr.Stream] {
+				t.Fatalf("stream %d: verdict seq %d, want %d", fr.Stream, fr.Seq, next[fr.Stream])
+			}
+			next[fr.Stream]++
+		case wire.StreamSummary:
+			summaries[fr.Stream] = fr
+		default:
+			t.Fatalf("unexpected frame %#v", f)
+		}
+	}
+	for _, id := range []uint32{1, 2} {
+		if next[id] != n || summaries[id].Samples != n || summaries[id].Shed != 0 {
+			t.Fatalf("stream %d: %d verdicts, summary %+v, want %d of each and no shed", id, next[id], summaries[id], n)
+		}
+	}
+}
+
 // TestServeRejectsVersionMismatch checks the handshake failure path with a
 // raw connection speaking a future protocol version.
 func TestServeRejectsVersionMismatch(t *testing.T) {

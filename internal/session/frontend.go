@@ -68,9 +68,7 @@ type Tier struct {
 	// The returned teardown, when non-nil, runs once the engine worker
 	// exited and the final frames were flushed. Required.
 	NewHandler func(c *Conn, agent string) (Handler, func(), error)
-	// Workers and QueueDepth configure each connection's engine (see
-	// Config).
-	Workers    int
+	// QueueDepth bounds each connection's ingress ring (see Config).
 	QueueDepth int
 	// IdleTimeout, when positive, reaps a connection that sends no frame
 	// for that long: its queued samples are still processed and flushed,
@@ -187,7 +185,6 @@ func (f *Frontend) handle(ctx context.Context, nc net.Conn) {
 	c.eng, err = New(Config{
 		Handler:    h,
 		QueueDepth: f.tier.QueueDepth,
-		Workers:    f.tier.Workers,
 		OnReject:   c.reject,
 		BatchSize:  m.BatchSize,
 	})
@@ -296,8 +293,8 @@ func (c *Conn) violation(code uint16, msg string) error {
 }
 
 // readLoop parses frames until EOF, a read error, an idle-timeout reap or
-// a protocol violation, feeding samples into the engine's ring and stream
-// opens/closes into its control queue.
+// a protocol violation, feeding samples and stream opens/closes into the
+// engine's ring.
 func (c *Conn) readLoop() error {
 	m := &c.fe.tier.Metrics
 	idle := c.fe.tier.IdleTimeout
@@ -364,8 +361,8 @@ func (c *Conn) reject(id uint32, app string, reason RejectReason) {
 }
 
 // Verdicts implements Emitter: one scored chunk becomes a run of Verdict
-// frames, written under the writer mutex so chunks from concurrently
-// scoring streams interleave at frame granularity.
+// frames, written under the writer mutex so Heartbeat echoes interleave
+// with them at frame granularity.
 func (c *Conn) Verdicts(id uint32, _ int, seqs []uint32, ats []time.Time,
 	verdicts []core.Verdict, scores []float64, events []monitor.Event) error {
 	m := &c.fe.tier.Metrics

@@ -5,36 +5,55 @@ import (
 	"time"
 )
 
-// item is one queued ingress sample: which stream it belongs to, the
-// client's sequence number, the upstream-tier ingress stamp (unix nanos
-// from the gateway, 0 when the agent sent directly), the local ingress
-// timestamp (for the end-to-end verdict latency histogram) and the
-// feature vector, copied into a ring-owned buffer that is recycled once
-// the sample is scored or shed.
+// item is one queued ingress sample or stream control: which stream it
+// belongs to, the client's sequence number, the upstream-tier ingress
+// stamp (unix nanos from the gateway, 0 when the agent sent directly),
+// the local ingress timestamp (for the end-to-end verdict latency
+// histogram) and the feature vector, copied into a ring-owned buffer that
+// is recycled once the sample is scored or shed. A control carries only
+// its stream and ctl.
 type item struct {
 	stream   uint32
 	seq      uint32
 	origin   int64
 	at       time.Time
 	features []float64
+	ctl      *ctrl // nil for a sample
+}
+
+// ctrl is a stream open or close. Controls are ordered with the samples
+// around them but are never shed.
+type ctrl struct {
+	open bool
+	app  string
+	// pos is how many samples had been pushed when the control arrived:
+	// it precedes the sample numbered pos.
+	pos uint64
+	// shed is, for a close, how many samples of the stream incarnation it
+	// ends the ring dropped.
+	shed uint64
 }
 
 // ring is a session's bounded ingress queue with explicit load-shedding:
 // pushing into a full ring drops the *oldest* queued sample (the one
 // whose 10 ms-period data is most stale and least worth scoring late)
 // rather than blocking the reader or buffering without bound. Shed
-// samples are counted in total and per stream so the transport can
-// export shed counters and report per-stream shed counts in
-// StreamSummary frames. Feature buffers cycle through an internal free
-// list, so the steady state allocates nothing.
+// samples are counted in total and per stream incarnation so the
+// transport can export shed counters and report per-stream shed counts
+// in StreamSummary frames. Stream controls queue under the same mutex
+// and drain interleaved with the samples in arrival order. Feature
+// buffers cycle through an internal free list, so the steady state
+// allocates nothing.
 type ring struct {
 	mu      sync.Mutex
 	buf     []item // fixed capacity, used as a circular queue
 	head    int
 	n       int
+	pushed  uint64 // samples ever pushed: the number of the next one
+	ctrls   []item // queued controls, in arrival order
 	free    [][]float64
 	shedAll uint64
-	shedBy  map[uint32]uint64
+	shedBy  map[uint32]uint64 // sheds of each stream's live incarnation
 }
 
 func newRing(depth int) *ring {
@@ -65,7 +84,7 @@ func (r *ring) push(stream, seq uint32, origin int64, at time.Time, features []f
 	if r.n == len(r.buf) {
 		oldest := &r.buf[r.head]
 		r.shedAll++
-		r.shedBy[oldest.stream]++
+		r.countShed(oldest.stream, r.pushed-uint64(r.n))
 		r.free = append(r.free, oldest.features)
 		oldest.features = nil
 		r.head = (r.head + 1) % len(r.buf)
@@ -77,36 +96,72 @@ func (r *ring) push(stream, seq uint32, origin int64, at time.Time, features []f
 	copy(buf, features)
 	*slot = item{stream: stream, seq: seq, origin: origin, at: at, features: buf}
 	r.n++
+	r.pushed++
 	r.mu.Unlock()
 	return shed
 }
 
-// drainInto appends every queued item to dst and empties the ring. The
-// items' feature buffers are owned by the caller until handed back via
-// recycle.
+// countShed charges the shed of stream's sample number pos to the first
+// queued close of that stream that arrived after the sample, else to the
+// stream's live incarnation. Caller must hold r.mu.
+func (r *ring) countShed(stream uint32, pos uint64) {
+	for _, c := range r.ctrls {
+		if c.stream == stream && !c.ctl.open && c.ctl.pos > pos {
+			c.ctl.shed++
+			return
+		}
+	}
+	r.shedBy[stream]++
+}
+
+// control queues a stream open or close behind every sample pushed so
+// far. A close takes over its incarnation's shed count.
+func (r *ring) control(stream uint32, c *ctrl) {
+	r.mu.Lock()
+	c.pos = r.pushed
+	if !c.open {
+		c.shed = r.shedBy[stream]
+		delete(r.shedBy, stream)
+	}
+	r.ctrls = append(r.ctrls, item{stream: stream, ctl: c})
+	r.mu.Unlock()
+}
+
+// drainInto appends every queued sample and control to dst in arrival
+// order and empties the ring. The samples' feature buffers are owned by
+// the caller until handed back via recycle.
 func (r *ring) drainInto(dst []item) []item {
 	r.mu.Lock()
+	first := r.pushed - uint64(r.n) // number of the oldest queued sample
+	c := 0
 	for i := 0; i < r.n; i++ {
+		for ; c < len(r.ctrls) && r.ctrls[c].ctl.pos <= first+uint64(i); c++ {
+			dst = append(dst, r.ctrls[c])
+		}
 		slot := &r.buf[(r.head+i)%len(r.buf)]
 		dst = append(dst, *slot)
 		slot.features = nil
 	}
+	dst = append(dst, r.ctrls[c:]...)
+	r.ctrls = r.ctrls[:0]
 	r.head, r.n = 0, 0
 	r.mu.Unlock()
 	return dst
 }
 
-// recycle hands a drained item's feature buffer back for reuse.
-func (r *ring) recycle(buf []float64) {
-	if buf == nil {
-		return
-	}
+// recycle hands drained feature buffers back for reuse.
+func (r *ring) recycle(bufs ...[]float64) {
 	r.mu.Lock()
-	r.free = append(r.free, buf)
+	for _, buf := range bufs {
+		if buf != nil {
+			r.free = append(r.free, buf)
+		}
+	}
 	r.mu.Unlock()
 }
 
-// shedCounts returns the total and the given stream's shed-sample counts.
+// shedCounts returns the total shed-sample count and that of the given
+// stream's live incarnation.
 func (r *ring) shedCounts(stream uint32) (total, forStream uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -2,7 +2,6 @@ package session
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"twosmart/internal/anomaly"
@@ -37,9 +36,7 @@ type Generation struct {
 }
 
 // Emitter receives the scoring handler's output. Methods are called on
-// the engine's worker goroutines — concurrently across streams, in order
-// within one stream — so implementations serialize their shared output
-// path (the front end's Conn holds its frame-writer mutex per chunk).
+// the engine's worker goroutine, in arrival order within each stream.
 type Emitter interface {
 	// Verdicts delivers one scored chunk for stream id, bound to model
 	// epoch version: parallel slices where verdicts[i]/scores[i]/events[i]
@@ -120,17 +117,16 @@ type Scoring struct {
 	// cascade instruments, created on the first stream whose generation
 	// carries a cascade — a server that never runs one exposes no
 	// cascade_* families at all.
-	cmOnce sync.Once
-	cm     *cascadeMetrics
+	cm *cascadeMetrics
 }
 
 // cascadeInstruments returns the shared cascade_* instruments, creating
 // them on first use.
 func (s *Scoring) cascadeInstruments() *cascadeMetrics {
-	s.cmOnce.Do(func() {
+	if s.cm == nil {
 		cm := newCascadeMetrics(s.cfg.Telemetry)
 		s.cm = &cm
-	})
+	}
 	return s.cm
 }
 
@@ -222,7 +218,7 @@ func (s *Scoring) RoundEnd() error { return s.cfg.Emit.Flush() }
 // scoredStream is one (connection, app) stream: its compiled detector
 // (owned by the tracker's per-app monitor; see monitor.Tracker.OpenWith)
 // plus the reusable scoring arenas. A stream is only ever touched by its
-// engine's worker goroutines, one round at a time.
+// engine's worker goroutine.
 //
 // det, version and drft are the stream's model epoch, captured from the
 // active generation in OpenStream. A hot swap that lands mid-stream does

@@ -10,14 +10,13 @@
 //     frames, and graceful drain;
 //   - the bounded drop-oldest ingress ring with a feature-buffer free
 //     list and per-stream shed accounting (the backpressure model from
-//     DESIGN §10),
-//   - the control queue that carries stream opens/closes outside the
-//     sheddable data path,
+//     DESIGN §10); stream opens and closes queue in the same ring, in
+//     arrival order, and are never shed,
 //   - the worker loop that coalesces whatever accumulated since its last
-//     round into adaptive micro-batches and fans processing out across
-//     the touched streams on internal/parallel,
+//     round into adaptive per-stream micro-batches,
 //   - stream-table bookkeeping: duplicate-id/duplicate-app rejection,
-//     unknown-stream accounting, ordered open→process→close rounds.
+//     unknown-stream accounting, controls applied at their arrival
+//     position within a round.
 //
 // A tier supplies only its policy as a Tier: the Welcome source, the
 // Heartbeat echo, the per-connection Handler and its teardown, the idle
@@ -28,20 +27,16 @@
 // consistent-hash ring picked.
 //
 // Goroutine model: per connection, one reader goroutine calls
-// Push/Open/Close, one worker goroutine runs Run, and the handler's
-// per-stream Process calls may execute concurrently across *different*
-// streams within a round but never for the same stream. Handlers that
-// share output state across streams serialize it themselves; Conn's
-// writer is mutex-guarded.
+// Push/Open/Close and one worker goroutine runs Run; every Handler and
+// Stream method runs on that worker. The connection is the unit of
+// parallelism. Conn's writer stays mutex-guarded: the reader's Heartbeat
+// echoes and the gateway's relay goroutines write beside the worker.
 package session
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"twosmart/internal/parallel"
 	"twosmart/internal/telemetry"
 )
 
@@ -73,8 +68,9 @@ type Stream interface {
 	// Process handles one adaptive micro-batch in arrival order. An error
 	// tears the whole session down (Run returns it).
 	Process(b Batch) error
-	// Close ends the stream; shed is how many of its queued samples the
-	// ingress ring dropped under overload (they were never processed).
+	// Close ends the stream; shed is how many of this incarnation's queued
+	// samples the ingress ring dropped under overload (they were never
+	// processed).
 	Close(shed uint64) error
 }
 
@@ -131,10 +127,6 @@ type Config struct {
 	// QueueDepth bounds the ingress ring; beyond it the oldest queued
 	// samples are shed (default 4096).
 	QueueDepth int
-	// Workers bounds the per-round processing fan-out across the
-	// session's streams (default: one worker per touched stream, capped
-	// by runtime.NumCPU via internal/parallel).
-	Workers int
 	// OnReject, when non-nil, observes per-stream protocol violations
 	// (duplicate open, unknown close, sample for an unopened stream).
 	// Called on the worker goroutine; app is empty when unknown.
@@ -160,15 +152,6 @@ func (c Config) fill() (Config, error) {
 	return c, nil
 }
 
-// ctrl is a reader→worker control message (stream open/close), routed
-// through a queue separate from the sample ring so load-shedding can
-// never drop one.
-type ctrl struct {
-	open   bool
-	stream uint32
-	app    string
-}
-
 // entry is the engine's bookkeeping for one open stream: the handler's
 // state plus the reusable per-round micro-batch slices.
 type entry struct {
@@ -192,13 +175,9 @@ type Engine struct {
 
 	kick chan struct{} // worker wake-up, capacity 1
 
-	ctrlMu sync.Mutex
-	ctrls  []ctrl
-
 	streams map[uint32]*entry // worker-owned after construction
 	drain   []item            // reusable drain buffer
 	touched []*entry          // reusable per-round stream list
-	closes  []uint32          // reusable per-round close list
 }
 
 // New validates the configuration and builds an engine.
@@ -227,21 +206,16 @@ func (e *Engine) Push(stream, seq uint32, origin int64, at time.Time, features [
 	return shed
 }
 
-// Open enqueues a stream-open control message. Unlike samples, control
-// messages are never shed.
+// Open queues a stream open behind the samples pushed so far. Unlike
+// samples, controls are never shed.
 func (e *Engine) Open(stream uint32, app string) {
-	e.enqueueCtrl(ctrl{open: true, stream: stream, app: app})
+	e.q.control(stream, &ctrl{open: true, app: app})
+	e.wake()
 }
 
-// Close enqueues a stream-close control message.
+// Close queues a stream close behind the samples pushed so far.
 func (e *Engine) Close(stream uint32) {
-	e.enqueueCtrl(ctrl{stream: stream})
-}
-
-func (e *Engine) enqueueCtrl(m ctrl) {
-	e.ctrlMu.Lock()
-	e.ctrls = append(e.ctrls, m)
-	e.ctrlMu.Unlock()
+	e.q.control(stream, &ctrl{})
 	e.wake()
 }
 
@@ -252,7 +226,8 @@ func (e *Engine) wake() {
 	}
 }
 
-// ShedCounts returns the ring's total and per-stream shed-sample counts.
+// ShedCounts returns the ring's total shed-sample count and that of the
+// stream's live incarnation (a queued Close takes over its count).
 func (e *Engine) ShedCounts(stream uint32) (total, forStream uint64) {
 	return e.q.shedCounts(stream)
 }
@@ -275,140 +250,73 @@ func (e *Engine) Run(done <-chan struct{}) error {
 	}
 }
 
-// round runs one micro-batch round: apply stream opens, drain the ring,
-// fan processing out across the touched streams, recycle the buffers,
-// then apply stream closes and let the handler flush.
+// round drains the ring and walks it once in arrival order: an Open
+// applies at its position, samples join their stream's micro-batch, and
+// a Close processes its stream's pending batch before closing it. The
+// remaining batches are processed in first-touch order, then the handler
+// flushes.
 func (e *Engine) round() error {
-	e.ctrlMu.Lock()
-	ctrls := e.ctrls
-	e.ctrls = nil
-	e.ctrlMu.Unlock()
-
-	e.closes = e.closes[:0]
-	if err := e.apply(ctrls); err != nil {
-		return err
-	}
-
 	e.drain = e.q.drainInto(e.drain[:0])
-	if len(e.drain) > 0 {
-		drainedAt := time.Now()
-		e.cfg.BatchSize.Observe(float64(len(e.drain)))
-		e.touched = e.touched[:0]
-		for i := range e.drain {
-			it := &e.drain[i]
-			st := e.streams[it.stream]
-			if st == nil {
-				// The stream's Open may have been queued after this round
-				// took its control snapshot, together with this sample.
-				pulled, err := e.pullOpen(it.stream)
-				if err != nil {
-					return err
-				}
-				if pulled {
-					st = e.streams[it.stream]
-				}
-			}
-			if st == nil {
-				e.reject(it.stream, "", RejectUnknownSample)
-				e.q.recycle(it.features)
-				continue
-			}
-			if len(st.samples) == 0 {
-				e.touched = append(e.touched, st)
-			}
-			st.samples = append(st.samples, it.features)
-			st.seqs = append(st.seqs, it.seq)
-			st.ats = append(st.ats, it.at)
-			st.origins = append(st.origins, it.origin)
-		}
-		// Per-stream fan-out: each stream's processing state is
-		// goroutine-isolated (see the package doc), so streams process
-		// concurrently; only the transport's output path is shared and
-		// handler-guarded. The fan-out deliberately ignores cancellation:
-		// a drain must process and flush everything already queued.
-		err := parallel.ForEach(context.Background(), len(e.touched), parallel.Options{Workers: e.cfg.Workers},
-			func(_ context.Context, i int) error {
-				st := e.touched[i]
-				return st.h.Process(Batch{Samples: st.samples, Seqs: st.seqs, Ats: st.ats, Origins: st.origins, DrainedAt: drainedAt})
-			})
-		for _, st := range e.touched {
-			for _, buf := range st.samples {
-				e.q.recycle(buf)
-			}
-			st.samples = st.samples[:0]
-			st.seqs = st.seqs[:0]
-			st.ats = st.ats[:0]
-			st.origins = st.origins[:0]
+	drainedAt := time.Now()
+	e.touched = e.touched[:0]
+	samples := 0
+	for i := range e.drain {
+		it := &e.drain[i]
+		var err error
+		switch {
+		case it.ctl == nil:
+			samples++
+			e.add(it)
+		case it.ctl.open:
+			err = e.openStream(it.stream, it.ctl.app)
+		default:
+			err = e.closeStream(it.stream, it.ctl.shed, drainedAt)
 		}
 		if err != nil {
 			return err
 		}
 	}
-
-	for _, id := range e.closes {
-		if err := e.closeStream(id); err != nil {
+	if samples > 0 {
+		e.cfg.BatchSize.Observe(float64(samples))
+	}
+	for _, st := range e.touched {
+		if err := e.process(st, drainedAt); err != nil {
 			return err
 		}
 	}
 	return e.cfg.Handler.RoundEnd()
 }
 
-// apply opens the streams of ctrls in order and queues its closes on
-// e.closes, which the round applies after processing.
-func (e *Engine) apply(ctrls []ctrl) error {
-	for _, m := range ctrls {
-		if !m.open {
-			e.closes = append(e.closes, m.stream)
-		} else if err := e.openStream(m.stream, m.app); err != nil {
-			return err
-		}
+// add appends a drained sample to its stream's pending micro-batch.
+func (e *Engine) add(it *item) {
+	st := e.streams[it.stream]
+	if st == nil {
+		e.reject(it.stream, "", RejectUnknownSample)
+		e.q.recycle(it.features)
+		return
 	}
-	return nil
+	if len(st.samples) == 0 {
+		e.touched = append(e.touched, st)
+	}
+	st.samples = append(st.samples, it.features)
+	st.seqs = append(st.seqs, it.seq)
+	st.ats = append(st.ats, it.at)
+	st.origins = append(st.origins, it.origin)
 }
 
-// pullOpen takes the queued control prefix up to and including the
-// first Open of stream id and applies it in the current round. The
-// reader enqueues a stream's Open before pushing its samples, so a
-// drained sample whose stream is unknown has its Open queued here
-// unless the agent never sent one. The prefix stays queued when one of
-// its opens collides with a stream open now: that stream may close
-// only at the end of this round, and the next round orders it right.
-func (e *Engine) pullOpen(id uint32) (bool, error) {
-	e.ctrlMu.Lock()
-	n := -1
-	for i, m := range e.ctrls {
-		if m.open && m.stream == id {
-			n = i + 1
-			break
-		}
+// process hands st's pending micro-batch, if any, to its handler and
+// recycles the batch's ring buffers.
+func (e *Engine) process(st *entry, drainedAt time.Time) error {
+	if len(st.samples) == 0 {
+		return nil
 	}
-	if n < 0 || e.collides(e.ctrls[:n]) {
-		e.ctrlMu.Unlock()
-		return false, nil
-	}
-	prefix := e.ctrls[:n:n]
-	e.ctrls = e.ctrls[n:]
-	e.ctrlMu.Unlock()
-	return true, e.apply(prefix)
-}
-
-// collides reports whether an open in ctrls names a stream id or app
-// that is open now.
-func (e *Engine) collides(ctrls []ctrl) bool {
-	for _, m := range ctrls {
-		if !m.open {
-			continue
-		}
-		if _, dup := e.streams[m.stream]; dup {
-			return true
-		}
-		for _, st := range e.streams {
-			if st.app == m.app {
-				return true
-			}
-		}
-	}
-	return false
+	err := st.h.Process(Batch{Samples: st.samples, Seqs: st.seqs, Ats: st.ats, Origins: st.origins, DrainedAt: drainedAt})
+	e.q.recycle(st.samples...)
+	st.samples = st.samples[:0]
+	st.seqs = st.seqs[:0]
+	st.ats = st.ats[:0]
+	st.origins = st.origins[:0]
+	return err
 }
 
 func (e *Engine) reject(id uint32, app string, reason RejectReason) {
@@ -436,13 +344,15 @@ func (e *Engine) openStream(id uint32, app string) error {
 	return nil
 }
 
-func (e *Engine) closeStream(id uint32) error {
+func (e *Engine) closeStream(id uint32, shed uint64, drainedAt time.Time) error {
 	st, ok := e.streams[id]
 	if !ok {
 		e.reject(id, "", RejectUnknownClose)
 		return nil
 	}
+	if err := e.process(st, drainedAt); err != nil {
+		return err
+	}
 	delete(e.streams, id)
-	_, shed := e.q.shedCounts(id)
 	return st.h.Close(shed)
 }

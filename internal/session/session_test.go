@@ -85,8 +85,7 @@ func (st *fakeStream) Close(shed uint64) error {
 }
 
 // run drives the engine through exactly one final round: everything
-// already pushed/enqueued is handled in open→process→close order, then
-// Run returns.
+// already pushed/enqueued is handled in arrival order, then Run returns.
 func run(t *testing.T, e *Engine) {
 	t.Helper()
 	done := make(chan struct{})
@@ -313,9 +312,9 @@ func (h *hookHandler) OpenStream(id uint32, app string) (Stream, error) {
 }
 
 // TestEngineOpenAfterSnapshot pins the first-sample race: an Open and
-// its first sample that land between a round's control snapshot and its
-// ring drain are processed in that round, and a Close queued ahead of
-// that Open still applies after processing.
+// its first sample that land while a round is running are processed in
+// the next round, and a Close queued ahead of that Open applies after
+// its stream's sample is processed.
 func TestEngineOpenAfterSnapshot(t *testing.T) {
 	var rejects []string
 	h := &hookHandler{fakeHandler: newFakeHandler()}
@@ -335,8 +334,10 @@ func TestEngineOpenAfterSnapshot(t *testing.T) {
 		e.Push(2, 0, 0, time.Now(), []float64{2})
 	}
 	e.Open(1, "appA")
-	if err := e.round(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := e.round(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(rejects) != 0 {
 		t.Fatalf("rejects = %v, want none", rejects)
@@ -351,5 +352,123 @@ func TestEngineOpenAfterSnapshot(t *testing.T) {
 	}
 	if h.stream(2).closed {
 		t.Fatal("stream 2 closed without a Close")
+	}
+}
+
+// recordRejects returns an OnReject hook collecting "id/app/reason"
+// strings, and the slice it appends to. Rounds run on the test goroutine.
+func recordRejects() (func(uint32, string, RejectReason), *[]string) {
+	var got []string
+	return func(id uint32, app string, reason RejectReason) {
+		got = append(got, fmt.Sprintf("%d/%s/%s", id, app, reason))
+	}, &got
+}
+
+// TestEngineSameRoundCloseReopen pins arrival order across a close and
+// two reopens in one round: closing stream 1 frees both its id and its
+// app for the opens queued behind the close, and each sample reaches the
+// stream open at its position — never the closed one.
+func TestEngineSameRoundCloseReopen(t *testing.T) {
+	onReject, rejects := recordRejects()
+	h := newFakeHandler()
+	e, err := New(Config{Handler: h, OnReject: onReject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Open(1, "appA")
+	if err := e.round(); err != nil {
+		t.Fatal(err)
+	}
+	closedA := h.stream(1)
+
+	e.Close(1)
+	e.Open(2, "appA")
+	e.Push(2, 0, 0, time.Now(), []float64{2})
+	e.Open(1, "appB")
+	e.Push(1, 0, 0, time.Now(), []float64{1})
+	run(t, e)
+
+	if len(*rejects) != 0 {
+		t.Fatalf("rejects = %v, want none", *rejects)
+	}
+	if !closedA.closed || len(closedA.seqs) != 0 {
+		t.Fatalf("closed appA stream: closed=%v processed %d samples, want closed with 0", closedA.closed, len(closedA.seqs))
+	}
+	for id, want := range map[uint32]struct {
+		app     string
+		feature float64
+	}{2: {"appA", 2}, 1: {"appB", 1}} {
+		st := h.stream(id)
+		if st == closedA || st.app != want.app || len(st.features) != 1 || st.features[0][0] != want.feature {
+			t.Fatalf("stream %d: app %q processed %v, want app %q with [[%v]]", id, st.app, st.features, want.app, want.feature)
+		}
+	}
+}
+
+// TestEngineSampleAfterClose pins that a sample queued behind its
+// stream's Close in the same round is rejected, not processed.
+func TestEngineSampleAfterClose(t *testing.T) {
+	onReject, rejects := recordRejects()
+	h := newFakeHandler()
+	e, err := New(Config{Handler: h, OnReject: onReject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Open(1, "appA")
+	if err := e.round(); err != nil {
+		t.Fatal(err)
+	}
+	e.Push(1, 0, 0, time.Now(), []float64{1})
+	e.Close(1)
+	e.Push(1, 1, 0, time.Now(), []float64{1})
+	run(t, e)
+
+	st := h.stream(1)
+	if !st.closed || len(st.seqs) != 1 || st.seqs[0] != 0 {
+		t.Fatalf("stream 1: closed=%v seqs %v, want closed after seq 0 only", st.closed, st.seqs)
+	}
+	if want := []string{"1//sample for unopened stream"}; len(*rejects) != 1 || (*rejects)[0] != want[0] {
+		t.Fatalf("rejects = %v, want %v", *rejects, want)
+	}
+}
+
+// TestEngineShedPerIncarnation pins shed accounting to the stream
+// incarnation: a reused id reports only its own sheds, a shed that lands
+// after a Close still counts toward the incarnation that Close ends, and
+// a closed incarnation leaves no per-stream count behind.
+func TestEngineShedPerIncarnation(t *testing.T) {
+	h := newFakeHandler()
+	e, err := New(Config{Handler: h, QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Open(1, "appA")
+	for i := 0; i < 5; i++ {
+		e.Push(1, uint32(i), 0, time.Now(), []float64{1})
+	}
+	e.Close(1)
+	run(t, e)
+	first := h.stream(1)
+	if first.shed != 3 {
+		t.Fatalf("first incarnation shed=%d, want 3", first.shed)
+	}
+
+	e.Open(1, "appA")
+	e.Push(1, 0, 0, time.Now(), []float64{1})
+	e.Close(1)
+	e.Open(2, "appB")
+	e.Push(2, 0, 0, time.Now(), []float64{2})
+	e.Push(2, 1, 0, time.Now(), []float64{2}) // sheds stream 1's sample, queued before its Close
+	e.Close(2)
+	run(t, e)
+	second := h.stream(1)
+	if second == first || second.shed != 1 || len(second.seqs) != 0 {
+		t.Fatalf("second incarnation shed=%d processed %d, want shed=1 processed 0", second.shed, len(second.seqs))
+	}
+	if st := h.stream(2); st.shed != 0 || len(st.seqs) != 2 {
+		t.Fatalf("stream 2 shed=%d processed %d, want 0 and 2", st.shed, len(st.seqs))
+	}
+	if total, forStream := e.ShedCounts(1); total != 4 || forStream != 0 {
+		t.Fatalf("ShedCounts(1) = (%d, %d), want (4, 0)", total, forStream)
 	}
 }

@@ -41,7 +41,7 @@ const (
 	// round drained it.
 	HopQueue
 	// HopAssembly is drain → score start: per-stream batch grouping and
-	// fan-out dispatch.
+	// the streams the round processed before this one.
 	HopAssembly
 	// HopStage0 is the stage-0 anomaly-envelope pass over the chunk: the
 	// cascade's pre-filter scoring plus the short-circuit partition. Zero
