@@ -110,7 +110,6 @@ func main() {
 	fromTS := flag.String("from", "", "backtest: replay window start, inclusive (RFC3339, e.g. 2026-08-07T12:00:00Z)")
 	toTS := flag.String("to", "", "backtest: replay window end, inclusive (RFC3339)")
 	envelopeIn := flag.String("envelope", "", "publish: stage-0 anomaly envelope (JSON, from smartrain -envelope) to store with the model; backtest: replay through this envelope instead of the candidate's published one")
-	cascadeThreshold := flag.Float64("cascade-threshold", 0, "backtest: stage-0 short-circuit threshold (0 = the envelope's calibrated threshold, >0 overrides, <0 skips the cascade replay)")
 	fleetAddrs := flag.String("fleet", "", "status: comma-separated telemetry addresses of the gateways and shards to scrape (their -telemetry-addr)")
 	window := flag.Duration("window", 2*time.Second, "status: time between the two /metrics scrapes that anchor the rate columns")
 	top := flag.Int("top", 5, "status: slowest traces to show")
@@ -187,7 +186,7 @@ func main() {
 	case "diff":
 		runDiff(ctx, reg, *baseline, *candidate, *scale, *seed, *workers)
 	case "backtest":
-		runBacktest(ctx, reg, *logDir, *version, *appFilter, *fromTS, *toTS, *envelopeIn, *cascadeThreshold, *workers, *jsonOut)
+		runBacktest(ctx, reg, *logDir, *version, *appFilter, *fromTS, *toTS, *envelopeIn, *workers, *jsonOut)
 	case "rollout":
 		switch rolloutAction {
 		case "start":
@@ -545,7 +544,7 @@ func parseWindowTS(flagName, val string) int64 {
 // runBacktest replays a recorded sample log through a published candidate
 // version at full speed and prints the divergence against the verdicts
 // the fleet actually served — runDiff's report shape over real traffic.
-func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, candVer int, appFilter, fromTS, toTS, envelopeIn string, cascadeThreshold float64, workers int, jsonOut bool) {
+func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, candVer int, appFilter, fromTS, toTS, envelopeIn string, workers int, jsonOut bool) {
 	if logDir == "" {
 		app.Fatal(fmt.Errorf("backtest needs -log DIR (a smartserve/smartgw -samplelog directory)"))
 	}
@@ -572,13 +571,12 @@ func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, can
 		envelope = loadEnvelope(envelopeIn)
 	}
 	res, err := samplelog.Backtest(ctx, logDir, cand, samplelog.BacktestOptions{
-		Version:          candVer,
-		Workers:          workers,
-		FromNanos:        parseWindowTS("from", fromTS),
-		ToNanos:          parseWindowTS("to", toTS),
-		App:              appFilter,
-		Envelope:         envelope,
-		CascadeThreshold: cascadeThreshold,
+		Version:   candVer,
+		Workers:   workers,
+		FromNanos: parseWindowTS("from", fromTS),
+		ToNanos:   parseWindowTS("to", toTS),
+		App:       appFilter,
+		Envelope:  envelope,
 	})
 	if err != nil {
 		app.Fatal(err)

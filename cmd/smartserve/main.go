@@ -25,10 +25,10 @@
 //
 // With -envelope (or a registry entry published with an envelope) the
 // server runs the stage-0 anomaly cascade ahead of the detector: samples
-// inside the benign envelope short-circuit to a benign verdict without
-// touching stage 1/2, and -cascade-threshold tunes (or, negative,
-// disables) the short-circuit boundary. Cascade cost and effectiveness
-// are exported as cascade_* metrics and a stage0 trace hop.
+// inside the benign envelope, at its calibrated threshold, short-circuit
+// to a benign verdict without touching stage 1/2. Without an envelope
+// the cascade is off. Cascade cost and effectiveness are exported as
+// cascade_* metrics and a stage0 trace hop.
 //
 // On SIGINT/SIGTERM the server drains gracefully — stops accepting,
 // scores and flushes everything already queued — and exits 130.
@@ -37,13 +37,13 @@
 // health-checks shards over the same wire protocol and consistent-hashes
 // (agent, app) streams across them. -idle-timeout (defaulted to 5m by
 // -shard) reaps connections whose peer stops sending entirely, so a dead
-// agent or gateway cannot pin tracker and ring memory forever.
+// agent or gateway cannot pin stream and ring memory forever.
 //
 // Usage:
 //
 //	smartrain -runtime -model det.json -envelope env.json
 //	smartserve -model det.json -addr :7643
-//	smartserve -model det.json -envelope env.json -cascade-threshold 0
+//	smartserve -model det.json -envelope env.json
 //	smartserve -registry models/ -watch -shadow 3 -report run.json
 //	smartserve -model det.json -shard -addr :7644   # behind smartgw
 package main
@@ -99,7 +99,6 @@ func main() {
 	sampleLogSegment := flag.Int64("samplelog-segment", 8<<20, "with -samplelog: rotate segments at this many bytes")
 	sampleLogRetain := flag.Int("samplelog-retain", 64, "with -samplelog: keep at most this many segments, pruning oldest-first (-1 = unbounded)")
 	envelopeIn := flag.String("envelope", "", "with -model: stage-0 anomaly envelope (JSON, from smartrain -envelope) enabling the detection cascade; with -registry the active entry's published envelope is used instead")
-	cascadeThreshold := flag.Float64("cascade-threshold", 0, "stage-0 short-circuit threshold: 0 uses the envelope's calibrated threshold, >0 overrides it, <0 disables the cascade even when an envelope is present")
 	flag.Parse()
 	ctx := app.Start()
 	defer app.Close()
@@ -170,26 +169,25 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Detector:         initial.Detector,
-		Model:            initial.Name,
-		ModelVersion:     initial.Version,
-		Drift:            initial.Drift,
-		Envelope:         initial.Envelope,
-		CascadeThreshold: *cascadeThreshold,
-		Monitor:          monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
-		QueueDepth:       *queueDepth,
-		MaxBatch:         *maxBatch,
-		IdleTimeout:      *idleTimeout,
-		Telemetry:        app.Telemetry,
-		Tracer:           tracer,
-		SampleLog:        sampleLog,
-		Log:              app.Log,
+		Detector:     initial.Detector,
+		Model:        initial.Name,
+		ModelVersion: initial.Version,
+		Drift:        initial.Drift,
+		Envelope:     initial.Envelope,
+		Monitor:      monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
+		QueueDepth:   *queueDepth,
+		MaxBatch:     *maxBatch,
+		IdleTimeout:  *idleTimeout,
+		Telemetry:    app.Telemetry,
+		Tracer:       tracer,
+		SampleLog:    sampleLog,
+		Log:          app.Log,
 	})
 	if err != nil {
 		app.Fatal(err)
 	}
-	if am := srv.ActiveModel(); am.CascadeEnabled() {
-		app.Log.Info("stage-0 cascade enabled", "threshold", am.CascadeThreshold())
+	if env := initial.Envelope; env != nil {
+		app.Log.Info("stage-0 cascade enabled", "threshold", env.Threshold)
 	}
 
 	var sh *shadow.Shadow
@@ -440,7 +438,7 @@ func finish(srv *serve.Server, sh *shadow.Shadow, sampleLog *samplelog.Writer, r
 	active := srv.ActiveModel()
 	var cascadeShort, cascadePass uint64
 	var cascadeFrac float64
-	if active.CascadeEnabled() {
+	if active.Envelope != nil {
 		cascadeShort = app.Telemetry.Counter("cascade_short_total").Value()
 		cascadePass = app.Telemetry.Counter("cascade_pass_total").Value()
 		if total := cascadeShort + cascadePass; total > 0 {
@@ -448,7 +446,7 @@ func finish(srv *serve.Server, sh *shadow.Shadow, sampleLog *samplelog.Writer, r
 		}
 		app.Log.Info("cascade summary",
 			"short_circuited", cascadeShort, "passed_on", cascadePass,
-			"short_fraction", cascadeFrac, "threshold", active.CascadeThreshold())
+			"short_fraction", cascadeFrac, "threshold", active.Envelope.Threshold)
 	}
 	if active.Drift != nil {
 		driftRep = active.Drift.Snapshot()
@@ -473,14 +471,14 @@ func finish(srv *serve.Server, sh *shadow.Shadow, sampleLog *samplelog.Writer, r
 		rep.Results["shadow_dropped"] = float64(shadowRep.Dropped)
 		rep.Results["shadow_verdict_divergence"] = shadowRep.VerdictDivergence
 	}
-	if active.CascadeEnabled() {
+	if active.Envelope != nil {
 		rep.Results["cascade_short_circuited"] = float64(cascadeShort)
 		rep.Results["cascade_passed_on"] = float64(cascadePass)
 		rep.Results["cascade_short_fraction"] = cascadeFrac
 		if rep.Notes == nil {
 			rep.Notes = map[string]string{}
 		}
-		rep.Notes["cascade"] = fmt.Sprintf("enabled threshold=%g", active.CascadeThreshold())
+		rep.Notes["cascade"] = fmt.Sprintf("enabled threshold=%g", active.Envelope.Threshold)
 	}
 	if sampleLog != nil {
 		rep.Results["samplelog_appended"] = float64(logStats.Appended)

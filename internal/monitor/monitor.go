@@ -48,10 +48,16 @@ type Config struct {
 	MinSamples int
 	// Telemetry, when non-nil, records run-time detection metrics: the
 	// monitor_observe_seconds latency histogram, the sample/alarm
-	// counters, and (for Tracker) the monitor_active_apps gauge. When nil
-	// — the default — the Observe hot path pays only a branch (see
-	// BenchmarkObserve in internal/telemetry).
+	// counters, and (for Tracker and session.Scoring) the
+	// monitor_active_apps gauge. When nil — the default — the Observe hot
+	// path pays only a branch (see BenchmarkObserve in internal/telemetry).
 	Telemetry *telemetry.Registry
+}
+
+// Validate reports whether New would accept the config.
+func (c Config) Validate() error {
+	_, err := c.fill()
+	return err
 }
 
 func (c Config) fill() (Config, error) {
@@ -321,19 +327,30 @@ type Summary struct {
 	MaxSmoothed float64
 }
 
+// Add folds one event into the session summary.
+func (s *Summary) Add(ev Event) {
+	s.Samples++
+	if ev.Changed && ev.Alarm {
+		s.Alarms++
+	}
+	s.AlarmActive = ev.Alarm
+	if ev.Smoothed > s.MaxSmoothed {
+		s.MaxSmoothed = ev.Smoothed
+	}
+}
+
 // Tracker monitors many applications concurrently, one Monitor per
 // application key.
 //
-// Concurrency contract (the per-stream isolation model): the Tracker's
-// own maps and summaries are mutex-guarded, so goroutines may call any
-// method for *different* application keys concurrently — this is how the
-// streaming server fans scoring out across streams. But each
-// application's Monitor (and the scorer the factory created for it) is
-// unsynchronized: concurrent Observe/ObserveBatch/ObserveScored* calls
-// for the *same* application key race on the EWMA state and the scorer's
-// scratch space. Every application stream must therefore be owned by one
-// goroutine at a time; TestTrackerPerStreamIsolation pins the safe side
-// of this contract under the race detector.
+// Concurrency contract: the Tracker's own maps and summaries are
+// mutex-guarded, so goroutines may call any method for *different*
+// application keys concurrently. But each application's Monitor (and the
+// scorer the factory created for it) is unsynchronized: concurrent
+// Observe/ObserveBatch/ObserveScored* calls for the *same* application
+// key race on the EWMA state and the scorer's scratch space. Every
+// application stream must therefore be owned by one goroutine at a
+// time; TestTrackerPerStreamIsolation pins the safe side of this
+// contract under the race detector.
 type Tracker struct {
 	factory func() Scorer
 	cfg     Config
@@ -392,18 +409,6 @@ func (t *Tracker) monitorFor(app string) (*Monitor, *Summary) {
 	return m, t.stats[app]
 }
 
-// record folds one event into an application's session summary.
-func (t *Tracker) record(st *Summary, ev Event) {
-	st.Samples++
-	if ev.Changed && ev.Alarm {
-		st.Alarms++
-	}
-	st.AlarmActive = ev.Alarm
-	if ev.Smoothed > st.MaxSmoothed {
-		st.MaxSmoothed = ev.Smoothed
-	}
-}
-
 // Observe feeds one sample for the given application. The features slice
 // is only read during the call (see Monitor.Observe for the full aliasing
 // contract), so callers may reuse one buffer across all applications.
@@ -418,7 +423,7 @@ func (t *Tracker) Observe(app string, features []float64) (Event, error) {
 		return Event{}, err
 	}
 	t.mu.Lock()
-	t.record(st, ev)
+	st.Add(ev)
 	t.mu.Unlock()
 	return ev, nil
 }
@@ -434,7 +439,7 @@ func (t *Tracker) ObserveBatch(app string, dst []Event, samples [][]float64) err
 	}
 	t.mu.Lock()
 	for _, ev := range dst {
-		t.record(st, ev)
+		st.Add(ev)
 	}
 	t.mu.Unlock()
 	return nil
@@ -443,9 +448,7 @@ func (t *Tracker) ObserveBatch(app string, dst []Event, samples [][]float64) err
 // ObserveScoredBatch feeds a burst of pre-computed scores for one
 // application (see Monitor.ObserveScoredBatch), writing the per-sample
 // events into dst and folding them into the application's summary. The
-// application's scorer is not invoked; callers that scored the samples
-// through the instance returned by ScorerFor pay one evaluation per
-// sample in total.
+// application's scorer is not invoked.
 func (t *Tracker) ObserveScoredBatch(app string, dst []Event, scores []float64) error {
 	m, st := t.monitorFor(app)
 	if err := m.ObserveScoredBatch(dst, scores); err != nil {
@@ -453,46 +456,10 @@ func (t *Tracker) ObserveScoredBatch(app string, dst []Event, scores []float64) 
 	}
 	t.mu.Lock()
 	for _, ev := range dst {
-		t.record(st, ev)
+		st.Add(ev)
 	}
 	t.mu.Unlock()
 	return nil
-}
-
-// OpenWith creates app's monitor around an explicit scorer instead of
-// the tracker's factory. The streaming server uses this to bind each
-// stream to the model generation that was active when the stream opened:
-// it compiles the current detector itself and registers it here, so a
-// later hot swap changes what the factory would produce without touching
-// streams already in flight. It returns false — leaving the existing
-// monitor and scorer in place — when app is already tracked. The scorer
-// is subject to the same per-stream ownership contract as the rest of
-// the Tracker API.
-func (t *Tracker) OpenWith(app string, s Scorer) bool {
-	if s == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.monitors[app]; ok {
-		return false
-	}
-	t.monitors[app] = newMonitor(s, t.cfg)
-	t.stats[app] = &Summary{App: app}
-	t.active.Add(1)
-	return true
-}
-
-// ScorerFor returns the scorer instance owned by app's monitor, creating
-// the monitor (through the tracker's factory) on first use. It exists so
-// a caller that needs richer per-sample output than a bare score — the
-// streaming server wants full verdicts via the compiled detector's fused
-// batch path — can reach the same per-application instance the tracker
-// owns instead of compiling a second one. The returned scorer is subject
-// to the per-stream ownership contract in the Tracker doc comment.
-func (t *Tracker) ScorerFor(app string) Scorer {
-	m, _ := t.monitorFor(app)
-	return m.scorer
 }
 
 // Close removes an application and returns its session summary.

@@ -92,22 +92,13 @@ func TestObserveScoredZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestTrackerScorerFor(t *testing.T) {
+// TestTrackerObserveScoredBatch checks the scored path folds into the
+// same per-app summary as Observe and rejects a length mismatch.
+func TestTrackerObserveScoredBatch(t *testing.T) {
 	tr, err := NewTrackerFactory(func() Scorer { return &firstFeatureScorer{} }, Config{MinSamples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := tr.ScorerFor("a")
-	if a == nil {
-		t.Fatal("nil scorer for new app")
-	}
-	if tr.ScorerFor("a") != a {
-		t.Fatal("ScorerFor built a second scorer for the same app")
-	}
-	if tr.ScorerFor("b") == a {
-		t.Fatal("two apps share one scorer instance")
-	}
-	// The scored path must fold into the same per-app summary as Observe.
 	dst := make([]Event, 4)
 	if err := tr.ObserveScoredBatch("a", dst, []float64{0.9, 0.9, 0.9, 0.2}); err != nil {
 		t.Fatal(err)
@@ -147,17 +138,26 @@ func (s *statefulScorer) MalwareScoreBatch(dst []float64, samples [][]float64) e
 	return nil
 }
 
-// TestTrackerPerStreamIsolation pins the per-stream isolation model the
-// streaming server relies on: many goroutines each own one application
-// stream and concurrently drive the full serving mix — ScorerFor,
-// ObserveBatch (scorer-invoking) and ObserveScoredBatch — against one
+// TestTrackerPerStreamIsolation pins the Tracker's concurrency contract:
+// many goroutines each own one application stream and concurrently drive
+// ObserveBatch (scorer-invoking) and ObserveScoredBatch against one
 // shared Tracker. Run under -race (CI does) this proves that per-app
 // monitors and factory-built scorers are never shared across streams;
-// sharing one app between goroutines is the documented unsafe case.
+// sharing one app between goroutines is the documented unsafe case. The
+// factory records every scorer it builds, so the test can check each one
+// saw exactly its own stream's calls.
 func TestTrackerPerStreamIsolation(t *testing.T) {
 	reg := telemetry.New()
+	var (
+		builtMu sync.Mutex
+		built   []*statefulScorer
+	)
 	tr, err := NewTrackerFactory(func() Scorer {
-		return &statefulScorer{stride: 0.13}
+		sc := &statefulScorer{stride: 0.13}
+		builtMu.Lock()
+		built = append(built, sc)
+		builtMu.Unlock()
+		return sc
 	}, Config{MinSamples: 1, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,9 @@ func TestTrackerPerStreamIsolation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			app := fmt.Sprintf("stream-%02d", g)
-			sc := tr.ScorerFor(app).(*statefulScorer)
+			// The goroutine's own scorer produces the pre-computed scores
+			// the scored rounds feed in.
+			sc := &statefulScorer{stride: 0.13}
 			events := make([]Event, burst)
 			scores := make([]float64, burst)
 			fv := make([]float64, 1)
@@ -181,9 +183,8 @@ func TestTrackerPerStreamIsolation(t *testing.T) {
 				samples[i] = fv
 			}
 			for r := 0; r < rounds; r++ {
-				// Half the rounds score through the owned scorer and feed
-				// the results back (the server's path); half let the
-				// monitor invoke the scorer itself.
+				// Half the rounds feed scores computed outside the
+				// tracker; half let the monitor invoke its scorer.
 				if r%2 == 0 {
 					if err := sc.MalwareScoreBatch(scores, samples); err != nil {
 						errs <- err
@@ -208,11 +209,15 @@ func TestTrackerPerStreamIsolation(t *testing.T) {
 	if got := len(tr.Active()); got != streams {
 		t.Fatalf("active apps = %d, want %d", got, streams)
 	}
-	for _, app := range tr.Active() {
-		sc := tr.ScorerFor(app).(*statefulScorer)
-		if sc.calls != rounds*burst {
-			t.Fatalf("%s: scorer saw %d calls, want %d — an instance leaked across streams", app, sc.calls, rounds*burst)
+	if len(built) != streams {
+		t.Fatalf("factory built %d scorers, want one per stream (%d)", len(built), streams)
+	}
+	for i, sc := range built {
+		if want := rounds / 2 * burst; sc.calls != want {
+			t.Fatalf("scorer %d saw %d calls, want %d — an instance leaked across streams", i, sc.calls, want)
 		}
+	}
+	for _, app := range tr.Active() {
 		sum, _ := tr.Close(app)
 		if sum.Samples != rounds*burst {
 			t.Fatalf("%s: summary has %d samples, want %d", app, sum.Samples, rounds*burst)

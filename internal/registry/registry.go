@@ -41,8 +41,8 @@ import (
 // longer match the digest the manifest recorded; match with errors.Is.
 var ErrIntegrity = errors.New("registry: blob integrity check failed")
 
-// ErrNoActive is returned by LoadActive and ActiveEntry when no version
-// is promoted.
+// ErrNoActive is returned by ActiveEntry, and by EffectiveEntry and
+// LoadEffective for an unpinned shard, when no version is promoted.
 var ErrNoActive = errors.New("registry: no active version")
 
 const (
@@ -349,19 +349,9 @@ func (r *Registry) Load(version int) (*core.Detector, Entry, error) {
 	return det, e, err
 }
 
-// LoadActive loads the promoted version (ErrNoActive when none is).
-func (r *Registry) LoadActive() (*core.Detector, Entry, error) {
-	e, err := r.ActiveEntry()
-	if err != nil {
-		return nil, Entry{}, err
-	}
-	det, err := r.loadEntry(e)
-	return det, e, err
-}
-
 // LoadEffective loads the version a shard should serve — its pin when
-// one exists, the active version otherwise. With an empty shardID it is
-// exactly LoadActive.
+// one exists, the active version otherwise. With an empty shardID it
+// loads the active version.
 func (r *Registry) LoadEffective(shardID string) (*core.Detector, Entry, error) {
 	e, err := r.EffectiveEntry(shardID)
 	if err != nil {
@@ -442,21 +432,15 @@ func (r *Registry) Prune(keep int) ([]Entry, error) {
 	return removed, nil
 }
 
-// Watch polls the manifest every interval and invokes onChange each time
-// the active version differs from the last one observed (including the
-// first observation when the registry already has an active version and
-// from differs). It blocks until ctx is cancelled; manifest read errors
-// are reported through onError (nil to ignore) and polling continues —
-// a torn NFS read must not kill the serving tier's swap loop.
-func (r *Registry) Watch(ctx context.Context, interval time.Duration, from int, onChange func(Entry), onError func(error)) {
-	r.WatchEffective(ctx, interval, "", from, onChange, onError)
-}
-
-// WatchEffective is Watch for a specific shard: it tracks the shard's
-// effective version (pin when present, active otherwise), so a
-// pin-table-only manifest write — no version published, no promotion —
-// still fires onChange on the shard it targets. With an empty shardID it
-// degenerates to Watch.
+// WatchEffective polls the manifest every interval and invokes onChange
+// each time the shard's effective version (pin when present, active
+// otherwise; an empty shardID tracks the active version) differs from
+// the last one observed — including the first observation when from
+// differs. A pin-table-only manifest write — no version published, no
+// promotion — therefore still fires onChange on the shard it targets.
+// It blocks until ctx is cancelled; manifest read errors are reported
+// through onError (nil to ignore) and polling continues — a torn NFS
+// read must not kill the serving tier's swap loop.
 func (r *Registry) WatchEffective(ctx context.Context, interval time.Duration, shardID string, from int, onChange func(Entry), onError func(error)) {
 	if interval <= 0 {
 		interval = 2 * time.Second

@@ -116,7 +116,7 @@ func TestPublishLoadRoundTrip(t *testing.T) {
 	}
 
 	// v1 was promoted at publish; the active load carries its reference.
-	det, act, err := r.LoadActive()
+	det, act, err := r.LoadEffective("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPublishLoadRoundTrip(t *testing.T) {
 	if _, err := r.Promote(2); err != nil {
 		t.Fatal(err)
 	}
-	_, act, err = r.LoadActive()
+	_, act, err = r.LoadEffective("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestManifestSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r2.LoadActive(); err != nil {
+	if _, _, err := r2.LoadEffective(""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -447,7 +447,7 @@ func TestWatchSeesPromotion(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	got := make(chan Entry, 1)
-	go r.Watch(ctx, 5*time.Millisecond, e1.Version, func(e Entry) { got <- e }, nil)
+	go r.WatchEffective(ctx, 5*time.Millisecond, "", e1.Version, func(e Entry) { got <- e }, nil)
 	if _, err := r.Promote(2); err != nil {
 		t.Fatal(err)
 	}

@@ -26,21 +26,18 @@ type BacktestOptions struct {
 	// all apps.
 	App string
 	// Envelope, when non-nil, additionally replays every record through
-	// the stage-0 cascade envelope and reports what the cascade would have
-	// done to the recorded traffic — including the safety number: recorded
-	// malware verdicts the envelope would have short-circuited as clear
-	// benign. The envelope's width must match the candidate's.
+	// the stage-0 cascade envelope at its calibrated threshold and reports
+	// what the cascade would have done to the recorded traffic — including
+	// the safety number: recorded malware verdicts the envelope would have
+	// short-circuited as clear benign. The envelope's width must match the
+	// candidate's.
 	Envelope *anomaly.Envelope
-	// CascadeThreshold is the short-circuit knob for the cascade replay:
-	// 0 uses the envelope's calibrated threshold, > 0 overrides it, < 0
-	// skips the cascade replay even with an Envelope set.
-	CascadeThreshold float64
 }
 
 // CascadeBacktest is the cascade section of a BacktestResult: what the
 // stage-0 envelope would have decided about the recorded, scored traffic.
 type CascadeBacktest struct {
-	// Threshold is the effective short-circuit threshold replayed.
+	// Threshold is the envelope's short-circuit threshold replayed.
 	Threshold float64 `json:"threshold"`
 	// ShortCircuited counts replayed records the envelope would have
 	// answered as clear benign without reaching the full detector.
@@ -74,8 +71,7 @@ type BacktestResult struct {
 	// app filter.
 	SkippedFiltered int `json:"skipped_filtered"`
 	// Cascade is the stage-0 replay section, present only when
-	// BacktestOptions carried an envelope (and the threshold knob did not
-	// disable it).
+	// BacktestOptions carried an envelope.
 	Cascade *CascadeBacktest `json:"cascade,omitempty"`
 }
 
@@ -138,19 +134,13 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 	if candidate == nil {
 		return res, errors.New("samplelog: nil candidate detector")
 	}
-	var cascadeThreshold float64
-	runCascade := opts.Envelope != nil && opts.CascadeThreshold >= 0
-	if runCascade {
+	if opts.Envelope != nil {
 		if err := opts.Envelope.Validate(); err != nil {
 			return res, fmt.Errorf("samplelog: cascade envelope: %w", err)
 		}
 		if opts.Envelope.NumFeatures() != candidate.NumFeatures() {
 			return res, fmt.Errorf("samplelog: cascade envelope has %d features, candidate wants %d",
 				opts.Envelope.NumFeatures(), candidate.NumFeatures())
-		}
-		cascadeThreshold = opts.Envelope.Threshold
-		if opts.CascadeThreshold > 0 {
-			cascadeThreshold = opts.CascadeThreshold
 		}
 	}
 	var records []Record
@@ -191,14 +181,14 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 		hi := min(lo+chunk, len(records))
 		cand := candidate.Compile()
 		var env *anomaly.Compiled
-		if runCascade {
+		if opts.Envelope != nil {
 			env = opts.Envelope.Compile()
 		}
 		var st btStats
 		for _, rec := range records[lo:hi] {
 			st.observe(cand, rec)
 			if env != nil {
-				st.observeCascade(env, cascadeThreshold, rec)
+				st.observeCascade(env, opts.Envelope.Threshold, rec)
 			}
 		}
 		return st, nil
@@ -214,9 +204,9 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 	if res.Report.Errors > 0 && res.Report.Scored == 0 {
 		return res, fmt.Errorf("samplelog: candidate scored none of %d records (feature width mismatch?)", len(records))
 	}
-	if runCascade {
+	if opts.Envelope != nil {
 		cb := &CascadeBacktest{
-			Threshold:             cascadeThreshold,
+			Threshold:             opts.Envelope.Threshold,
 			ShortCircuited:        total.cascadeShort,
 			PassedOn:              total.cascadePass,
 			MalwareShortCircuited: total.malwareShort,

@@ -84,10 +84,12 @@ func TestBacktestCascade(t *testing.T) {
 		t.Fatal("fixture corpus produced no short-circuits; cascade replay untested")
 	}
 
-	// A huge override short-circuits everything — every recorded malware
+	// A huge threshold short-circuits everything — every recorded malware
 	// verdict becomes a safety violation.
+	wide := *env
+	wide.Threshold = 1e18
 	res, err = Backtest(context.Background(), dir, live, BacktestOptions{
-		Envelope: env, CascadeThreshold: 1e18,
+		Envelope: &wide,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,15 +101,13 @@ func TestBacktestCascade(t *testing.T) {
 		t.Fatal("expected recorded malware verdicts to be counted as short-circuited under the wide-open override")
 	}
 
-	// Negative knob skips the cascade replay entirely.
-	res, err = Backtest(context.Background(), dir, live, BacktestOptions{
-		Envelope: env, CascadeThreshold: -1,
-	})
+	// No envelope skips the cascade replay entirely.
+	res, err = Backtest(context.Background(), dir, live, BacktestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cascade != nil {
-		t.Fatalf("cascade section present despite negative threshold: %+v", res.Cascade)
+		t.Fatalf("cascade section present without an envelope: %+v", res.Cascade)
 	}
 
 	// Width mismatch is refused up front.

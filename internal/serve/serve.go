@@ -59,15 +59,10 @@ type Config struct {
 	// installs the replacement generation's monitor (see Model.Drift).
 	Drift *drift.Monitor
 	// Envelope, when non-nil, enables the stage-0 cascade for the initial
-	// model generation: samples inside the envelope short-circuit with a
-	// benign verdict before the full detector runs. Must cover the
-	// detector's exact feature width.
+	// model generation at the envelope's calibrated threshold: samples
+	// inside the envelope short-circuit with a benign verdict before the
+	// full detector runs. Must cover the detector's exact feature width.
 	Envelope *anomaly.Envelope
-	// CascadeThreshold is the operator's short-circuit knob, applied to
-	// every generation (initial and swapped-in): 0 uses each envelope's
-	// calibrated threshold, > 0 overrides it, < 0 disables the cascade
-	// even when an envelope is present.
-	CascadeThreshold float64
 	// Monitor tunes the per-stream smoothing and alarm hysteresis.
 	Monitor monitor.Config
 	// QueueDepth bounds each connection's ingress ring; beyond it the
@@ -146,32 +141,20 @@ type Model struct {
 	// generation. It must be safe for concurrent use (drift.Monitor is).
 	Drift *drift.Monitor
 	// Envelope, when non-nil, is the generation's stage-0 anomaly
-	// envelope. The server resolves it against the CascadeThreshold knob
-	// at bind/swap time (see resolveCascade); entries without one serve
-	// with the cascade disabled.
+	// envelope; streams binding the generation run the cascade at its
+	// calibrated Threshold. Entries without one serve with the cascade
+	// off.
 	Envelope *anomaly.Envelope
 
-	// resolved by New/Swap: the compiled envelope (nil = cascade off for
-	// this generation) and the effective short-circuit threshold.
-	cascade          *anomaly.Compiled
-	cascadeThreshold float64
+	// cascade is m.Envelope compiled by New/Swap (nil = cascade off).
+	cascade *anomaly.Compiled
 }
 
-// CascadeEnabled reports whether streams binding this generation run the
-// stage-0 cascade.
-func (m Model) CascadeEnabled() bool { return m.cascade != nil }
-
-// CascadeThreshold returns the effective short-circuit threshold (0 when
-// the cascade is disabled).
-func (m Model) CascadeThreshold() float64 { return m.cascadeThreshold }
-
-// resolveCascade compiles m.Envelope into the generation's cascade under
-// the server's threshold knob: override < 0 disables the cascade even
-// with an envelope present, 0 selects the envelope's calibrated
-// threshold, > 0 overrides it. n is the served feature width.
-func resolveCascade(m *Model, n int, override float64) error {
-	m.cascade, m.cascadeThreshold = nil, 0
-	if m.Envelope == nil || override < 0 {
+// resolveCascade validates m.Envelope against the served feature width n
+// and compiles it into the generation's cascade.
+func resolveCascade(m *Model, n int) error {
+	m.cascade = nil
+	if m.Envelope == nil {
 		return nil
 	}
 	if err := m.Envelope.Validate(); err != nil {
@@ -182,10 +165,6 @@ func resolveCascade(m *Model, n int, override float64) error {
 			m.Envelope.NumFeatures(), n)
 	}
 	m.cascade = m.Envelope.Compile()
-	m.cascadeThreshold = m.Envelope.Threshold
-	if override > 0 {
-		m.cascadeThreshold = override
-	}
 	return nil
 }
 
@@ -214,7 +193,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	// Surface monitor config errors now, not on the first connection.
-	if _, err := monitor.New(filled.Detector.Compile(), filled.Monitor); err != nil {
+	if err := filled.Monitor.Validate(); err != nil {
 		return nil, err
 	}
 	n := filled.Detector.NumFeatures()
@@ -257,7 +236,7 @@ func New(cfg Config) (*Server, error) {
 		Drift:    filled.Drift,
 		Envelope: filled.Envelope,
 	}
-	if err := resolveCascade(initial, n, filled.CascadeThreshold); err != nil {
+	if err := resolveCascade(initial, n); err != nil {
 		return nil, err
 	}
 	s.active.Store(initial)
@@ -288,7 +267,7 @@ func (s *Server) Swap(m Model) error {
 	if m.Drift != nil && m.Drift.NumFeatures() != s.numFeatures {
 		return fmt.Errorf("serve: swap drift monitor covers %d features, serving %d", m.Drift.NumFeatures(), s.numFeatures)
 	}
-	if err := resolveCascade(&m, s.numFeatures, s.cfg.CascadeThreshold); err != nil {
+	if err := resolveCascade(&m, s.numFeatures); err != nil {
 		return err
 	}
 	if m.Name == "" {
@@ -370,18 +349,22 @@ func (s *Server) heartbeat(hb wire.Heartbeat) wire.Heartbeat {
 }
 
 // newHandler scores one connection's streams, each bound to the model
-// generation active when it opens.
+// generation active when it opens; its teardown takes the streams still
+// open at disconnect off monitor_active_apps.
 func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(), error) {
 	h, err := session.NewScoring(session.ScoringConfig{
 		Source: func() session.Generation {
 			am := s.active.Load()
-			return session.Generation{
-				Detector:         am.Detector,
-				Version:          am.Version,
-				Drift:            am.Drift,
-				Cascade:          am.cascade,
-				CascadeThreshold: am.cascadeThreshold,
+			g := session.Generation{
+				Detector: am.Detector,
+				Version:  am.Version,
+				Drift:    am.Drift,
+				Cascade:  am.cascade,
 			}
+			if am.Envelope != nil {
+				g.CascadeThreshold = am.Envelope.Threshold
+			}
+			return g
 		},
 		Emit:      c,
 		Monitor:   s.cfg.Monitor,
@@ -392,7 +375,10 @@ func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(),
 		Telemetry: s.cfg.Telemetry,
 		Hook:      s.scoreHook,
 	})
-	return h, nil, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, h.Teardown, nil
 }
 
 // tap offers every scored chunk to the attached shadow scorer and the

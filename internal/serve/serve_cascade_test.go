@@ -31,8 +31,8 @@ func trainEnvelope(t *testing.T, data *dataset.Dataset) *anomaly.Envelope {
 }
 
 // driveStream opens one stream, pushes samples, closes it and collects
-// every verdict frame back.
-func driveStream(t *testing.T, c *Client, samples [][]float64) []wire.Verdict {
+// every verdict frame back, plus the stream's closing summary.
+func driveStream(t *testing.T, c *Client, samples [][]float64) ([]wire.Verdict, wire.StreamSummary) {
 	t.Helper()
 	if err := c.OpenStream(3, "app-c"); err != nil {
 		t.Fatal(err)
@@ -58,30 +58,30 @@ func driveStream(t *testing.T, c *Client, samples [][]float64) []wire.Verdict {
 			got = append(got, v)
 			continue
 		}
-		if _, ok := f.(wire.StreamSummary); ok {
-			break
+		if sum, ok := f.(wire.StreamSummary); ok {
+			if len(got) != len(samples) {
+				t.Fatalf("received %d verdicts, want %d", len(got), len(samples))
+			}
+			return got, sum
 		}
 		t.Fatalf("unexpected frame %#v", f)
 	}
-	if len(got) != len(samples) {
-		t.Fatalf("received %d verdicts, want %d", len(got), len(samples))
-	}
-	return got
 }
 
-// TestServeCascadeShortCircuitAll drives a stream with the threshold
-// overridden so high that every sample is clear benign: every verdict
-// must carry the short-circuit flag and the telemetry must account for
-// all of them in stage 0 with zero pass-throughs.
+// TestServeCascadeShortCircuitAll drives a stream through an envelope
+// whose threshold is so high that every sample is clear benign: every
+// verdict must carry the short-circuit flag and the telemetry must
+// account for all of them in stage 0 with zero pass-throughs.
 func TestServeCascadeShortCircuitAll(t *testing.T) {
 	_, data := fixtures(t)
-	env := trainEnvelope(t, data)
+	env := *trainEnvelope(t, data)
+	env.Threshold = 1e18
 	reg := telemetry.New()
-	ts := start(t, Config{Telemetry: reg, Envelope: env, CascadeThreshold: 1e18}, nil)
+	ts := start(t, Config{Telemetry: reg, Envelope: &env}, nil)
 	c := dial(t, ts)
 
 	const n = 64
-	got := driveStream(t, c, samplesFrom(data, n))
+	got, _ := driveStream(t, c, samplesFrom(data, n))
 	for i, v := range got {
 		if v.Flags&wire.FlagShortCircuit == 0 {
 			t.Fatalf("verdict %d: flags %08b missing short-circuit", i, v.Flags)
@@ -112,26 +112,18 @@ func TestServeCascadeShortCircuitAll(t *testing.T) {
 	if s1 := reg.Counter("cascade_stage1_samples_total").Value(); s1 != 0 {
 		t.Fatalf("cascade_stage1_samples_total = %d, want 0", s1)
 	}
-	appShort := reg.Counter(telemetry.Label("cascade_app_short_total", "app", "app-c"))
-	if appShort.Value() != n {
-		t.Fatalf("per-app short = %d, want %d", appShort.Value(), n)
-	}
 }
 
-// TestServeCascadeDisabledByKnob checks that CascadeThreshold < 0 turns
-// the cascade off even with an envelope configured: no verdict carries
-// the flag and no cascade_* family is ever registered.
-func TestServeCascadeDisabledByKnob(t *testing.T) {
+// TestServeCascadeOffWithoutEnvelope checks that a server given no
+// envelope runs no cascade: no verdict carries the flag and no cascade_*
+// family is ever registered.
+func TestServeCascadeOffWithoutEnvelope(t *testing.T) {
 	_, data := fixtures(t)
-	env := trainEnvelope(t, data)
 	reg := telemetry.New()
-	ts := start(t, Config{Telemetry: reg, Envelope: env, CascadeThreshold: -1}, nil)
-	if ts.srv.ActiveModel().CascadeEnabled() {
-		t.Fatal("cascade enabled despite negative threshold knob")
-	}
+	ts := start(t, Config{Telemetry: reg}, nil)
 	c := dial(t, ts)
 
-	got := driveStream(t, c, samplesFrom(data, 32))
+	got, _ := driveStream(t, c, samplesFrom(data, 32))
 	for i, v := range got {
 		if v.Flags&wire.FlagShortCircuit != 0 {
 			t.Fatalf("verdict %d: short-circuit flag with cascade disabled", i)
@@ -161,7 +153,7 @@ func TestServeCascadeMixedEquivalence(t *testing.T) {
 
 	const n = 128
 	samples := samplesFrom(data, n)
-	got := driveStream(t, c, samples)
+	got, sum := driveStream(t, c, samples)
 
 	// Reference partition + full-path verdicts for the pass-throughs.
 	cd := det.Compile()
@@ -223,5 +215,20 @@ func TestServeCascadeMixedEquivalence(t *testing.T) {
 	}
 	if s1 := reg.Counter("cascade_stage1_samples_total").Value(); s1 != uint64(n-shorts) {
 		t.Fatalf("cascade_stage1_samples_total = %d, want %d", s1, n-shorts)
+	}
+
+	// The stream's closing summary accounts the same partitioned score
+	// sequence as the reference monitor.
+	var wantAlarms uint32
+	var wantMax float64
+	for _, ev := range wantEvents {
+		if ev.Changed && ev.Alarm {
+			wantAlarms++
+		}
+		wantMax = max(wantMax, ev.Smoothed)
+	}
+	if sum.Samples != n || sum.Alarms != wantAlarms || sum.MaxSmoothed != wantMax {
+		t.Fatalf("summary samples=%d alarms=%d max_smoothed=%v, want %d/%d/%v",
+			sum.Samples, sum.Alarms, sum.MaxSmoothed, n, wantAlarms, wantMax)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -764,5 +765,65 @@ func TestServeSampleLog(t *testing.T) {
 		if rv.Malware != rec.Malware() {
 			t.Fatalf("record %d does not replay to its own verdict", i)
 		}
+	}
+}
+
+// TestServeActiveAppsDropOnDisconnect checks that monitor_active_apps
+// counts open streams only: the streams an agent leaves open when it
+// disconnects, or when the server drains, leave the gauge with their
+// connection.
+func TestServeActiveAppsDropOnDisconnect(t *testing.T) {
+	_, data := fixtures(t)
+	reg := telemetry.New()
+	ts := start(t, Config{Telemetry: reg, Monitor: monitor.Config{Telemetry: reg}}, nil)
+	activeApps := reg.Gauge("monitor_active_apps")
+	const streams = 4
+	// openStreams dials and scores one sample on each of its streams, so
+	// every stream is open on the server once the verdicts are back.
+	openStreams := func() *Client {
+		c := dial(t, ts)
+		for s := uint32(0); s < streams; s++ {
+			if err := c.OpenStream(s, fmt.Sprintf("app-%d", s)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Send(s, 0, data.Instances[s].Features); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < streams; {
+			f, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := f.(wire.Verdict); ok {
+				got++
+			}
+		}
+		if got := activeApps.Value(); got != streams {
+			t.Fatalf("monitor_active_apps = %v with %d streams open, want %d", got, streams, streams)
+		}
+		return c
+	}
+	conns := reg.Gauge("serve_connections_active")
+	for i := 1; i <= 3; i++ {
+		c := openStreams()
+		c.Close()
+		for deadline := time.Now().Add(10 * time.Second); conns.Value() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("serve_connections_active = %v after disconnect %d", conns.Value(), i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := activeApps.Value(); got != 0 {
+			t.Fatalf("after disconnect %d: monitor_active_apps = %v, want 0", i, got)
+		}
+	}
+	openStreams()
+	ts.stop(t)
+	if got := activeApps.Value(); got != 0 {
+		t.Fatalf("after drain: monitor_active_apps = %v, want 0", got)
 	}
 }

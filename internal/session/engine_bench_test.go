@@ -20,20 +20,20 @@ func (discardEmitter) Verdicts(uint32, int, []uint32, []time.Time, []core.Verdic
 func (discardEmitter) Summary(uint32, int, monitor.Summary, uint64) error { return nil }
 func (discardEmitter) Flush() error                                       { return nil }
 
-// benchDetector trains a small Common-4 detector and returns it with the
+// testDetector trains a small Common-4 detector and returns it with the
 // corpus feature rows it was trained on.
-func benchDetector(b *testing.B) (*core.Detector, [][]float64) {
-	b.Helper()
+func testDetector(tb testing.TB) (*core.Detector, [][]float64) {
+	tb.Helper()
 	data, err := corpus.Collect(corpus.Config{Scale: 0.001, MinPerClass: 24, Budget: 30000, Seed: 7, Omniscient: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if data, err = data.SelectByName(core.CommonFeatures); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	det, err := core.Train(data, core.TrainConfig{Seed: 5})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rows := make([][]float64, data.Len())
 	for i, ins := range data.Instances {
@@ -49,7 +49,7 @@ func benchDetector(b *testing.B) (*core.Detector, [][]float64) {
 // 190 (overload, a dozen per stream). Samples go to the streams
 // round-robin. One op is one round; pushing its samples is untimed.
 func BenchmarkEngineRound(b *testing.B) {
-	det, rows := benchDetector(b)
+	det, rows := testDetector(b)
 	for _, sh := range []struct{ streams, samples int }{{512, 35}, {16, 190}} {
 		b.Run(fmt.Sprintf("streams=%d/samples=%d", sh.streams, sh.samples), func(b *testing.B) {
 			h, err := NewScoring(ScoringConfig{

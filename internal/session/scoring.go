@@ -29,9 +29,8 @@ type Generation struct {
 	// detector. Must cover the detector's exact feature width — the
 	// caller's invariant (serve validates at model bind/swap time).
 	Cascade *anomaly.Compiled
-	// CascadeThreshold is the effective short-circuit threshold for this
-	// generation (the envelope's calibrated default or an operator
-	// override, already resolved by the caller).
+	// CascadeThreshold is the envelope's short-circuit threshold (serve
+	// passes the envelope's calibrated Threshold).
 	CascadeThreshold float64
 }
 
@@ -76,7 +75,8 @@ type ScoringConfig struct {
 	Source func() Generation
 	// Emit receives verdicts, summaries and flushes. Required.
 	Emit Emitter
-	// Monitor tunes the per-stream smoothing and alarm hysteresis.
+	// Monitor tunes the per-stream smoothing and alarm hysteresis; its
+	// Telemetry registry also receives the monitor_active_apps gauge.
 	Monitor monitor.Config
 	// MaxBatch caps how many samples one stream scores per fused
 	// DetectScoredBatch call inside a round (default 512).
@@ -96,23 +96,26 @@ type ScoringConfig struct {
 	Latency telemetry.Histogram
 	// Telemetry, when non-nil, receives the cascade_* metric families
 	// (short-circuit / pass-through counts, per-stage nanos and sample
-	// counts, plus per-app splits). Only touched on streams whose
-	// generation carries a cascade, so a no-cascade server exposes no
-	// cascade families at all.
+	// counts). Only touched on streams whose generation carries a
+	// cascade, so a no-cascade server exposes no cascade families at all.
 	Telemetry *telemetry.Registry
 	// Hook, when non-nil (tests only), runs before every per-stream
 	// scoring round; a slow hook makes load-shedding deterministic.
 	Hook func()
 }
 
-// Scoring is the shard-role Handler: it owns the connection's
-// monitor.Tracker, captures each stream's model epoch at open time
-// (compiling that generation's detector), and scores every micro-batch
-// through the fused allocation-free path — one evaluation per sample for
-// both its verdict and its smoothed-alarm update.
+// Scoring is the shard-role Handler: it captures each stream's model
+// epoch at open time (compiling that generation's detector and building
+// the stream's own monitor), and scores every micro-batch through the
+// fused allocation-free path — one evaluation per sample for both its
+// verdict and its smoothed-alarm update.
 type Scoring struct {
 	cfg ScoringConfig
-	tr  *monitor.Tracker
+
+	// active is monitor_active_apps; open counts this connection's
+	// streams that are open, so Teardown can take them off the gauge.
+	active telemetry.Gauge
+	open   int
 
 	// cascade instruments, created on the first stream whose generation
 	// carries a cascade — a server that never runs one exposes no
@@ -171,54 +174,50 @@ func NewScoring(cfg ScoringConfig) (*Scoring, error) {
 	if cfg.Latency == nil {
 		cfg.Latency = telemetry.NopHistogram
 	}
-	tr, err := monitor.NewTrackerFactory(func() monitor.Scorer {
-		return cfg.Source().Detector.Compile()
-	}, cfg.Monitor)
-	if err != nil {
+	if err := cfg.Monitor.Validate(); err != nil {
 		return nil, err
 	}
-	return &Scoring{cfg: cfg, tr: tr}, nil
+	return &Scoring{cfg: cfg, active: cfg.Monitor.Telemetry.Gauge("monitor_active_apps")}, nil
 }
 
-// Tracker exposes the connection's tracker (per-stream monitors and
-// session summaries).
-func (s *Scoring) Tracker() *monitor.Tracker { return s.tr }
-
 // OpenStream captures the stream's model epoch: it compiles the
-// generation that is active right now and binds the app's monitor to
-// that same instance. A swap after this point only affects streams
+// generation that is active right now and builds the stream's monitor
+// over that same instance. A swap after this point only affects streams
 // opened later.
 func (s *Scoring) OpenStream(id uint32, app string) (Stream, error) {
 	g := s.cfg.Source()
 	det := g.Detector.Compile()
-	if !s.tr.OpenWith(app, det) {
-		// The app key is already tracked (unreachable after the engine's
-		// dup checks); reuse the tracker-owned scorer so stream and
-		// monitor agree.
-		var ok bool
-		det, ok = s.tr.ScorerFor(app).(*core.CompiledDetector)
-		if !ok {
-			return nil, fmt.Errorf("session: tracker scorer for %q is %T, want *core.CompiledDetector", app, s.tr.ScorerFor(app))
-		}
+	mon, err := monitor.New(det, s.cfg.Monitor)
+	if err != nil {
+		return nil, err
 	}
-	st := &scoredStream{s: s, id: id, app: app, det: det, version: g.Version, drft: g.Drift}
+	st := &scoredStream{s: s, id: id, app: app, det: det, mon: mon,
+		sum: monitor.Summary{App: app}, version: g.Version, drft: g.Drift}
 	if g.Cascade != nil {
 		st.env = g.Cascade
 		st.threshold = g.CascadeThreshold
 		st.cm = s.cascadeInstruments()
-		st.appShort = s.cfg.Telemetry.Counter(telemetry.Label("cascade_app_short_total", "app", app))
-		st.appPass = s.cfg.Telemetry.Counter(telemetry.Label("cascade_app_pass_total", "app", app))
 	}
+	s.open++
+	s.active.Add(1)
 	return st, nil
 }
 
 // RoundEnd flushes the emitter's buffered output.
 func (s *Scoring) RoundEnd() error { return s.cfg.Emit.Flush() }
 
-// scoredStream is one (connection, app) stream: its compiled detector
-// (owned by the tracker's per-app monitor; see monitor.Tracker.OpenWith)
-// plus the reusable scoring arenas. A stream is only ever touched by its
-// engine's worker goroutine.
+// Teardown takes the streams still open when the connection ended
+// (agent disconnect, idle reap, drain, worker error) off
+// monitor_active_apps: their Close never runs. Call it once, after the
+// engine worker exited.
+func (s *Scoring) Teardown() {
+	s.active.Add(-float64(s.open))
+	s.open = 0
+}
+
+// scoredStream is one (connection, app) stream: its compiled detector,
+// its smoothing monitor and session summary, plus the reusable scoring
+// arenas. A stream is only ever touched by its engine's worker goroutine.
 //
 // det, version and drft are the stream's model epoch, captured from the
 // active generation in OpenStream. A hot swap that lands mid-stream does
@@ -230,17 +229,16 @@ type scoredStream struct {
 	id      uint32
 	app     string
 	det     *core.CompiledDetector
+	mon     *monitor.Monitor
+	sum     monitor.Summary
 	version int
 	drft    *drift.Monitor
 
 	// stage-0 cascade, captured with the epoch (nil = disabled): the
-	// compiled envelope, the effective threshold, and this app's
-	// short/pass counters.
+	// compiled envelope, its threshold, and the shared instruments.
 	env       *anomaly.Compiled
 	threshold float64
 	cm        *cascadeMetrics
-	appShort  telemetry.Counter
-	appPass   telemetry.Counter
 
 	// reusable scoring arenas, grown to the largest micro-batch seen
 	verdicts []core.Verdict
@@ -300,8 +298,11 @@ func (st *scoredStream) Process(b Batch) error {
 				return err
 			}
 		}
-		if err := s.tr.ObserveScoredBatch(st.app, events, scores); err != nil {
+		if err := st.mon.ObserveScoredBatch(events, scores); err != nil {
 			return err
+		}
+		for _, ev := range events {
+			st.sum.Add(ev)
 		}
 		if st.drft != nil {
 			if err := st.drft.ObserveBatch(b.Samples[off:end]); err != nil {
@@ -381,8 +382,6 @@ func (st *scoredStream) cascadeChunk(verdicts []core.Verdict, scores []float64, 
 	n := len(samples)
 	cm.short.Add(uint64(n - p))
 	cm.pass.Add(uint64(p))
-	st.appShort.Add(uint64(n - p))
-	st.appPass.Add(uint64(p))
 	cm.stage0Nanos.Add(uint64(max64(stage0End.Sub(stage0Start).Nanoseconds(), 0)))
 	cm.stage0Samples.Add(uint64(n))
 	if p > 0 {
@@ -442,8 +441,9 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// Close removes the stream's monitor and emits its session summary.
+// Close emits the stream's session summary.
 func (st *scoredStream) Close(shed uint64) error {
-	sum, _ := st.s.tr.Close(st.app)
-	return st.s.cfg.Emit.Summary(st.id, st.version, sum, shed)
+	st.s.open--
+	st.s.active.Add(-1)
+	return st.s.cfg.Emit.Summary(st.id, st.version, st.sum, shed)
 }

@@ -21,10 +21,10 @@
 // A tier supplies only its policy as a Tier: the Welcome source, the
 // Heartbeat echo, the per-connection Handler and its teardown, the idle
 // timeout and its own metric instruments. The shard plugs in the Scoring
-// handler from this package (compiled-detector epoch capture, tracker
-// lifecycle, fused verdict+smoothing evaluation); the gateway plugs in a
-// forwarder that relays each stream's samples to the backend shard the
-// consistent-hash ring picked.
+// handler from this package (compiled-detector epoch capture, a
+// smoothing monitor per stream, fused verdict+smoothing evaluation); the
+// gateway plugs in a forwarder that relays each stream's samples to the
+// backend shard the consistent-hash ring picked.
 //
 // Goroutine model: per connection, one reader goroutine calls
 // Push/Open/Close and one worker goroutine runs Run; every Handler and
@@ -95,7 +95,8 @@ const (
 	// RejectDupStream is an OpenStream for an id that is already open.
 	RejectDupStream RejectReason = iota
 	// RejectDupApp is an OpenStream for an app already streamed on this
-	// session (app keys the per-stream monitor, so it must be unique).
+	// session (the app names the stream: the gateway routes it by
+	// (agent, app), so it must be unique).
 	RejectDupApp
 	// RejectUnknownClose is a CloseStream for an id that is not open.
 	RejectUnknownClose
