@@ -57,6 +57,13 @@ stop() {
   await "$1"
 }
 
+# has_verdicts FILE requires the smartload summary in FILE to report a
+# nonzero verdict count.
+has_verdicts() {
+  awk -v f="$1" '/^verdicts/ { n = $2 }
+    END { if (n + 0 == 0) { print "FAIL: no verdicts in " f; exit 1 } }' "$1"
+}
+
 # wait_healthz HOST:PORT... requires every telemetry endpoint's /healthz
 # to answer 200 within 10s.
 wait_healthz() {

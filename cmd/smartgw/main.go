@@ -13,8 +13,9 @@
 // waiting for the next probe. Fleet telemetry lands in the cluster_*
 // metric families and, with -report, in the machine-readable run report.
 //
-// The gateway forwards every sample; the stage-0 cascade runs on the
-// shards (smartserve -envelope, or a registry entry's envelope).
+// The gateway forwards every sample; the stage-0 cascade and the durable
+// sample log run on the shards (smartserve -envelope or a registry
+// entry's envelope, and smartserve -samplelog).
 //
 // On SIGINT/SIGTERM the gateway drains gracefully — stops accepting,
 // forwards everything already queued — and exits 130.
@@ -24,7 +25,7 @@
 //	smartserve -model det.json -shard -addr 127.0.0.1:7644 &
 //	smartserve -model det.json -shard -addr 127.0.0.1:7645 &
 //	smartgw -addr 127.0.0.1:7643 -shards 127.0.0.1:7644,127.0.0.1:7645
-//	smartload -addr 127.0.0.1:7643 -cluster -shards 127.0.0.1:7644,127.0.0.1:7645
+//	smartload -addr 127.0.0.1:7643
 package main
 
 import (
@@ -36,7 +37,6 @@ import (
 
 	"twosmart/internal/cli"
 	"twosmart/internal/cluster"
-	"twosmart/internal/samplelog"
 	"twosmart/internal/trace"
 )
 
@@ -52,9 +52,6 @@ func main() {
 	reportOut := flag.String("report", "", "write the machine-readable run report (JSON, includes the cluster_* counters) to this file (- for stdout)")
 	traceSample := flag.Int("trace-sample", 1024, "capture one gateway-tier trace per this many forwarded samples (0 = tracing off; served at /debug/traces with -telemetry-addr)")
 	traceDepth := flag.Int("trace-depth", 256, "trace ring capacity (rounded up to a power of two)")
-	sampleLogDir := flag.String("samplelog", "", "record every sample arriving at the gateway edge (features only, no verdict) to this durable log directory for smartload -replay; written off the hot path")
-	sampleLogSegment := flag.Int64("samplelog-segment", 8<<20, "with -samplelog: rotate segments at this many bytes")
-	sampleLogRetain := flag.Int("samplelog-retain", 64, "with -samplelog: keep at most this many segments, pruning oldest-first (-1 = unbounded)")
 	flag.Parse()
 	ctx := app.Start()
 	defer app.Close()
@@ -70,22 +67,6 @@ func main() {
 		fleet[i] = strings.TrimSpace(fleet[i])
 	}
 
-	var sampleLog *samplelog.Writer
-	if *sampleLogDir != "" {
-		sl, err := samplelog.OpenWriter(samplelog.WriterConfig{
-			Dir:          *sampleLogDir,
-			SegmentBytes: *sampleLogSegment,
-			MaxSegments:  *sampleLogRetain,
-			Telemetry:    app.Telemetry,
-		})
-		if err != nil {
-			app.Fatal(err)
-		}
-		sampleLog = sl
-		app.Log.Info("sample log attached", "dir", *sampleLogDir,
-			"segment_bytes", *sampleLogSegment, "retain", *sampleLogRetain)
-	}
-
 	gw, err := cluster.New(cluster.Config{
 		Shards:        fleet,
 		Replicas:      *replicas,
@@ -94,7 +75,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		Telemetry:     app.Telemetry,
 		Tracer:        tracer,
-		SampleLog:     sampleLog,
 		Log:           app.Log,
 	})
 	if err != nil {
@@ -111,24 +91,8 @@ func main() {
 	app.Log.Info("gateway up", "addr", bound.String(), "shards", len(fleet), "replicas", *replicas)
 
 	serveErr := gw.Serve(ctx)
-	var logStats samplelog.Stats
-	if sampleLog != nil {
-		var err error
-		logStats, err = sampleLog.Close()
-		if err != nil {
-			app.Log.Warn("sample log close", "err", err)
-		}
-		app.Log.Info("sample log closed",
-			"appended", logStats.Appended, "dropped", logStats.Dropped,
-			"bytes", logStats.Bytes, "segments", logStats.Segments, "pruned", logStats.Pruned)
-	}
 	if *reportOut != "" {
-		rep := app.Telemetry.Report(app.Tool)
-		if sampleLog != nil {
-			rep.Results["samplelog_appended"] = float64(logStats.Appended)
-			rep.Results["samplelog_dropped"] = float64(logStats.Dropped)
-		}
-		if err := rep.WriteFile(*reportOut); err != nil {
+		if err := app.Telemetry.Report(app.Tool).WriteFile(*reportOut); err != nil {
 			app.Log.Error("write run report", "path", *reportOut, "err", err)
 		} else if *reportOut != "-" {
 			app.Log.Info("wrote run report", "path", *reportOut)

@@ -3,28 +3,26 @@
 // reports end-to-end throughput, verdict latency quantiles (p50/p95/p99)
 // and the shed rate the server's load-shedding reported.
 //
-// With -cluster the harness loads a smartgw gateway instead of a single
-// server: -addr points at the gateway, and -shards (the same list the
-// gateway was started with) lets the harness predict each stream's
-// consistent-hash placement and report per-shard throughput skew. A
-// failing connection never surfaces a raw socket error: failures are
-// classified (server closed mid-run, drained, timed out) and summarized
-// per connection before the non-zero exit.
+// -addr may name a smartgw gateway instead of a single server: the
+// protocol is the same. How the gateway split the streams over its
+// shards is its own measurement, the cluster_*{shard} counters on its
+// /metrics and in its -report. A failing connection never surfaces a raw
+// socket error: failures are classified (server closed mid-run, drained,
+// timed out) and summarized per connection before the non-zero exit.
 //
-// With -replay the harness feeds a recorded sample log (a smartserve or
-// smartgw -samplelog directory) back through the wire path instead of
-// the synthetic corpus: the exact production feature stream, replayed on
-// its recorded inter-arrival timeline compressed by -amplify (1 = real
-// time, 0 = full speed). Recorded streams map onto fresh wire streams in
-// first-appearance order, so each original stream's samples arrive in
-// their original sequence.
+// With -replay the harness feeds a recorded sample log (a smartserve
+// -samplelog directory, or one an earlier smartgw recorded) back through
+// the wire path instead of the synthetic corpus: the exact production
+// feature stream, replayed on its recorded inter-arrival timeline
+// compressed by -amplify (1 = real time, 0 = full speed). Recorded
+// streams map onto fresh wire streams in first-appearance order, so each
+// original stream's samples arrive in their original sequence.
 //
 // Usage:
 //
 //	smartload -addr 127.0.0.1:7643
 //	smartload -addr 127.0.0.1:7643 -conns 8 -streams 4 -samples 20000
 //	smartload -addr 127.0.0.1:7643 -interval 10ms   # the paper's sampling period
-//	smartload -addr 127.0.0.1:7643 -cluster -shards 127.0.0.1:7644,127.0.0.1:7645
 //	smartload -addr 127.0.0.1:7643 -replay samples/ -amplify 10
 package main
 
@@ -36,7 +34,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -44,10 +41,9 @@ import (
 
 	"twosmart"
 	"twosmart/internal/cli"
-	"twosmart/internal/cluster"
 	"twosmart/internal/corpus"
 	"twosmart/internal/dataset"
-	"twosmart/internal/serve"
+	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/wire"
 	"twosmart/internal/workload"
@@ -62,12 +58,9 @@ func main() {
 	samples := flag.Int("samples", 10000, "samples per stream")
 	interval := flag.Duration("interval", 0, "delay between a stream's samples (0 = full speed; 10ms = the paper's sampling period)")
 	seed := flag.Int64("seed", 7, "corpus seed for the replayed samples")
-	clusterMode := flag.Bool("cluster", false, "load a smartgw gateway: report per-shard routing and throughput skew (give the fleet with -shards)")
-	shardsFlag := flag.String("shards", "", "with -cluster: comma-separated shard addresses behind the gateway, used to predict consistent-hash placement")
-	replicas := flag.Int("replicas", cluster.DefaultReplicas, "with -cluster: virtual nodes per shard (must match smartgw -replicas)")
 	reportOut := flag.String("report", "", "write the machine-readable run report (JSON: throughput, latency and heartbeat RTT histograms) to this file (- for stdout)")
 	benign := flag.Bool("benign", false, "replay only the corpus's benign-class samples — the benign-heavy traffic profile a stage-0 cascade (-envelope on the server) is built for")
-	replayDir := flag.String("replay", "", "replay a recorded sample log (smartserve/smartgw -samplelog directory) through the wire path instead of the synthetic corpus")
+	replayDir := flag.String("replay", "", "replay a recorded sample log (a smartserve -samplelog directory) through the wire path instead of the synthetic corpus")
 	amplify := flag.Int("amplify", 1, "with -replay: compress the recorded timeline by this factor (1 = real time, 0 = full speed)")
 	flag.Parse()
 
@@ -88,8 +81,6 @@ func main() {
 		badFlag(fmt.Sprintf("-samples must be positive (got %d)", *samples))
 	case *interval < 0:
 		badFlag(fmt.Sprintf("-interval must not be negative (got %s)", *interval))
-	case !*clusterMode && *shardsFlag != "":
-		badFlag("-shards needs -cluster")
 	case *amplify < 0:
 		badFlag(fmt.Sprintf("-amplify must not be negative (got %d)", *amplify))
 	}
@@ -98,7 +89,7 @@ func main() {
 	// silently ignored default.
 	replaySet := map[string]bool{
 		"conns": true, "streams": true, "samples": true, "interval": true,
-		"seed": true, "cluster": true, "shards": true, "replicas": true, "benign": true,
+		"seed": true, "benign": true,
 	}
 	flag.Visit(func(f *flag.Flag) {
 		switch {
@@ -108,14 +99,6 @@ func main() {
 			badFlag("-amplify needs -replay")
 		}
 	})
-	var fleet []string
-	if *shardsFlag != "" {
-		fleet = strings.Split(*shardsFlag, ",")
-		for i := range fleet {
-			fleet[i] = strings.TrimSpace(fleet[i])
-		}
-	}
-
 	ctx := app.Start()
 	defer app.Close()
 
@@ -138,7 +121,7 @@ func main() {
 
 	// Probe the server once to learn the model's feature width, then
 	// project the corpus onto it.
-	probe, err := serve.Dial(ctx, *addr, "smartload-probe")
+	probe, err := session.Dial(ctx, *addr, "smartload-probe")
 	if err != nil {
 		app.Fatal(fmt.Errorf("dialing %s: %w", *addr, err))
 	}
@@ -256,9 +239,6 @@ func main() {
 			time.Duration(hb.P99*float64(time.Second)),
 			time.Duration(hb.Max*float64(time.Second)), hb.Count)
 	}
-	if *clusterMode && len(fleet) > 0 {
-		skewReport(results, fleet, *replicas, *streams)
-	}
 	if *reportOut != "" {
 		writeReport(*reportOut, agg, elapsed, welcome)
 	}
@@ -301,45 +281,6 @@ func writeReport(path string, agg connResult, elapsed time.Duration, welcome wir
 	}
 }
 
-// skewReport maps every stream's verdict count onto the shard the
-// consistent-hash ring places it on — the same (members, replicas, key)
-// routing smartgw computes — and prints the per-shard throughput split
-// plus the max/mean skew factor. A skew near 1.00 means the virtual-node
-// ring is spreading (agent, app) streams evenly.
-func skewReport(results []connResult, fleet []string, replicas, streams int) {
-	ring := cluster.BuildRing(fleet, replicas)
-	verdictsBy := make(map[string]uint64, len(fleet))
-	streamsBy := make(map[string]int, len(fleet))
-	var total uint64
-	for ci, r := range results {
-		for s := 0; s < streams; s++ {
-			shard := ring.Route(cluster.RouteKey(fmt.Sprintf("smartload-%d", ci), fmt.Sprintf("conn%d-app%d", ci, s)))
-			streamsBy[shard]++
-			n := r.byStream[uint32(s)]
-			verdictsBy[shard] += n
-			total += n
-		}
-	}
-	fmt.Printf("cluster  %d shards, %d streams (predicted placement, verdicts actually received per stream)\n",
-		len(fleet), len(results)*streams)
-	var max, sum float64
-	for _, shard := range ring.Members() {
-		share := 0.0
-		if total > 0 {
-			share = float64(verdictsBy[shard]) / float64(total)
-		}
-		if float64(verdictsBy[shard]) > max {
-			max = float64(verdictsBy[shard])
-		}
-		sum += float64(verdictsBy[shard])
-		fmt.Printf("  shard %-21s streams=%-4d verdicts=%-8d (%.1f%%)\n",
-			shard, streamsBy[shard], verdictsBy[shard], 100*share)
-	}
-	if mean := sum / float64(len(fleet)); mean > 0 {
-		fmt.Printf("  skew max/mean = %.2f\n", max/mean)
-	}
-}
-
 // project reduces the replay corpus to the feature width the served model
 // expects.
 func project(d *dataset.Dataset, width int) (*dataset.Dataset, error) {
@@ -361,7 +302,6 @@ type connResult struct {
 	alarms    uint64
 	latencies []float64         // seconds
 	versions  map[uint32]uint64 // summaries per model version (hot-swap visibility)
-	byStream  map[uint32]uint64 // verdicts per stream id (cluster skew report)
 }
 
 // classify turns a connection failure into an operator-readable line:
@@ -387,7 +327,7 @@ func classify(err error) string {
 // memory model still wants explicit synchronisation.
 func driveConn(ctx context.Context, addr string, ci, streams, samples int, interval time.Duration, replay [][]float64) connResult {
 	var res connResult
-	c, err := serve.Dial(ctx, addr, fmt.Sprintf("smartload-%d", ci))
+	c, err := session.Dial(ctx, addr, fmt.Sprintf("smartload-%d", ci))
 	if err != nil {
 		res.err = err
 		return res
@@ -418,10 +358,6 @@ func driveConn(ctx context.Context, addr string, ci, streams, samples int, inter
 				if fr.Flags&wire.FlagAlarm != 0 {
 					r.alarms++
 				}
-				if r.byStream == nil {
-					r.byStream = map[uint32]uint64{}
-				}
-				r.byStream[fr.Stream]++
 				idx := int(fr.Stream)*samples + int(fr.Seq)
 				if idx < len(sendNanos) {
 					if t0 := sendNanos[idx].Load(); t0 != 0 {

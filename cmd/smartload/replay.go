@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"twosmart/internal/samplelog"
-	"twosmart/internal/serve"
+	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/wire"
 )
@@ -28,7 +28,7 @@ type replayStream struct {
 }
 
 // runReplay is smartload's -replay mode: it feeds a recorded sample log
-// (smartserve/smartgw -samplelog) back through the wire path on one
+// (smartserve -samplelog) back through the wire path on one
 // connection, preserving the recorded inter-arrival timeline compressed
 // by -amplify (0 = full speed). The recorded verdicts are ignored — the
 // point is to re-serve the exact production feature stream and measure
@@ -55,7 +55,7 @@ func runReplay(ctx context.Context, addr, dir string, amplify int, reportOut str
 	// Probe the target once: the recorded feature width must match the
 	// served model exactly — a replay is a bit-for-bit re-serve, never a
 	// projection.
-	probe, err := serve.Dial(ctx, addr, "smartload-probe")
+	probe, err := session.Dial(ctx, addr, "smartload-probe")
 	if err != nil {
 		app.Fatal(fmt.Errorf("dialing %s: %w", addr, err))
 	}
@@ -176,7 +176,7 @@ func mapStreams(recs []samplelog.Record) ([]*replayStream, []*replayStream) {
 // to send times until every opened stream's summary has arrived.
 func driveReplay(ctx context.Context, addr string, recs []samplelog.Record, streams []*replayStream, order []*replayStream, amplify int) connResult {
 	var res connResult
-	c, err := serve.Dial(ctx, addr, "smartload-replay")
+	c, err := session.Dial(ctx, addr, "smartload-replay")
 	if err != nil {
 		res.err = err
 		return res

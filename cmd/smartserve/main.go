@@ -86,7 +86,6 @@ func main() {
 	driftAlert := flag.Float64("drift-alert", 0, "PSI above which drift monitoring recommends retrain-or-rollback (0 = default 0.25; needs a registry entry published with -reference)")
 	reportOut := flag.String("report", "", "write the machine-readable run report (JSON: stage timings, drift assessment, shadow divergence) to this file (- for stdout)")
 	queueDepth := flag.Int("queue-depth", 4096, "per-connection ingress queue depth; beyond it the oldest samples are shed")
-	maxBatch := flag.Int("max-batch", 512, "largest per-stream scoring micro-batch")
 	shard := flag.Bool("shard", false, "run as a backend shard behind smartgw: tags logs with the shard role and defaults -idle-timeout to 5m so abandoned gateway connections are reaped")
 	shardID := flag.String("shard-id", "", "stable shard identity for per-shard version pins (the registry pin table key smartctl rollout targets); implies -shard. With -registry the shard serves its pinned version when one exists, the active version otherwise")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections that send no frame (not even a Heartbeat) for this long (0 = never; -shard defaults it to 5m)")
@@ -176,7 +175,6 @@ func main() {
 		Envelope:     initial.Envelope,
 		Monitor:      monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
 		QueueDepth:   *queueDepth,
-		MaxBatch:     *maxBatch,
 		IdleTimeout:  *idleTimeout,
 		Telemetry:    app.Telemetry,
 		Tracer:       tracer,

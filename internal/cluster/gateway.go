@@ -44,8 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"twosmart/internal/samplelog"
-	"twosmart/internal/serve"
 	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
@@ -74,13 +72,6 @@ type Config struct {
 	// stamp regardless of Tracer, so the shard tier can attribute the
 	// gateway→shard hop in its own end-to-end records.
 	Tracer *trace.Tracer
-	// SampleLog, when non-nil, records every arriving sample to the
-	// durable sample log at the gateway edge. Forwarded records carry no
-	// verdict (FlagScored clear) — the gateway never sees scores
-	// correlated to features — so backtests skip them while replay uses
-	// them like any other record. Append copies and never blocks. The
-	// caller keeps ownership and Closes it after Serve returns.
-	SampleLog *samplelog.Writer
 	// Log receives lifecycle events (default slog.Default).
 	Log *slog.Logger
 }
@@ -154,7 +145,7 @@ type Gateway struct {
 	mu       sync.Mutex
 	epoch    uint64
 	up       map[string]bool
-	probes   map[string]*serve.Client
+	probes   map[string]*session.Client
 	perSh    map[string]*shardMetrics
 	versions map[string]uint32 // live per-shard model version, fed by heartbeat echoes
 
@@ -179,7 +170,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:            filled,
 		up:             make(map[string]bool, len(filled.Shards)),
-		probes:         make(map[string]*serve.Client, len(filled.Shards)),
+		probes:         make(map[string]*session.Client, len(filled.Shards)),
 		perSh:          make(map[string]*shardMetrics, len(filled.Shards)),
 		versions:       make(map[string]uint32, len(filled.Shards)),
 		rerouted:       reg.Counter("cluster_streams_rerouted_total"),
@@ -358,7 +349,7 @@ func (g *Gateway) checkShard(ctx context.Context, shard string) bool {
 	g.mu.Unlock()
 	if cli == nil {
 		dctx, cancel := context.WithTimeout(ctx, g.cfg.DialTimeout)
-		c, err := serve.DialOnce(dctx, shard, "smartgw-health")
+		c, err := session.DialOnce(dctx, shard, "smartgw-health")
 		cancel()
 		if err != nil {
 			g.healthFailures.Inc()
@@ -529,7 +520,7 @@ func (f *forwarder) upstreamFor(shard string) (*upstream, error) {
 	// retry-on-refused loop would park the engine worker for DialTimeout
 	// behind a shard that is already gone.
 	dctx, cancel := context.WithTimeout(context.Background(), g.cfg.DialTimeout)
-	cli, err := serve.DialOnce(dctx, shard, f.agent)
+	cli, err := session.DialOnce(dctx, shard, f.agent)
 	cancel()
 	if err != nil {
 		return nil, err
@@ -578,7 +569,7 @@ type upstream struct {
 	g       *Gateway
 	c       *session.Conn
 	shard   string
-	cli     *serve.Client
+	cli     *session.Client
 	met     *shardMetrics
 	dead    atomic.Bool
 	closing atomic.Bool // deliberate local teardown, not a shard failure
@@ -736,28 +727,6 @@ func (st *fwdStream) ensureRoute() *upstream {
 // routing/assembly and the upstream write.
 func (st *fwdStream) Process(b session.Batch) error {
 	g := st.f.g
-	if sl := g.cfg.SampleLog; sl != nil {
-		// Log arrivals at the fleet edge, before routing: replay wants the
-		// traffic that reached the gateway, whether or not a shard was
-		// healthy enough to score it. The samples have no verdict yet, so
-		// their records are unscored (FlagScored clear) and backtests skip
-		// them.
-		var version uint32
-		if w := g.welcome.Load(); w != nil {
-			version = w.ModelVersion
-		}
-		recs := make([]samplelog.Record, len(b.Samples))
-		for i := range b.Samples {
-			recs[i] = samplelog.Record{
-				Nanos:        b.Ats[i].UnixNano(),
-				Stream:       st.id,
-				App:          st.app,
-				ModelVersion: version,
-				Features:     b.Samples[i],
-			}
-		}
-		sl.AppendBatch(recs)
-	}
 	traceIdx, traceID, traced := g.cfg.Tracer.SampleBatch(b.Len())
 	var sendStart time.Time
 	if traced {
@@ -768,7 +737,10 @@ func (st *fwdStream) Process(b session.Batch) error {
 		if up == nil {
 			break
 		}
-		if err := st.sendBatch(up, b); err != nil {
+		// SendBatch stamps each frame with the gateway's ingress time: the
+		// shard subtracts it from its own ingress clock to attribute the
+		// gateway→shard hop.
+		if err := up.cli.SendBatch(st.id, b); err != nil {
 			up.fail()
 			continue
 		}
@@ -816,18 +788,6 @@ func maxNanos(d time.Duration, floor int64) int64 {
 		return n
 	}
 	return floor
-}
-
-func (st *fwdStream) sendBatch(up *upstream, b session.Batch) error {
-	for i := range b.Samples {
-		// Stamp the gateway's ingress time (when its read loop accepted the
-		// sample) onto the forwarded frame: the shard subtracts it from its
-		// own ingress clock to attribute the gateway→shard hop.
-		if err := up.cli.SendAt(st.id, b.Seqs[i], b.Ats[i].UnixNano(), b.Samples[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close ends the stream: when its upstream is alive the shard's

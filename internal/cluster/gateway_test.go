@@ -13,6 +13,7 @@ import (
 	"twosmart/internal/corpus"
 	"twosmart/internal/dataset"
 	"twosmart/internal/serve"
+	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/wire"
 )
@@ -159,11 +160,11 @@ func startGatewayWith(t *testing.T, shards []string, tweak func(*Config)) *testG
 	return tg
 }
 
-func dialGateway(t *testing.T, tg *testGateway, agent string) *serve.Client {
+func dialGateway(t *testing.T, tg *testGateway, agent string) *session.Client {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := serve.Dial(ctx, tg.addr, agent)
+	c, err := session.Dial(ctx, tg.addr, agent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func dialGateway(t *testing.T, tg *testGateway, agent string) *serve.Client {
 // verdict counts into the caller's map. Any Error frame fails the test —
 // the cluster contract is that shard-side trouble stays invisible to
 // agents.
-func collect(t *testing.T, c *serve.Client, verdicts map[uint32]int, want int) (summaries map[uint32]wire.StreamSummary) {
+func collect(t *testing.T, c *session.Client, verdicts map[uint32]int, want int) (summaries map[uint32]wire.StreamSummary) {
 	t.Helper()
 	summaries = make(map[uint32]wire.StreamSummary)
 	for len(summaries) < want {
@@ -200,7 +201,7 @@ func collect(t *testing.T, c *serve.Client, verdicts map[uint32]int, want int) (
 // was placed on a shard and scored — the pre-kill barrier the failover
 // test needs, since the client's writes race far ahead of the gateway's
 // placement rounds.
-func awaitVerdicts(t *testing.T, c *serve.Client, verdicts map[uint32]int, streams int) {
+func awaitVerdicts(t *testing.T, c *session.Client, verdicts map[uint32]int, streams int) {
 	t.Helper()
 	covered := 0
 	for _, n := range verdicts {
@@ -232,7 +233,7 @@ const (
 
 func testApp(s int) string { return fmt.Sprintf("gwapp-%d", s) }
 
-func sendWave(t *testing.T, c *serve.Client, data *dataset.Dataset, streams, from, n int) {
+func sendWave(t *testing.T, c *session.Client, data *dataset.Dataset, streams, from, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		for s := 0; s < streams; s++ {
@@ -396,7 +397,7 @@ func TestGatewayNoShards(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := serve.Dial(ctx, tg.addr, "lonely-agent")
+	_, err := session.Dial(ctx, tg.addr, "lonely-agent")
 	if err == nil {
 		t.Fatal("handshake succeeded with no healthy shard")
 	}

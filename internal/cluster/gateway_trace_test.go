@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"twosmart/internal/serve"
+	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
 )
@@ -80,7 +81,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 
 	dialCtx, dialCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer dialCancel()
-	c, err := serve.Dial(dialCtx, gwAddr.String(), testAgent)
+	c, err := session.Dial(dialCtx, gwAddr.String(), testAgent)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@ import (
 // A Ring is immutable after Build; membership changes build a new Ring
 // and swap it in atomically (see Gateway), so routing never locks.
 type Ring struct {
-	points  []ringPoint
-	members []string
+	points []ringPoint
 }
 
 type ringPoint struct {
@@ -48,10 +47,7 @@ func BuildRing(members []string, replicas int) *Ring {
 		uniq = append(uniq, m)
 	}
 	sort.Strings(uniq)
-	r := &Ring{
-		points:  make([]ringPoint, 0, len(uniq)*replicas),
-		members: uniq,
-	}
+	r := &Ring{points: make([]ringPoint, 0, len(uniq)*replicas)}
 	for _, m := range uniq {
 		for i := 0; i < replicas; i++ {
 			r.points = append(r.points, ringPoint{hash: fnv64a(m + "#" + strconv.Itoa(i)), member: m})
@@ -62,9 +58,10 @@ func BuildRing(members []string, replicas int) *Ring {
 }
 
 // Route returns the member owning key, or "" for an empty ring. The same
-// (members, replicas, key) always routes identically — agents and load
-// generators can predict placement (cmd/smartload -cluster does, to
-// report per-shard skew).
+// (members, replicas, key) always routes identically, whatever order the
+// members were listed in: the gateway rebuilds its ring from map
+// iteration order on every membership change, and a stream whose shard
+// stayed healthy must not move.
 func (r *Ring) Route(key string) string {
 	if len(r.points) == 0 {
 		return ""
@@ -78,21 +75,19 @@ func (r *Ring) Route(key string) string {
 	return r.points[i].member
 }
 
-// Members returns the ring's member set, sorted and deduplicated.
-func (r *Ring) Members() []string { return r.members }
-
 // RouteKey builds the canonical (agent, app) stream routing key. Keying
 // by agent+app (rather than by connection) makes placement stable across
 // agent reconnects and spreads one agent's apps over the fleet.
 func RouteKey(agent, app string) string { return agent + "|" + app }
 
 // fnv64a is 64-bit FNV-1a over the key bytes with a murmur3-style
-// finalizer — fast, allocation-free and stable across processes (gateway
-// and load generator must agree). The finalizer matters: raw FNV-1a
-// barely avalanches its last bytes, so keys differing only in a trailing
-// counter ("app-0", "app-1", …) land within ~255·prime of each other on
-// the 2^64 circle — one vnode arc — and a whole family of sequentially
-// named streams would pile onto one shard.
+// finalizer — fast, allocation-free and stable across processes, so a
+// restarted gateway places every stream where its predecessor did. The
+// finalizer matters: raw FNV-1a barely avalanches its last bytes, so
+// keys differing only in a trailing counter ("app-0", "app-1", …) land
+// within ~255·prime of each other on the 2^64 circle — one vnode arc —
+// and a whole family of sequentially named streams would pile onto one
+// shard.
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -10,17 +10,14 @@ func TestRingEmpty(t *testing.T) {
 	if got := r.Route("anything"); got != "" {
 		t.Fatalf("empty ring routed to %q, want \"\"", got)
 	}
-	if len(r.Members()) != 0 {
-		t.Fatalf("empty ring has members %v", r.Members())
-	}
 }
 
 func TestRingDeterministic(t *testing.T) {
 	members := []string{"10.0.0.1:7644", "10.0.0.2:7644", "10.0.0.3:7644"}
 	a := BuildRing(members, 64)
 	// Same members in a different order (and with a duplicate) must build
-	// the identical ring — the gateway and the load generator construct it
-	// independently and have to agree.
+	// the identical ring — the gateway rebuilds its ring from map iteration
+	// order, so placement must not depend on the order members arrive in.
 	b := BuildRing([]string{"10.0.0.3:7644", "10.0.0.1:7644", "10.0.0.2:7644", "10.0.0.1:7644"}, 64)
 	for i := 0; i < 1000; i++ {
 		key := RouteKey(fmt.Sprintf("agent-%d", i), fmt.Sprintf("app-%d", i%7))

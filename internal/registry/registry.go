@@ -104,6 +104,14 @@ func (r *Registry) writeManifest(m *Manifest) error {
 	return atomicWrite(r.manifestPath(), data)
 }
 
+// WriteFile publishes data as the file name under the registry root
+// with the same write-temp-then-rename idiom as the manifest, so a
+// reader never observes a half-written file. It is for sidecar state
+// that lives beside the manifest (the rollout controller's documents).
+func (r *Registry) WriteFile(name string, data []byte) error {
+	return atomicWrite(filepath.Join(r.root, name), data)
+}
+
 func atomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")

@@ -272,7 +272,7 @@ func RequestAbort(r *registry.Registry) error {
 	if st == nil || (st.Phase != PhaseBaking && st.Phase != PhasePinning) {
 		return errors.New("rollout: no rollout in progress")
 	}
-	return atomicWrite(abortPath(r), []byte(time.Now().UTC().Format(time.RFC3339)+"\n"))
+	return r.WriteFile(abortFile, []byte(time.Now().UTC().Format(time.RFC3339)+"\n"))
 }
 
 // save persists the state document atomically and mirrors the phase
@@ -284,7 +284,7 @@ func (c *Controller) save() error {
 		return fmt.Errorf("rollout: %w", err)
 	}
 	c.stateGauge.Set(phaseOrd[c.state.Phase])
-	return atomicWrite(statePath(c.cfg.Registry), append(data, '\n'))
+	return c.cfg.Registry.WriteFile(StateFile, append(data, '\n'))
 }
 
 // Run executes the rollout to a terminal phase and returns the final
@@ -567,30 +567,4 @@ func joinFailures(fs []string) string {
 		out += f
 	}
 	return out
-}
-
-// atomicWrite mirrors the registry's write-temp-then-rename idiom for
-// the controller's own documents.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("rollout: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("rollout: %w", werr)
-	}
-	return nil
 }

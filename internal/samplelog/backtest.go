@@ -64,8 +64,10 @@ type BacktestResult struct {
 	Log VerifyReport `json:"log"`
 	// Replayed counts records actually scored against the candidate.
 	Replayed int `json:"replayed"`
-	// SkippedUnscored counts records that carried no recorded verdict
-	// (gateway-tier records log features before scoring happens).
+	// SkippedUnscored counts records that carried no recorded verdict.
+	// The shard scores every record it writes; unscored records come from
+	// logs an earlier gateway wrote at its edge, before any shard scored
+	// them.
 	SkippedUnscored int `json:"skipped_unscored"`
 	// SkippedFiltered counts scored records excluded by the window or
 	// app filter.
@@ -124,11 +126,12 @@ func (st *btStats) merge(o btStats) {
 
 // Backtest replays a recorded log window through a candidate detector at
 // full speed and reports divergence against the verdicts the fleet
-// actually served. Records without a recorded verdict (gateway-tier
-// captures) are skipped — there is nothing to diverge from. Each worker
-// compiles its own candidate (compiled detectors are single-goroutine by
-// contract) and scores a contiguous chunk; the torn/corrupt accounting
-// of the underlying scan rides along in the result.
+// actually served. Records without a recorded verdict (edge captures in
+// logs an earlier gateway wrote) are skipped — there is nothing to
+// diverge from. Each worker compiles its own candidate (compiled
+// detectors are single-goroutine by contract) and scores a contiguous
+// chunk; the torn/corrupt accounting of the underlying scan rides along
+// in the result.
 func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts BacktestOptions) (BacktestResult, error) {
 	var res BacktestResult
 	if candidate == nil {

@@ -72,9 +72,10 @@ const (
 	// record time.
 	FlagAlarm uint8 = 1 << 1
 	// FlagScored marks a record written by a scoring tier: its verdict,
-	// score and class fields are meaningful. Gateway-tier records (taken
-	// at the forwarding edge, before any shard scored them) leave it
-	// clear; backtests skip them, replay uses them like any other.
+	// score and class fields are meaningful. The shard sets it on every
+	// record; only logs an earlier gateway wrote at its forwarding edge,
+	// before any shard scored the samples, carry records without it.
+	// Backtests skip those, replay uses them like any other.
 	FlagScored uint8 = 1 << 2
 	// FlagShortCircuit marks a record whose verdict came from the
 	// stage-0 anomaly envelope (clear benign, full detector never ran).
@@ -93,7 +94,7 @@ type Record struct {
 	// App is the stream's application name.
 	App string
 	// ModelVersion is the registry version that scored the sample
-	// (0 outside a registry, or at the gateway tier).
+	// (0 outside a registry).
 	ModelVersion uint32
 	// Flags carries FlagMalware/FlagAlarm/FlagScored/FlagShortCircuit.
 	Flags uint8

@@ -68,11 +68,6 @@ type Config struct {
 	// QueueDepth bounds each connection's ingress ring; beyond it the
 	// oldest queued samples are shed (default 4096).
 	QueueDepth int
-	// MaxBatch caps how many samples one stream scores per
-	// DetectScoredBatch call inside a drain round (default 512). The
-	// effective micro-batch is adaptive: whatever accumulated in the ring
-	// since the last round, up to QueueDepth.
-	MaxBatch int
 	// IdleTimeout, when positive, reaps connections whose agents send no
 	// frame for that long: the read side is torn down, queued samples are
 	// still scored and flushed, an Error{CodeIdle} notice is sent, and
@@ -107,12 +102,6 @@ func (c Config) fill() (Config, error) {
 	}
 	if c.QueueDepth < 1 {
 		return c, fmt.Errorf("serve: queue depth %d below 1", c.QueueDepth)
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 512
-	}
-	if c.MaxBatch < 1 {
-		return c, fmt.Errorf("serve: max batch %d below 1", c.MaxBatch)
 	}
 	if c.IdleTimeout < 0 {
 		return c, fmt.Errorf("serve: negative idle timeout %s", c.IdleTimeout)
@@ -368,7 +357,6 @@ func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(),
 		},
 		Emit:      c,
 		Monitor:   s.cfg.Monitor,
-		MaxBatch:  s.cfg.MaxBatch,
 		Tap:       s.tap,
 		Tracer:    s.cfg.Tracer,
 		Latency:   s.latency,
@@ -424,4 +412,14 @@ func (s *Server) tap(ch session.TapChunk) {
 		}
 		sl.AppendBatch(recs)
 	}
+}
+
+// Client and Dial alias the agent client in internal/session. They exist
+// only because the serving benchmark module (bench/) compiles against
+// these names; other code uses session.Client and session.Dial.
+type Client = session.Client
+
+// Dial is session.Dial; see Client.
+func Dial(ctx context.Context, addr, agent string) (*Client, error) {
+	return session.Dial(ctx, addr, agent)
 }

@@ -222,7 +222,7 @@ func TestDrainWithSwapMidStream(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var gate sync.Once
-	ts := start(t, Config{Detector: det1, ModelVersion: 1, MaxBatch: 8}, func(s *Server) {
+	ts := start(t, Config{Detector: det1, ModelVersion: 1}, func(s *Server) {
 		s.scoreHook = func() {
 			gate.Do(func() {
 				close(entered)

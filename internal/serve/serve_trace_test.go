@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
 	"twosmart/internal/wire"
@@ -28,11 +29,14 @@ func TestServeTraceCapture(t *testing.T) {
 	// Stamp an ingress time firmly in the past so the gateway hop — the
 	// wall-clock delta between stamp and shard receive — is visibly
 	// positive.
-	ingress := time.Now().Add(-5 * time.Millisecond).UnixNano()
-	for i, fv := range samplesFrom(data, n) {
-		if err := c.SendAt(3, uint32(i), ingress, fv); err != nil {
-			t.Fatal(err)
-		}
+	ingress := time.Now().Add(-5 * time.Millisecond)
+	b := session.Batch{Samples: samplesFrom(data, n)}
+	for i := range b.Samples {
+		b.Seqs = append(b.Seqs, uint32(i))
+		b.Ats = append(b.Ats, ingress)
+	}
+	if err := c.SendBatch(3, b); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.CloseStream(3); err != nil {
 		t.Fatal(err)

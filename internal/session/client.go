@@ -1,4 +1,4 @@
-package serve
+package session
 
 import (
 	"context"
@@ -8,15 +8,16 @@ import (
 	"sync"
 	"time"
 
-	"twosmart/internal/session"
 	"twosmart/internal/wire"
 )
 
-// Client is the agent side of the streaming protocol: it dials a server,
-// completes the Hello/Welcome handshake and exposes typed frame I/O. It is
-// shared by cmd/smartload and the serve tests. Send/Open/Close/Heartbeat
-// may be called from one goroutine while another consumes Next — the write
-// path is mutex-guarded and the read path is single-consumer.
+// Client is the agent side of the streaming protocol, the counterpart of
+// Conn: it dials a shard or gateway, completes the Hello/Welcome
+// handshake and exposes typed frame I/O. cmd/smartload drives tiers with
+// it and the gateway tier (internal/cluster) uses it for its shard
+// connections. Send/SendBatch/Open/Close/Heartbeat may be called from one
+// goroutine while another consumes Next — the write path is mutex-guarded
+// and the read path is single-consumer.
 type Client struct {
 	nc      net.Conn
 	r       *wire.Reader
@@ -75,25 +76,25 @@ func (c *Client) handshake(agent string) error {
 	}
 	c.wmu.Unlock()
 	if err != nil {
-		return fmt.Errorf("serve: handshake write: %w", err)
+		return fmt.Errorf("session: handshake write: %w", err)
 	}
-	c.nc.SetReadDeadline(time.Now().Add(session.HandshakeTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(HandshakeTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
 	f, err := c.r.Next()
 	if err != nil {
-		return fmt.Errorf("serve: handshake read: %w", err)
+		return fmt.Errorf("session: handshake read: %w", err)
 	}
 	switch fr := f.(type) {
 	case wire.Welcome:
 		if fr.Proto != wire.ProtoVersion {
-			return fmt.Errorf("serve: server speaks protocol v%d, want v%d", fr.Proto, wire.ProtoVersion)
+			return fmt.Errorf("session: server speaks protocol v%d, want v%d", fr.Proto, wire.ProtoVersion)
 		}
 		c.welcome = fr
 		return nil
 	case wire.Error:
-		return fmt.Errorf("serve: server rejected handshake: code %d: %s", fr.Code, fr.Msg)
+		return fmt.Errorf("session: server rejected handshake: code %d: %s", fr.Code, fr.Msg)
 	default:
-		return fmt.Errorf("serve: handshake reply is %T, want Welcome", f)
+		return fmt.Errorf("session: handshake reply is %T, want Welcome", f)
 	}
 }
 
@@ -117,12 +118,21 @@ func (c *Client) Send(stream, seq uint32, features []float64) error {
 	return c.write(wire.Sample{Stream: stream, Seq: seq, Features: features})
 }
 
-// SendAt is Send with an upstream ingress stamp (unix nanos): the
-// gateway tier uses it to stamp its own ingress time onto forwarded
-// samples so the scoring shard can attribute the gateway→shard hop in
-// end-to-end trace records.
-func (c *Client) SendAt(stream, seq uint32, ingressNanos int64, features []float64) error {
-	return c.write(wire.Sample{Stream: stream, Seq: seq, IngressNanos: uint64(ingressNanos), Features: features})
+// SendBatch queues every sample of b on stream under one writer lock,
+// stamping each frame's IngressNanos with b.Ats[i] (when this tier's read
+// loop accepted the sample): the gateway tier forwards batches with it so
+// the scoring shard can attribute the gateway→shard hop in end-to-end
+// trace records. Call Flush to push the frames out.
+func (c *Client) SendBatch(stream uint32, b Batch) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for i, fv := range b.Samples {
+		if err := c.w.Write(wire.Sample{Stream: stream, Seq: b.Seqs[i],
+			IngressNanos: uint64(b.Ats[i].UnixNano()), Features: fv}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CloseStream ends a stream; the server answers with a StreamSummary.
@@ -168,7 +178,7 @@ func (c *Client) CloseWrite() error {
 	if wc, ok := c.nc.(writeCloser); ok {
 		return wc.CloseWrite()
 	}
-	return errors.New("serve: connection does not support half-close")
+	return errors.New("session: connection does not support half-close")
 }
 
 // Close tears the connection down.

@@ -68,6 +68,11 @@ type TapChunk struct {
 	Events   []monitor.Event
 }
 
+// scoreChunk caps how many samples of one stream's micro-batch are
+// scored, tapped and emitted together. Each chunk is one trace-sampling
+// decision and one Tap call.
+const scoreChunk = 512
+
 // ScoringConfig configures a Scoring handler (one per connection).
 type ScoringConfig struct {
 	// Source returns the model generation new streams should bind.
@@ -78,9 +83,6 @@ type ScoringConfig struct {
 	// Monitor tunes the per-stream smoothing and alarm hysteresis; its
 	// Telemetry registry also receives the monitor_active_apps gauge.
 	Monitor monitor.Config
-	// MaxBatch caps how many samples one stream scores per fused
-	// DetectScoredBatch call inside a round (default 512).
-	MaxBatch int
 	// Tap, when non-nil, observes every scored chunk after its verdicts
 	// are computed — the shadow-scoring and sample-log hook. The chunk's
 	// slices are engine-owned and valid only during the call.
@@ -164,12 +166,6 @@ func NewScoring(cfg ScoringConfig) (*Scoring, error) {
 	}
 	if cfg.Emit == nil {
 		return nil, fmt.Errorf("session: nil emitter")
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 512
-	}
-	if cfg.MaxBatch < 1 {
-		return nil, fmt.Errorf("session: max batch %d below 1", cfg.MaxBatch)
 	}
 	if cfg.Latency == nil {
 		cfg.Latency = telemetry.NopHistogram
@@ -255,8 +251,9 @@ type scoredStream struct {
 	passScores   []float64
 }
 
-// Process scores one pending micro-batch in MaxBatch chunks through the
-// fused compiled path and emits the verdict chunks.
+// Process scores one pending micro-batch in chunks of at most
+// scoreChunk samples through the fused compiled path and emits the
+// verdict chunks.
 func (st *scoredStream) Process(b Batch) error {
 	s := st.s
 	if s.cfg.Hook != nil {
@@ -268,11 +265,8 @@ func (st *scoredStream) Process(b Batch) error {
 		st.scores = make([]float64, pending)
 		st.events = make([]monitor.Event, pending)
 	}
-	for off := 0; off < pending; off += s.cfg.MaxBatch {
-		end := off + s.cfg.MaxBatch
-		if end > pending {
-			end = pending
-		}
+	for off := 0; off < pending; off += scoreChunk {
+		end := min(off+scoreChunk, pending)
 		n := end - off
 		// One sampling decision per chunk: a single atomic add when not
 		// chosen, three time.Now calls bracketing score and emit when it is.

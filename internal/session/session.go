@@ -16,7 +16,10 @@
 //     round into adaptive per-stream micro-batches,
 //   - stream-table bookkeeping: duplicate-id/duplicate-app rejection,
 //     unknown-stream accounting, controls applied at their arrival
-//     position within a round.
+//     position within a round;
+//   - the agent client (Client, Dial, DialOnce), the other half of the
+//     handshake: cmd/smartload drives either tier with it, and the
+//     gateway dials its shards with it.
 //
 // A tier supplies only its policy as a Tier: the Welcome source, the
 // Heartbeat echo, the per-connection Handler and its teardown, the idle

@@ -53,6 +53,7 @@ type fakeStream struct {
 
 	mu       sync.Mutex
 	seqs     []uint32
+	origins  []int64
 	features [][]float64 // copied: the engine recycles batch buffers
 	closed   bool
 	shed     uint64
@@ -69,6 +70,7 @@ func (st *fakeStream) Process(b Batch) error {
 	defer st.mu.Unlock()
 	for i := range b.Samples {
 		st.seqs = append(st.seqs, b.Seqs[i])
+		st.origins = append(st.origins, b.Origins[i])
 		cp := make([]float64, len(b.Samples[i]))
 		copy(cp, b.Samples[i])
 		st.features = append(st.features, cp)

@@ -223,25 +223,31 @@ func Append(dst []byte, f Frame) ([]byte, error) {
 	// Reserve the length header; patch it once the payload is known.
 	start := len(dst)
 	dst = appendU32(dst, 0)
-	dst = append(dst, f.Type())
 	var err error
+	// Each case appends its own type byte: calling f.Type() through the
+	// interface, or formatting f, would make every frame passed in escape
+	// to the heap.
 	switch fr := f.(type) {
 	case Hello:
+		dst = append(dst, TypeHello)
 		dst = appendU16(dst, fr.Proto)
 		dst, err = appendString(dst, fr.Agent)
 	case Welcome:
+		dst = append(dst, TypeWelcome)
 		dst = appendU16(dst, fr.Proto)
 		dst = appendU16(dst, fr.ModelFormat)
 		dst = appendU32(dst, fr.ModelVersion)
 		dst = appendU16(dst, fr.NumFeatures)
 		dst, err = appendString(dst, fr.Model)
 	case OpenStream:
+		dst = append(dst, TypeOpenStream)
 		dst = appendU32(dst, fr.Stream)
 		dst, err = appendString(dst, fr.App)
 	case Sample:
 		if len(fr.Features) > MaxFeatures {
 			return dst[:start], fmt.Errorf("wire: sample with %d features exceeds max %d", len(fr.Features), MaxFeatures)
 		}
+		dst = append(dst, TypeSample)
 		dst = appendU32(dst, fr.Stream)
 		dst = appendU32(dst, fr.Seq)
 		dst = appendU64(dst, fr.IngressNanos)
@@ -250,14 +256,17 @@ func Append(dst []byte, f Frame) ([]byte, error) {
 			dst = appendF64(dst, v)
 		}
 	case Verdict:
+		dst = append(dst, TypeVerdict)
 		dst = appendU32(dst, fr.Stream)
 		dst = appendU32(dst, fr.Seq)
 		dst = append(dst, fr.Flags, fr.Class)
 		dst = appendF64(dst, fr.Score)
 		dst = appendF64(dst, fr.Smoothed)
 	case CloseStream:
+		dst = append(dst, TypeCloseStream)
 		dst = appendU32(dst, fr.Stream)
 	case StreamSummary:
+		dst = append(dst, TypeStreamSummary)
 		dst = appendU32(dst, fr.Stream)
 		dst = appendU32(dst, fr.ModelVersion)
 		dst = appendU64(dst, fr.Samples)
@@ -265,13 +274,15 @@ func Append(dst []byte, f Frame) ([]byte, error) {
 		dst = appendU32(dst, fr.Alarms)
 		dst = appendF64(dst, fr.MaxSmoothed)
 	case Heartbeat:
+		dst = append(dst, TypeHeartbeat)
 		dst = appendU64(dst, fr.Nanos)
 		dst = appendU32(dst, fr.ModelVersion)
 	case Error:
+		dst = append(dst, TypeError)
 		dst = appendU16(dst, fr.Code)
 		dst, err = appendString(dst, fr.Msg)
 	default:
-		return dst[:start], fmt.Errorf("wire: cannot encode frame type %T", f)
+		return dst[:start], errors.New("wire: cannot encode a frame type from outside this package")
 	}
 	if err != nil {
 		return dst[:start], err

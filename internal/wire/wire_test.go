@@ -193,6 +193,30 @@ func TestReaderTruncatedStream(t *testing.T) {
 	}
 }
 
+// TestWriterWriteAllocs pins the encode half of the hot path: writing a
+// Verdict (the shard's per-sample output) or a Sample (the gateway's
+// per-sample forward) allocates nothing, so neither frame may escape to
+// the heap on its way through the Frame interface.
+func TestWriterWriteAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	feats := []float64{1.25, 0.5, 3.75, 0.125}
+	for name, write := range map[string]func() error{
+		"Verdict": func() error {
+			return w.Write(Verdict{Stream: 3, Seq: 7, Flags: FlagMalware, Class: 2, Score: 0.9, Smoothed: 0.4})
+		},
+		"Sample": func() error {
+			return w.Write(Sample{Stream: 3, Seq: 7, IngressNanos: 99, Features: feats})
+		},
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { write() }); n != 0 {
+			t.Errorf("Writer.Write(%s) allocates %.1f times per call, want 0", name, n)
+		}
+	}
+}
+
 // BenchmarkWireSample measures the hot encode+decode path of one 4-feature
 // sample frame, the unit of work the serving layer pays per streamed HPC
 // sample on each side of the socket.
