@@ -64,6 +64,14 @@ has_verdicts() {
     END { if (n + 0 == 0) { print "FAIL: no verdicts in " f; exit 1 } }' "$1"
 }
 
+# no_loss FILE requires the smartload summary in FILE to account for
+# every sample it sent: its fates line reports lost 0.
+no_loss() {
+  awk -v f="$1" '/^fates/ { line = $0; lost = $NF }
+    END { if (line == "") { print "FAIL: no fates line in " f; exit 1 }
+          if (lost != 0) { print "FAIL: " f " does not account for every sample: " line; exit 1 } }' "$1"
+}
+
 # wait_healthz HOST:PORT... requires every telemetry endpoint's /healthz
 # to answer 200 within 10s.
 wait_healthz() {

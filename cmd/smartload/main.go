@@ -3,6 +3,12 @@
 // reports end-to-end throughput, verdict latency quantiles (p50/p95/p99)
 // and the shed rate the server's load-shedding reported.
 //
+// Synthetic and replayed load are both plans run by one sender and one
+// receiver (drive.go). Paced load (-interval, -amplify N > 0) times each
+// verdict from its sample's scheduled send time, so coordinated omission
+// cannot hide queueing. The fates line reconciles sent = verdicts + shed
+// + lost; a loss alone never fails the run.
+//
 // -addr may name a smartgw gateway instead of a single server: the
 // protocol is the same. How the gateway split the streams over its
 // shards is its own measurement, the cluster_*{shard} counters on its
@@ -35,7 +41,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -43,6 +48,7 @@ import (
 	"twosmart/internal/cli"
 	"twosmart/internal/corpus"
 	"twosmart/internal/dataset"
+	"twosmart/internal/samplelog"
 	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/wire"
@@ -102,25 +108,29 @@ func main() {
 	ctx := app.Start()
 	defer app.Close()
 
+	// Load the traffic source before dialing, so a bad log fails fast.
+	var (
+		recs []samplelog.Record
+		data *dataset.Dataset
+		err  error
+	)
 	if *replayDir != "" {
-		runReplay(ctx, *addr, *replayDir, *amplify, *reportOut)
-		return
+		recs = readLog(*replayDir)
+	} else {
+		app.Log.Info("collecting replay corpus", "seed", *seed)
+		data, err = twosmart.CollectContext(ctx, corpus.Config{
+			Scale:       0.001,
+			MinPerClass: 24,
+			Budget:      30000,
+			Seed:        *seed,
+			Omniscient:  true,
+		})
+		if err != nil {
+			app.Fatal(err)
+		}
 	}
 
-	app.Log.Info("collecting replay corpus", "seed", *seed)
-	data, err := twosmart.CollectContext(ctx, corpus.Config{
-		Scale:       0.001,
-		MinPerClass: 24,
-		Budget:      30000,
-		Seed:        *seed,
-		Omniscient:  true,
-	})
-	if err != nil {
-		app.Fatal(err)
-	}
-
-	// Probe the server once to learn the model's feature width, then
-	// project the corpus onto it.
+	// Probe the server once to learn the model's feature width.
 	probe, err := session.Dial(ctx, *addr, "smartload-probe")
 	if err != nil {
 		app.Fatal(fmt.Errorf("dialing %s: %w", *addr, err))
@@ -130,46 +140,69 @@ func main() {
 	app.Log.Info("probed server",
 		"model", welcome.Model, "model_format", welcome.ModelFormat,
 		"model_version", welcome.ModelVersion, "features", welcome.NumFeatures)
-	data, err = project(data, int(welcome.NumFeatures))
+
+	var plans []plan
+	if recs != nil {
+		var p plan
+		p, err = replayPlan(recs, *amplify, int(welcome.NumFeatures))
+		plans = []plan{p}
+	} else {
+		var rows [][]float64
+		if rows, err = corpusRows(data, int(welcome.NumFeatures), *benign); err == nil {
+			plans, err = synthPlans(rows, *conns, *streams, *samples, *interval)
+		}
+	}
 	if err != nil {
 		app.Fatal(err)
 	}
-	if *benign {
-		kept := data.Instances[:0]
-		for _, ins := range data.Instances {
-			if workload.Class(ins.Label) == workload.Benign {
-				kept = append(kept, ins)
-			}
-		}
-		if len(kept) == 0 {
-			app.Fatal(fmt.Errorf("-benign: corpus has no benign-class samples"))
-		}
-		data.Instances = kept
-		app.Log.Info("benign-only corpus", "samples", data.Len())
-	}
-	replay := make([][]float64, data.Len())
-	for i, ins := range data.Instances {
-		replay[i] = ins.Features
-	}
+	app.Log.Info("starting load", "conns", len(plans), "streams_per_conn", len(plans[0].streams))
 
-	total := *conns * *streams * *samples
-	app.Log.Info("starting load",
-		"conns", *conns, "streams", *streams, "samples_per_stream", *samples, "total", total)
-
-	results := make([]connResult, *conns)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for ci := 0; ci < *conns; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			results[ci] = driveConn(ctx, *addr, ci, *streams, *samples, *interval, replay)
-		}(ci)
-	}
-	wg.Wait()
+	agg := run(ctx, *addr, plans)
 	elapsed := time.Since(start)
 
-	var agg connResult
+	perSec := float64(agg.sent) / elapsed.Seconds()
+	if recs != nil {
+		fmt.Printf("replayed %d records over %d streams in %.2fs (%.0f samples/s, amplify %d)\n",
+			agg.sent, len(plans[0].streams), elapsed.Seconds(), perSec, *amplify)
+	} else {
+		fmt.Printf("sent     %d samples in %.2fs (%.0f samples/s)\n", agg.sent, elapsed.Seconds(), perSec)
+	}
+	printSummary(agg, elapsed)
+	if *reportOut == "" {
+		return
+	}
+	rep := report(agg, elapsed, welcome)
+	if recs != nil {
+		rep.Results["replay_records"] = float64(len(recs))
+		rep.Results["replay_streams"] = float64(len(plans[0].streams))
+		rep.Results["replay_amplify"] = float64(*amplify)
+		rep.Notes["replay_log"] = *replayDir
+	}
+	if err := rep.WriteFile(*reportOut); err != nil {
+		app.Log.Error("write run report", "path", *reportOut, "err", err)
+	} else if *reportOut != "-" {
+		app.Log.Info("wrote run report", "path", *reportOut)
+	}
+}
+
+// run drives every plan on its own connection concurrently and returns
+// the aggregate with its latencies sorted. A failed connection ends the
+// process: one classified line per failed connection instead of
+// whichever raw socket error happened to surface first.
+func run(ctx context.Context, addr string, plans []plan) connResult {
+	results := make([]connResult, len(plans))
+	var wg sync.WaitGroup
+	for i, p := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = drive(ctx, addr, p)
+		}()
+	}
+	wg.Wait()
+
+	agg := connResult{versions: map[uint32]uint64{}}
 	var failed []int
 	for ci, r := range results {
 		if r.err != nil {
@@ -181,35 +214,31 @@ func main() {
 		agg.alarms += r.alarms
 		agg.latencies = append(agg.latencies, r.latencies...)
 		for v, n := range r.versions {
-			if agg.versions == nil {
-				agg.versions = map[uint32]uint64{}
-			}
 			agg.versions[v] += n
 		}
 	}
 	if len(failed) > 0 {
-		// One classified line per failed connection instead of whichever
-		// raw socket error happened to surface first.
 		if ctx.Err() != nil {
 			app.Fatal(context.Canceled)
 		}
-		fmt.Fprintf(os.Stderr, "smartload: %d/%d connections failed:\n", len(failed), *conns)
+		fmt.Fprintf(os.Stderr, "smartload: %d/%d connections failed:\n", len(failed), len(plans))
 		for _, ci := range failed {
 			r := results[ci]
 			fmt.Fprintf(os.Stderr, "  conn %d: %s (sent %d samples, received %d verdicts)\n",
 				ci, classify(r.err), r.sent, r.verdicts)
 		}
-		app.Fatal(fmt.Errorf("%d/%d connections failed: %s", len(failed), *conns, classify(results[failed[0]].err)))
+		app.Fatal(fmt.Errorf("%d/%d connections failed: %s", len(failed), len(plans), classify(results[failed[0]].err)))
 	}
+	sort.Float64s(agg.latencies)
+	return agg
+}
 
-	perSec := float64(agg.sent) / elapsed.Seconds()
-	shedRate := 0.0
-	if agg.sent > 0 {
-		shedRate = float64(agg.shed) / float64(agg.sent)
-	}
-	fmt.Printf("sent     %d samples in %.2fs (%.0f samples/s)\n", agg.sent, elapsed.Seconds(), perSec)
+// printSummary prints the summary lines that follow the mode's first
+// line, and folds the exact latency samples into the run-report
+// histogram.
+func printSummary(agg connResult, elapsed time.Duration) {
 	fmt.Printf("verdicts %d (%.0f/s)  alarms %d\n", agg.verdicts, float64(agg.verdicts)/elapsed.Seconds(), agg.alarms)
-	fmt.Printf("shed     %d (%.2f%%)\n", agg.shed, 100*shedRate)
+	fmt.Printf("shed     %d (%.2f%%)\n", agg.shed, 100*agg.shedRate())
 	if len(agg.versions) > 0 {
 		vs := make([]int, 0, len(agg.versions))
 		for v := range agg.versions {
@@ -222,12 +251,11 @@ func main() {
 		}
 		fmt.Printf("  (stream summaries per model version)\n")
 	}
+	fmt.Printf("fates    sent %d = verdicts %d + shed %d + lost %d\n", agg.sent, agg.verdicts, agg.shed, agg.lost())
 	if len(agg.latencies) > 0 {
-		sort.Float64s(agg.latencies)
 		fmt.Printf("latency  p50=%s p95=%s p99=%s max=%s\n",
 			quantile(agg.latencies, 0.50), quantile(agg.latencies, 0.95),
 			quantile(agg.latencies, 0.99), quantile(agg.latencies, 1))
-		// Fold the exact latency samples into the run-report histogram.
 		lat := app.Telemetry.Histogram("load_verdict_latency_seconds", telemetry.LatencyBuckets)
 		for _, l := range agg.latencies {
 			lat.Observe(l)
@@ -239,9 +267,6 @@ func main() {
 			time.Duration(hb.P99*float64(time.Second)),
 			time.Duration(hb.Max*float64(time.Second)), hb.Count)
 	}
-	if *reportOut != "" {
-		writeReport(*reportOut, agg, elapsed, welcome)
-	}
 }
 
 // hbHist is the heartbeat-RTT histogram every connection's receiver
@@ -250,35 +275,45 @@ func hbHist() telemetry.Histogram {
 	return app.Telemetry.Histogram("load_heartbeat_rtt_seconds", telemetry.LatencyBuckets)
 }
 
-// writeReport emits the RunReport-shaped JSON artifact: the headline
+// report builds the RunReport-shaped JSON artifact: the headline
 // throughput/latency figures in Results, plus every histogram the run
 // recorded (verdict latency, heartbeat RTT).
-func writeReport(path string, agg connResult, elapsed time.Duration, welcome wire.Welcome) {
+func report(agg connResult, elapsed time.Duration, welcome wire.Welcome) *telemetry.RunReport {
 	rep := app.Telemetry.Report(app.Tool)
 	rep.Results["samples_sent"] = float64(agg.sent)
 	rep.Results["verdicts"] = float64(agg.verdicts)
 	rep.Results["shed"] = float64(agg.shed)
+	rep.Results["lost"] = float64(agg.lost())
 	rep.Results["alarms"] = float64(agg.alarms)
 	rep.Results["wall_s"] = elapsed.Seconds()
 	rep.Results["samples_per_s"] = float64(agg.sent) / elapsed.Seconds()
 	rep.Results["verdicts_per_s"] = float64(agg.verdicts) / elapsed.Seconds()
-	if agg.sent > 0 {
-		rep.Results["shed_rate"] = float64(agg.shed) / float64(agg.sent)
-	}
-	if len(agg.latencies) > 0 { // already sorted by the summary print
+	rep.Results["shed_rate"] = agg.shedRate()
+	if len(agg.latencies) > 0 {
 		rep.Results["latency_p50_s"] = quantile(agg.latencies, 0.50).Seconds()
 		rep.Results["latency_p95_s"] = quantile(agg.latencies, 0.95).Seconds()
 		rep.Results["latency_p99_s"] = quantile(agg.latencies, 0.99).Seconds()
 	}
 	rep.Results["model_version"] = float64(welcome.ModelVersion)
 	rep.Notes = map[string]string{"model": welcome.Model}
-	if err := rep.WriteFile(path); err != nil {
-		app.Log.Error("write run report", "path", path, "err", err)
-		return
+	return rep
+}
+
+// corpusRows projects the corpus onto the served model's feature width
+// and returns its feature rows, only the benign-class ones when benign
+// is set.
+func corpusRows(d *dataset.Dataset, width int, benign bool) ([][]float64, error) {
+	d, err := project(d, width)
+	if err != nil {
+		return nil, err
 	}
-	if path != "-" {
-		app.Log.Info("wrote run report", "path", path)
+	var rows [][]float64
+	for _, ins := range d.Instances {
+		if !benign || workload.Class(ins.Label) == workload.Benign {
+			rows = append(rows, ins.Features)
+		}
 	}
+	return rows, nil
 }
 
 // project reduces the replay corpus to the feature width the served model
@@ -294,6 +329,31 @@ func project(d *dataset.Dataset, width int) (*dataset.Dataset, error) {
 		width, d.NumFeatures(), len(twosmart.CommonFeatures()))
 }
 
+// synthPlans builds one plan per connection over the corpus rows. Stream
+// s of connection c carries app conn<c>-app<s>; round r sends one sample
+// per stream, due at r × interval (interval 0 = unpaced), and feature
+// rows cycle round-robin over the corpus. Sends are generated on demand,
+// so a plan costs nothing per planned sample.
+func synthPlans(rows [][]float64, conns, streams, samples int, interval time.Duration) ([]plan, error) {
+	if len(rows) == 0 {
+		return nil, errors.New("corpus has no samples to send (with -benign: no benign-class samples)")
+	}
+	at := func(i int) sample {
+		r := i / streams
+		return sample{stream: uint32(i % streams), seq: uint32(r),
+			due: time.Duration(r) * interval, features: rows[i%len(rows)]}
+	}
+	plans := make([]plan, conns)
+	for c := range plans {
+		p := plan{agent: fmt.Sprintf("smartload-%d", c), paced: interval > 0, sample: at}
+		for s := 0; s < streams; s++ {
+			p.streams = append(p.streams, planStream{app: fmt.Sprintf("conn%d-app%d", c, s), n: samples})
+		}
+		plans[c] = p
+	}
+	return plans, nil
+}
+
 type connResult struct {
 	err       error
 	sent      uint64
@@ -302,6 +362,20 @@ type connResult struct {
 	alarms    uint64
 	latencies []float64         // seconds
 	versions  map[uint32]uint64 // summaries per model version (hot-swap visibility)
+}
+
+// lost counts the sent samples that ended as neither a verdict nor a
+// shed. It is signed: duplicate verdicts from an at-least-once re-send
+// make it negative.
+func (r connResult) lost() int64 {
+	return int64(r.sent) - int64(r.verdicts) - int64(r.shed)
+}
+
+func (r connResult) shedRate() float64 {
+	if r.sent == 0 {
+		return 0
+	}
+	return float64(r.shed) / float64(r.sent)
 }
 
 // classify turns a connection failure into an operator-readable line:
@@ -317,144 +391,6 @@ func classify(err error) string {
 		return "server closed the connection mid-run (EOF before all stream summaries arrived)"
 	default:
 		return err.Error()
-	}
-}
-
-// driveConn runs one agent connection: a sender pushing every stream's
-// samples round-robin and a receiver matching verdicts back to send
-// timestamps. Send times cross the goroutine boundary through atomics —
-// the verdict for (stream, seq) is causally after its send, but the Go
-// memory model still wants explicit synchronisation.
-func driveConn(ctx context.Context, addr string, ci, streams, samples int, interval time.Duration, replay [][]float64) connResult {
-	var res connResult
-	c, err := session.Dial(ctx, addr, fmt.Sprintf("smartload-%d", ci))
-	if err != nil {
-		res.err = err
-		return res
-	}
-	defer c.Close()
-
-	sendNanos := make([]atomic.Int64, streams*samples)
-	recvDone := make(chan connResult, 1)
-	go func() {
-		var r connResult
-		summaries := 0
-		for summaries < streams {
-			f, err := c.Next()
-			if err != nil {
-				r.err = err
-				break
-			}
-			switch fr := f.(type) {
-			case wire.Heartbeat:
-				// Echo of a probe this sender stamped with its send time:
-				// the round trip measures wire + server turnaround without
-				// any scoring in the path.
-				if rtt := time.Since(time.Unix(0, int64(fr.Nanos))).Seconds(); rtt > 0 {
-					hbHist().Observe(rtt)
-				}
-			case wire.Verdict:
-				r.verdicts++
-				if fr.Flags&wire.FlagAlarm != 0 {
-					r.alarms++
-				}
-				idx := int(fr.Stream)*samples + int(fr.Seq)
-				if idx < len(sendNanos) {
-					if t0 := sendNanos[idx].Load(); t0 != 0 {
-						r.latencies = append(r.latencies, time.Since(time.Unix(0, t0)).Seconds())
-					}
-				}
-			case wire.StreamSummary:
-				r.shed += fr.Shed
-				if r.versions == nil {
-					r.versions = map[uint32]uint64{}
-				}
-				r.versions[fr.ModelVersion]++
-				summaries++
-			case wire.Error:
-				r.err = fmt.Errorf("server error %d: %s", fr.Code, fr.Msg)
-			}
-			if r.err != nil {
-				break
-			}
-		}
-		recvDone <- r
-	}()
-
-	for s := 0; s < streams; s++ {
-		if err := c.OpenStream(uint32(s), fmt.Sprintf("conn%d-app%d", ci, s)); err != nil {
-			res.err = err
-			return res
-		}
-	}
-	var tick *time.Ticker
-	if interval > 0 {
-		tick = time.NewTicker(interval)
-		defer tick.Stop()
-	}
-send:
-	for i := 0; i < samples; i++ {
-		for s := 0; s < streams; s++ {
-			if ctx.Err() != nil {
-				res.err = ctx.Err()
-				break send
-			}
-			fv := replay[(i*streams+s)%len(replay)]
-			sendNanos[s*samples+i].Store(time.Now().UnixNano())
-			if err := c.Send(uint32(s), uint32(i), fv); err != nil {
-				res.err = err
-				break send
-			}
-			res.sent++
-		}
-		// At full speed, flush in bursts so frames hit the wire while
-		// syscalls stay amortised; paced, flush before every wait so no
-		// sample idles in the buffer for a period. Every 64th round carries
-		// a heartbeat probe so the run samples wire RTT alongside verdict
-		// latency.
-		if i%64 == 63 {
-			if err := c.Heartbeat(uint64(time.Now().UnixNano())); err != nil {
-				res.err = err
-				break send
-			}
-		}
-		if i%64 == 63 || tick != nil {
-			if err := c.Flush(); err != nil {
-				res.err = err
-				break send
-			}
-		}
-		if tick != nil {
-			select {
-			case <-tick.C:
-			case <-ctx.Done():
-				res.err = ctx.Err()
-				break send
-			}
-		}
-	}
-	if res.err == nil {
-		for s := 0; s < streams; s++ {
-			if err := c.CloseStream(uint32(s)); err != nil {
-				res.err = err
-				break
-			}
-		}
-	}
-	if err := c.Flush(); err != nil && res.err == nil {
-		res.err = err
-	}
-
-	select {
-	case r := <-recvDone:
-		r.sent = res.sent
-		if res.err != nil && r.err == nil {
-			r.err = res.err
-		}
-		return r
-	case <-time.After(60 * time.Second):
-		res.err = fmt.Errorf("conn %d: receiver did not finish within 60s", ci)
-		return res
 	}
 }
 

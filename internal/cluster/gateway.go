@@ -580,11 +580,20 @@ type upstream struct {
 	done chan struct{}
 }
 
-// fail marks the upstream dead and the shard unhealthy; streams reroute
-// on their next batch.
+// retire marks the upstream dead and closes it, reporting whether this
+// call did; its streams re-place on their next batch.
+func (up *upstream) retire() bool {
+	if !up.dead.CompareAndSwap(false, true) {
+		return false
+	}
+	up.cli.Close()
+	return true
+}
+
+// fail retires the upstream and marks the shard unhealthy; streams
+// reroute on their next batch.
 func (up *upstream) fail() {
-	if up.dead.CompareAndSwap(false, true) {
-		up.cli.Close()
+	if up.retire() {
 		up.g.reportFailure(up.shard)
 	}
 }
@@ -633,11 +642,17 @@ func (up *upstream) relay() {
 			// Echo of a keepalive; nothing to relay.
 		case wire.Error:
 			// A shard-side error is a fleet-operations event, not an agent
-			// protocol event: log it, mark the shard draining/dead so
-			// streams reroute, and never forward it downstream.
+			// protocol event: log it and never forward it downstream. A
+			// draining shard is leaving, so streams reroute; an idle reap
+			// ends only this connection, so the next batch re-dials the
+			// same shard.
 			up.g.cfg.Log.Warn("upstream error frame", "shard", up.shard, "code", fr.Code, "msg", fr.Msg)
-			if fr.Code == wire.CodeDraining || fr.Code == wire.CodeIdle {
+			switch fr.Code {
+			case wire.CodeDraining:
 				up.fail()
+				return
+			case wire.CodeIdle:
+				up.retire()
 				return
 			}
 		}

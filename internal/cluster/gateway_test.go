@@ -83,10 +83,19 @@ func (sh *testShard) kill(t *testing.T) {
 }
 
 func startShard(t *testing.T) *testShard {
+	return startShardWith(t, nil)
+}
+
+// startShardWith boots a shard whose Config was adjusted by tweak.
+func startShardWith(t *testing.T, tweak func(*serve.Config)) *testShard {
 	t.Helper()
 	det, _ := fixtures(t)
 	reg := telemetry.New()
-	srv, err := serve.New(serve.Config{Detector: det, Telemetry: reg, Log: quietLog()})
+	cfg := serve.Config{Detector: det, Telemetry: reg, Log: quietLog()}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	srv, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +393,61 @@ func TestGatewayReroutesOnShardDeath(t *testing.T) {
 	}
 	if healthy := tg.reg.Gauge("cluster_shards_healthy").Value(); healthy != 1 {
 		t.Errorf("cluster_shards_healthy = %v, want 1", healthy)
+	}
+}
+
+// TestGatewayIdleReapKeepsShard: a shard reaping the gateway's quiet
+// upstream connection is not a shard failure. The membership stays put,
+// no stream drains, and the stream's next samples re-dial the same shard.
+func TestGatewayIdleReapKeepsShard(t *testing.T) {
+	_, data := fixtures(t)
+	idle := func(c *serve.Config) { c.IdleTimeout = 300 * time.Millisecond }
+	shards := []*testShard{startShardWith(t, idle), startShardWith(t, idle)}
+	tg := startGateway(t, []string{shards[0].addr, shards[1].addr})
+	c := dialGateway(t, tg, testAgent)
+	// Place the stream only once both shards are in the ring, so joining
+	// membership cannot move it.
+	healthy := tg.reg.Gauge("cluster_shards_healthy")
+	for deadline := time.Now().Add(5 * time.Second); healthy.Value() != 2; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster_shards_healthy = %v, want 2", healthy.Value())
+		}
+	}
+
+	if err := c.OpenStream(0, testApp(0)); err != nil {
+		t.Fatal(err)
+	}
+	sendWave(t, c, data, 1, 0, 10)
+	verdicts := make(map[uint32]int)
+	awaitVerdicts(t, c, verdicts, 1)
+	// Silence: the shard reaps the gateway's upstream (the health probes
+	// keep their own connections alive).
+	reaped := func() uint64 {
+		return shards[0].reg.Counter("serve_conns_reaped_total").Value() +
+			shards[1].reg.Counter("serve_conns_reaped_total").Value()
+	}
+	for deadline := time.Now().Add(5 * time.Second); reaped() == 0; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no shard reaped the idle upstream within 5s")
+		}
+	}
+
+	sendWave(t, c, data, 1, 10, 10)
+	if err := c.CloseStream(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, c, verdicts, 1)
+	if verdicts[0] != 20 {
+		t.Errorf("%d verdicts relayed, want 20", verdicts[0])
+	}
+	if changes := tg.reg.Counter("cluster_membership_changes_total").Value(); changes != 2 {
+		t.Errorf("cluster_membership_changes_total = %d, want 2: an idle reap took a healthy shard out of the ring", changes)
+	}
+	if drained := tg.reg.Counter("cluster_streams_drained_total").Value(); drained != 0 {
+		t.Errorf("cluster_streams_drained_total = %d, want 0", drained)
 	}
 }
 

@@ -116,15 +116,7 @@ func (f *Frontend) Serve(ctx context.Context) error {
 	if f.ln == nil {
 		return errors.New("Serve before Listen")
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			f.ln.Close()
-		case <-stop:
-		}
-	}()
+	defer context.AfterFunc(ctx, func() { f.ln.Close() })()
 	for {
 		nc, err := f.ln.Accept()
 		if err != nil {
@@ -193,17 +185,9 @@ func (f *Frontend) handle(ctx context.Context, nc net.Conn) {
 		return
 	}
 
-	// Drain watcher: a cancelled server closes the read side so the
-	// reader unblocks; everything already queued still gets processed.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeRead(nc)
-		case <-stopWatch:
-		}
-	}()
+	// Drain: a cancelled server closes the read side so the reader
+	// unblocks; everything already queued still gets processed.
+	defer context.AfterFunc(ctx, func() { closeRead(nc) })()
 
 	readerDone := make(chan struct{})
 	workerDone := make(chan struct{})
@@ -299,21 +283,26 @@ func (c *Conn) readLoop() error {
 	m := &c.fe.tier.Metrics
 	idle := c.fe.tier.IdleTimeout
 	width := int(c.welcome.NumFeatures)
-	var lastArm time.Time
+	// The idle deadline is re-armed lazily: re-arming costs a poller
+	// update, so it is refreshed only once a quarter of the budget has
+	// elapsed since the last arm. A connection silent past the budget
+	// fails the read with os.ErrDeadlineExceeded and is reaped, between
+	// 0.75× and 1× the budget after its last frame.
+	lastArm := time.Now()
+	if idle > 0 {
+		c.nc.SetReadDeadline(lastArm.Add(idle))
+	}
 	for {
-		// Arm the idle deadline lazily — re-arming costs a poller update,
-		// so refresh only after a quarter of the budget has elapsed. Any
-		// inbound frame pushes it out; a connection silent past the budget
-		// fails the read with os.ErrDeadlineExceeded and is reaped.
-		if idle > 0 {
-			if now := time.Now(); now.Sub(lastArm) > idle/4 {
-				c.nc.SetReadDeadline(now.Add(idle))
-				lastArm = now
-			}
-		}
 		f, err := c.r.Next()
 		if err != nil {
 			return err
+		}
+		// One clock read per frame: it stamps the sample's ingress and
+		// drives the lazy re-arm.
+		now := time.Now()
+		if idle > 0 && now.Sub(lastArm) > idle/4 {
+			c.nc.SetReadDeadline(now.Add(idle))
+			lastArm = now
 		}
 		switch fr := f.(type) {
 		case wire.Sample:
@@ -322,7 +311,7 @@ func (c *Conn) readLoop() error {
 					fmt.Sprintf("sample has %d features, model wants %d", len(fr.Features), width))
 			}
 			m.Samples.Inc()
-			if c.eng.Push(fr.Stream, fr.Seq, int64(fr.IngressNanos), time.Now(), fr.Features) {
+			if c.eng.Push(fr.Stream, fr.Seq, int64(fr.IngressNanos), now, fr.Features) {
 				m.Shed.Inc()
 			}
 		case wire.OpenStream:
