@@ -38,7 +38,7 @@ func startServer(t *testing.T) (string, *telemetry.Registry, [][]float64) {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	srv, err := serve.New(serve.Config{Detector: det, Telemetry: reg,
+	srv, err := serve.New(serve.Config{Model: serve.Model{Detector: det}, Telemetry: reg,
 		Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err != nil {
 		t.Fatal(err)

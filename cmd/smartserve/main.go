@@ -8,14 +8,16 @@
 // shared out by connection. An overloaded server sheds the oldest queued
 // samples instead of building unbounded backlog.
 //
-// With -registry the server supports zero-downtime model swaps: SIGHUP
-// re-reads the registry's active version, and -watch polls it so a
-// `smartctl promote` lands without any signal at all. In-flight streams
-// finish on the model generation they opened with; new streams pick up
-// the promoted version. -shadow N scores registry version N side-by-side
-// off the hot path and reports verdict divergence at exit; a published
-// drift reference turns on live feature-distribution monitoring, whose
-// verdict ("ok" / "retrain-or-rollback") lands in the -report document.
+// With -registry the server supports zero-downtime model swaps. One loop
+// follows the registry: SIGHUP re-reads it, and -watch polls it every
+// -watch-interval so a `smartctl promote` (or, with -shard-id, a rollout
+// pin) lands without any signal at all. In-flight streams finish on the
+// model generation they opened with; new streams pick up the promoted
+// version. -shadow N scores registry version N side-by-side off the hot
+// path and reports verdict divergence at exit; a published drift
+// reference turns on live feature-distribution monitoring of the active
+// version, whose verdict ("ok" / "retrain-or-rollback") lands in the
+// -report document.
 //
 // With -samplelog DIR every scored sample is recorded to a segmented,
 // checksummed, append-only log (features, verdict, score, model version)
@@ -49,11 +51,12 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -61,9 +64,7 @@ import (
 	"time"
 
 	"twosmart"
-	"twosmart/internal/anomaly"
 	"twosmart/internal/cli"
-	"twosmart/internal/core"
 	"twosmart/internal/drift"
 	"twosmart/internal/monitor"
 	"twosmart/internal/persist"
@@ -71,6 +72,7 @@ import (
 	"twosmart/internal/samplelog"
 	"twosmart/internal/serve"
 	"twosmart/internal/shadow"
+	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
 )
 
@@ -143,10 +145,7 @@ func main() {
 				"drift", initial.Drift != nil, "envelope", initial.Envelope != nil)
 		}
 	} else {
-		initial, err = loadFromFile(*modelIn)
-		if err == nil && *envelopeIn != "" {
-			initial.Envelope, err = loadEnvelope(*envelopeIn)
-		}
+		initial, err = fileModel(*modelIn, *envelopeIn)
 	}
 	if err != nil {
 		app.Fatal(err)
@@ -168,18 +167,14 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Detector:     initial.Detector,
-		Model:        initial.Name,
-		ModelVersion: initial.Version,
-		Drift:        initial.Drift,
-		Envelope:     initial.Envelope,
-		Monitor:      monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
-		QueueDepth:   *queueDepth,
-		IdleTimeout:  *idleTimeout,
-		Telemetry:    app.Telemetry,
-		Tracer:       tracer,
-		SampleLog:    sampleLog,
-		Log:          app.Log,
+		Model:       initial,
+		Monitor:     monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
+		QueueDepth:  *queueDepth,
+		IdleTimeout: *idleTimeout,
+		Telemetry:   app.Telemetry,
+		Tracer:      tracer,
+		SampleLog:   sampleLog,
+		Log:         app.Log,
 	})
 	if err != nil {
 		app.Fatal(err)
@@ -207,46 +202,25 @@ func main() {
 		app.Log.Info("shadow scoring attached", "version", entry.Version, "sha256", entry.SHA256)
 	}
 
-	// Hot-swap triggers: SIGHUP always re-reads the registry; -watch
-	// polls it so a promote lands without any operator signal.
+	// One loop follows the registry. SIGHUP always wakes it; with -watch
+	// (to swap) or -shard-id (for the pinned gauge) it also polls.
 	if reg != nil {
+		f := &follower{srv: srv, reg: reg, shardID: *shardID, alertPSI: *driftAlert,
+			watch: *watch, log: app.Log, seen: initial.Version}
+		if *shardID != "" {
+			f.pinned = app.Telemetry.Gauge("serve_rollout_pinned")
+			f.wake(false) // set the pinned gauge before the server listens
+		}
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-hup:
-					swapFromRegistry(srv, reg, *driftAlert, *shardID, "SIGHUP")
-				}
+		var tick <-chan time.Time
+		if *watch || *shardID != "" {
+			if *watchInterval <= 0 {
+				*watchInterval = 2 * time.Second
 			}
-		}()
-		if *watch {
-			// WatchEffective tracks this shard's pinned-else-active
-			// version, so a pin-table-only manifest write (smartctl
-			// rollout start) swaps the canary without any promotion.
-			go reg.WatchEffective(ctx, *watchInterval, *shardID, initial.Version,
-				func(registry.Entry) { swapFromRegistry(srv, reg, *driftAlert, *shardID, "watch") },
-				func(err error) { app.Log.Warn("registry watch", "err", err) })
+			tick = time.NewTicker(*watchInterval).C
 		}
-		if *shardID != "" {
-			// The pinned gauge can change without an effective-version
-			// change (widen promotes the candidate, then unpins), so it
-			// refreshes on its own poll rather than riding the watch.
-			go func() {
-				tick := time.NewTicker(*watchInterval)
-				defer tick.Stop()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-tick.C:
-						updatePinnedGauge(reg, *shardID)
-					}
-				}
-			}()
-		}
+		go f.run(ctx, hup, tick)
 	}
 
 	bound, err := srv.Listen(*addr)
@@ -272,9 +246,10 @@ func main() {
 	}
 }
 
-// loadFromFile loads a detector blob from disk, logging its SHA-256 so
-// operators can tie the running process to an artifact.
-func loadFromFile(path string) (serve.Model, error) {
+// fileModel loads a detector blob from disk, logging its SHA-256 so
+// operators can tie the running process to an artifact, plus the
+// optional stage-0 envelope written by smartrain -envelope.
+func fileModel(path, envelopePath string) (serve.Model, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return serve.Model{}, err
@@ -284,126 +259,122 @@ func loadFromFile(path string) (serve.Model, error) {
 		return serve.Model{}, err
 	}
 	sum := sha256.Sum256(blob)
-	sha := hex.EncodeToString(sum[:])
-	app.Log.Info("model loaded", "path", path, "sha256", sha, "features", det.NumFeatures())
-	return serve.Model{Detector: det, Name: filepath.Base(path)}, nil
+	app.Log.Info("model loaded", "path", path, "sha256", hex.EncodeToString(sum[:]), "features", det.NumFeatures())
+	m := serve.Model{Detector: det, Name: filepath.Base(path)}
+	if envelopePath == "" {
+		return m, nil
+	}
+	blob, err = os.ReadFile(envelopePath)
+	if err != nil {
+		return serve.Model{}, err
+	}
+	if m.Envelope, err = persist.UnmarshalEnvelope(blob); err != nil {
+		return serve.Model{}, fmt.Errorf("envelope %s: %w", envelopePath, err)
+	}
+	app.Log.Info("envelope loaded", "path", envelopePath,
+		"features", m.Envelope.NumFeatures(), "threshold", m.Envelope.Threshold)
+	return m, nil
 }
 
 // registryModel loads the shard's effective registry version — its pin
-// when -shard-id names one, the active version otherwise (integrity
-// checked against the manifest) — refreshes the pinned gauge, and builds
-// the servable generation: its drift monitor when the entry carries a
-// training-time feature reference, and its stage-0 envelope when one was
-// published.
+// when shardID names one, the active version otherwise (integrity
+// checked against the manifest) — with a drift monitor when the entry
+// carries a training-time feature reference and the entry's stage-0
+// envelope (nil, cascade off, when none was published).
 func registryModel(reg *registry.Registry, alertPSI float64, shardID string) (serve.Model, registry.Entry, error) {
 	det, entry, err := reg.LoadEffective(shardID)
 	if err != nil {
 		return serve.Model{}, entry, err
 	}
-	updatePinnedGauge(reg, shardID)
 	m := serve.Model{
 		Detector: det,
 		Version:  entry.Version,
 		Name:     fmt.Sprintf("%s@v%d", filepath.Base(reg.Root()), entry.Version),
+		Envelope: entry.Envelope,
 	}
-	m.Drift, err = driftMonitorFor(det, entry, alertPSI)
-	if err != nil {
-		return serve.Model{}, entry, err
-	}
-	m.Envelope, err = cascadeEnvelopeFor(entry)
-	if err != nil {
-		return serve.Model{}, entry, err
+	if entry.Reference != nil {
+		m.Drift, err = drift.NewMonitor(entry.Reference, drift.Config{AlertPSI: alertPSI, Telemetry: app.Telemetry})
+		if err != nil {
+			return serve.Model{}, entry, fmt.Errorf("registry v%d drift reference: %w", entry.Version, err)
+		}
 	}
 	return m, entry, nil
 }
 
-// loadEnvelope reads a stage-0 anomaly envelope written by smartrain
-// -envelope.
-func loadEnvelope(path string) (*anomaly.Envelope, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	env, err := persist.UnmarshalEnvelope(blob)
-	if err != nil {
-		return nil, fmt.Errorf("envelope %s: %w", path, err)
-	}
-	app.Log.Info("envelope loaded", "path", path,
-		"features", env.NumFeatures(), "threshold", env.Threshold)
-	return env, nil
+// follower keeps a server on its shard's effective registry version
+// (pinned, else active). Each wake reads the manifest once, refreshes
+// serve_rollout_pinned when the shard has an id, and swaps when the
+// effective version differs from the active one.
+type follower struct {
+	srv      *serve.Server
+	reg      *registry.Registry
+	shardID  string
+	alertPSI float64
+	// watch lets polls swap; without it only SIGHUP does.
+	watch bool
+	log   *slog.Logger
+	// pinned is serve_rollout_pinned (nil without a shard id): 1 while
+	// the pin table targets this shard (a baking canary), 0 while it
+	// follows the active version.
+	pinned telemetry.Gauge
+	// seen is the effective version the last swap attempt targeted. A
+	// poll acts only when the effective version moves off it, so a
+	// version that failed to load is retried on SIGHUP or once the
+	// effective version moves again, not on every poll.
+	seen int
 }
 
-// cascadeEnvelopeFor returns the entry's published stage-0 envelope, or
-// nil when the entry predates envelope publishing — older registries keep
-// serving, just with the cascade disabled.
-func cascadeEnvelopeFor(entry registry.Entry) (*anomaly.Envelope, error) {
-	env, err := entry.CascadeEnvelope()
-	if err != nil {
-		if errors.Is(err, registry.ErrNoEnvelope) {
-			app.Log.Info("registry entry has no stage-0 envelope; cascade disabled", "version", entry.Version)
-			return nil, nil
+// run wakes the follower on every SIGHUP and every tick until ctx ends;
+// a nil tick channel never fires.
+func (f *follower) run(ctx context.Context, hup <-chan os.Signal, tick <-chan time.Time) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-hup:
+			f.wake(true)
+		case <-tick:
+			f.wake(false)
 		}
-		return nil, err
 	}
-	return env, nil
 }
 
-// updatePinnedGauge keeps serve_rollout_pinned at 1 while this shard is
-// the target of a registry pin (a baking canary) and 0 when it follows
-// the active version — the fleet status plane renders it as the ROLLOUT
-// column. Manifest read errors leave the gauge untouched; the next poll
-// retries.
-func updatePinnedGauge(reg *registry.Registry, shardID string) {
-	if shardID == "" {
-		return
+// wake handles one SIGHUP (sighup) or poll. A manifest read error is
+// logged and left for the next wake: a torn read must not end the loop.
+func (f *follower) wake(sighup bool) {
+	trigger := "watch"
+	if sighup {
+		trigger = "SIGHUP"
 	}
-	m, err := reg.Manifest()
+	m, err := f.reg.Manifest()
 	if err != nil {
+		f.log.Warn("registry watch", "trigger", trigger, "err", err)
 		return
 	}
-	var pinned float64
-	if _, ok := m.Pins[shardID]; ok {
-		pinned = 1
+	if f.pinned != nil {
+		_, ok := m.Pins[f.shardID]
+		f.pinned.Set(btof(ok))
 	}
-	app.Telemetry.Gauge("serve_rollout_pinned").Set(pinned)
-}
-
-func driftMonitorFor(det *core.Detector, entry registry.Entry, alertPSI float64) (*drift.Monitor, error) {
-	if entry.Reference == nil {
-		return nil, nil
+	v := m.EffectiveVersion(f.shardID)
+	if !sighup && (!f.watch || v == f.seen) {
+		return
 	}
-	mon, err := drift.NewMonitor(entry.Reference, drift.Config{AlertPSI: alertPSI, Telemetry: app.Telemetry})
+	f.seen = v
+	cur := f.srv.ActiveModel().Version
+	if v == cur {
+		f.log.Info("hot swap skipped: version unchanged", "trigger", trigger, "version", v)
+		return
+	}
+	next, entry, err := registryModel(f.reg, f.alertPSI, f.shardID)
+	if err == nil {
+		err = f.srv.Swap(next)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("registry v%d drift reference: %w", entry.Version, err)
-	}
-	if want := det.NumFeatures(); mon.NumFeatures() != want {
-		return nil, fmt.Errorf("registry v%d drift reference is %d-wide, detector expects %d features",
-			entry.Version, mon.NumFeatures(), want)
-	}
-	return mon, nil
-}
-
-// swapFromRegistry re-reads the shard's effective registry version
-// (pinned-else-active) and promotes it into the running server.
-// In-flight streams keep the generation they opened with; a
-// same-version trigger is a logged no-op.
-func swapFromRegistry(srv *serve.Server, reg *registry.Registry, alertPSI float64, shardID, trigger string) {
-	cur := srv.ActiveModel()
-	next, entry, err := registryModel(reg, alertPSI, shardID)
-	if err != nil {
-		app.Log.Error("hot swap failed", "trigger", trigger, "err", err)
+		f.log.Error("hot swap failed", "trigger", trigger, "version", v, "err", err)
 		return
 	}
-	if entry.Version == cur.Version {
-		app.Log.Info("hot swap skipped: version unchanged", "trigger", trigger, "version", entry.Version)
-		return
-	}
-	if err := srv.Swap(next); err != nil {
-		app.Log.Error("hot swap failed", "trigger", trigger, "version", entry.Version, "err", err)
-		return
-	}
-	app.Log.Info("hot swap complete", "trigger", trigger,
-		"from", cur.Version, "to", entry.Version, "sha256", entry.SHA256)
+	f.log.Info("hot swap complete", "trigger", trigger,
+		"from", cur, "to", entry.Version, "sha256", entry.SHA256)
 }
 
 // finish detaches the shadow, drains and closes the sample log, folds

@@ -788,21 +788,14 @@ func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart t
 		Stream:  st.id,
 		Seq:     b.Seqs[i],
 	}
-	rec.Hops[trace.HopQueue] = maxNanos(b.DrainedAt.Sub(b.Ats[i]), 0)
-	rec.Hops[trace.HopAssembly] = maxNanos(sendStart.Sub(b.DrainedAt), 0)
+	rec.Hops[trace.HopQueue] = max(b.DrainedAt.Sub(b.Ats[i]).Nanoseconds(), 0)
+	rec.Hops[trace.HopAssembly] = max(sendStart.Sub(b.DrainedAt).Nanoseconds(), 0)
 	rec.Hops[trace.HopEmit] = sendEnd.Sub(sendStart).Nanoseconds()
 	for _, h := range rec.Hops {
 		rec.TotalNanos += h
 	}
 	rec.StartNanos = sendEnd.UnixNano() - rec.TotalNanos
 	st.f.g.cfg.Tracer.Add(rec)
-}
-
-func maxNanos(d time.Duration, floor int64) int64 {
-	if n := d.Nanoseconds(); n > floor {
-		return n
-	}
-	return floor
 }
 
 // Close ends the stream: when its upstream is alive the shard's

@@ -91,7 +91,7 @@ func startShardWith(t *testing.T, tweak func(*serve.Config)) *testShard {
 	t.Helper()
 	det, _ := fixtures(t)
 	reg := telemetry.New()
-	cfg := serve.Config{Detector: det, Telemetry: reg, Log: quietLog()}
+	cfg := serve.Config{Model: serve.Model{Detector: det}, Telemetry: reg, Log: quietLog()}
 	if tweak != nil {
 		tweak(&cfg)
 	}

@@ -23,7 +23,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	shardTr := trace.New(trace.Config{SampleEvery: 1, Depth: 512})
 	shardReg := telemetry.New()
 	srv, err := serve.New(serve.Config{
-		Detector:  det,
+		Model:     serve.Model{Detector: det},
 		Telemetry: shardReg,
 		Log:       quietLog(),
 		Tracer:    shardTr,

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"regexp"
 	"time"
@@ -49,27 +48,9 @@ type Entry struct {
 	Reference *drift.Reference `json:"reference,omitempty"`
 	// Envelope is the stage-0 anomaly envelope for the detection
 	// cascade; optional. Pre-cascade manifests have no envelope field
-	// and load unchanged — serving with such an entry simply runs with
-	// the cascade disabled (see CascadeEnvelope).
+	// and load unchanged: a nil Envelope means the entry serves with the
+	// cascade off.
 	Envelope *anomaly.Envelope `json:"envelope,omitempty"`
-}
-
-// ErrNoEnvelope is returned by CascadeEnvelope for an entry published
-// without a stage-0 anomaly envelope. It is a typed "cascade disabled"
-// signal, not a failure: the serve path matches it with errors.Is, logs
-// the note and serves the full two-stage path for every sample.
-var ErrNoEnvelope = errors.New("registry: entry has no anomaly envelope (cascade disabled)")
-
-// CascadeEnvelope returns the entry's stage-0 envelope, or ErrNoEnvelope
-// when the entry predates the cascade (or was published without one).
-// Callers in the serve path use this instead of dereferencing Envelope so
-// a pre-cascade manifest degrades to "cascade disabled" with a typed
-// note, never a nil-deref.
-func (e *Entry) CascadeEnvelope() (*anomaly.Envelope, error) {
-	if e.Envelope == nil {
-		return nil, fmt.Errorf("%w (model v%d)", ErrNoEnvelope, e.Version)
-	}
-	return e.Envelope, nil
 }
 
 // Manifest is the registry's index document: every published version

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -106,13 +105,6 @@ func TestManifestEnvelopeCompat(t *testing.T) {
 		if e.Envelope != nil {
 			t.Fatalf("pre-cascade entry grew an envelope: %+v", e.Envelope)
 		}
-		env, err := e.CascadeEnvelope()
-		if !errors.Is(err, ErrNoEnvelope) {
-			t.Fatalf("CascadeEnvelope error = %v, want ErrNoEnvelope", err)
-		}
-		if env != nil {
-			t.Fatal("envelope non-nil alongside ErrNoEnvelope")
-		}
 	})
 
 	t.Run("new manifest round-trips with envelope", func(t *testing.T) {
@@ -121,9 +113,9 @@ func TestManifestEnvelopeCompat(t *testing.T) {
 			t.Fatal(err)
 		}
 		e, _ := m.Entry(1)
-		env, err := e.CascadeEnvelope()
-		if err != nil {
-			t.Fatal(err)
+		env := e.Envelope
+		if env == nil {
+			t.Fatal("envelope lost across round trip")
 		}
 		if env.Threshold != 0.2 || env.NumFeatures() != len(core.CommonFeatures) {
 			t.Fatalf("envelope changed across round trip: %+v", env)
@@ -190,9 +182,9 @@ func TestPublishWithEnvelope(t *testing.T) {
 	if !ok {
 		t.Fatal("published entry missing")
 	}
-	loaded, err := got.CascadeEnvelope()
-	if err != nil {
-		t.Fatal(err)
+	loaded := got.Envelope
+	if loaded == nil {
+		t.Fatal("published envelope missing from the manifest entry")
 	}
 	if loaded.Threshold != env.Threshold {
 		t.Fatalf("threshold %v, want %v", loaded.Threshold, env.Threshold)

@@ -21,7 +21,6 @@
 package registry
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -157,7 +156,10 @@ type PublishOptions struct {
 // Publish verifies that blob decodes as a detector, stores it
 // content-addressed and appends a manifest entry with the next monotonic
 // version; with opts.Promote the new version also becomes active
-// atomically. It returns the new entry.
+// atomically. The entry passes the manifest's own validation (drift
+// reference and envelope against the model's feature space) before
+// anything is written, so a refused entry leaves no blob behind. It
+// returns the new entry.
 func (r *Registry) Publish(blob []byte, opts PublishOptions) (Entry, error) {
 	det, err := core.UnmarshalDetector(blob)
 	if err != nil {
@@ -178,41 +180,20 @@ func (r *Registry) Publish(blob []byte, opts PublishOptions) (Entry, error) {
 		CreatedAt:   time.Now().UTC().Truncate(time.Second),
 		Note:        opts.Note,
 		TrainMeta:   opts.TrainMeta,
+		Reference:   opts.Reference,
+		Envelope:    opts.Envelope,
 	}
-	if opts.Reference != nil {
-		if err := opts.Reference.Validate(); err != nil {
-			return Entry{}, fmt.Errorf("registry: drift reference: %w", err)
-		}
-		if opts.Reference.NumFeatures() != len(e.Features) {
-			return Entry{}, fmt.Errorf("registry: drift reference covers %d features, model has %d",
-				opts.Reference.NumFeatures(), len(e.Features))
-		}
-		e.Reference = opts.Reference
+	m.Models = append(m.Models, e)
+	if opts.Promote {
+		m.Active = e.Version
 	}
-	if opts.Envelope != nil {
-		if err := opts.Envelope.Validate(); err != nil {
-			return Entry{}, fmt.Errorf("registry: anomaly envelope: %w", err)
-		}
-		if opts.Envelope.NumFeatures() != len(e.Features) {
-			return Entry{}, fmt.Errorf("registry: anomaly envelope covers %d features, model has %d",
-				opts.Envelope.NumFeatures(), len(e.Features))
-		}
-		for i, name := range opts.Envelope.Features {
-			if name != e.Features[i] {
-				return Entry{}, fmt.Errorf("registry: anomaly envelope feature %d is %q, model has %q",
-					i, name, e.Features[i])
-			}
-		}
-		e.Envelope = opts.Envelope
+	if err := validateManifest(m); err != nil {
+		return Entry{}, err
 	}
 	// Blob first, manifest second: a crash between the two leaves an
 	// orphaned blob (harmless, prunable), never a dangling manifest entry.
 	if err := atomicWrite(r.BlobPath(sha), blob); err != nil {
 		return Entry{}, err
-	}
-	m.Models = append(m.Models, e)
-	if opts.Promote {
-		m.Active = e.Version
 	}
 	if err := r.writeManifest(m); err != nil {
 		return Entry{}, err
@@ -438,46 +419,4 @@ func (r *Registry) Prune(keep int) ([]Entry, error) {
 	}
 	sort.Slice(removed, func(i, j int) bool { return removed[i].Version < removed[j].Version })
 	return removed, nil
-}
-
-// WatchEffective polls the manifest every interval and invokes onChange
-// each time the shard's effective version (pin when present, active
-// otherwise; an empty shardID tracks the active version) differs from
-// the last one observed — including the first observation when from
-// differs. A pin-table-only manifest write — no version published, no
-// promotion — therefore still fires onChange on the shard it targets.
-// It blocks until ctx is cancelled; manifest read errors are reported
-// through onError (nil to ignore) and polling continues — a torn NFS
-// read must not kill the serving tier's swap loop.
-func (r *Registry) WatchEffective(ctx context.Context, interval time.Duration, shardID string, from int, onChange func(Entry), onError func(error)) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	last := from
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		m, err := r.Manifest()
-		if err != nil {
-			if onError != nil {
-				onError(err)
-			}
-			continue
-		}
-		v := m.EffectiveVersion(shardID)
-		if v == 0 || v == last {
-			continue
-		}
-		e, ok := m.Entry(v)
-		if !ok {
-			continue
-		}
-		last = v
-		onChange(e)
-	}
 }

@@ -1,14 +1,12 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"twosmart/internal/core"
 	"twosmart/internal/corpus"
@@ -276,6 +274,39 @@ func TestRejectsMismatchedReference(t *testing.T) {
 	}
 }
 
+// TestPublishRefusalWritesNothing pins that Publish validates the new
+// entry before writing: a refused reference or envelope leaves neither a
+// blob nor a manifest entry behind.
+func TestPublishRefusalWritesNothing(t *testing.T) {
+	blob1, _, data := fixtures(t)
+	narrow, err := data.Select([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := drift.BuildReference(narrow, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := testEnvelope()
+	env.InvWidth[0] = -1
+	r := open(t)
+	for _, opts := range []PublishOptions{{Reference: ref}, {Envelope: env}} {
+		if _, err := r.Publish(blob1, opts); err == nil {
+			t.Fatalf("publish accepted %+v", opts)
+		}
+	}
+	blobs, err := os.ReadDir(filepath.Join(r.Root(), blobsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blobs) != 0 {
+		t.Fatalf("refused publishes left %d blob(s) behind", len(blobs))
+	}
+	if entries, err := r.List(); err != nil || len(entries) != 0 {
+		t.Fatalf("refused publishes left entries %v (err %v)", entries, err)
+	}
+}
+
 // TestManifestSurvivesReopen pins durability: a fresh handle on the same
 // directory sees everything.
 func TestManifestSurvivesReopen(t *testing.T) {
@@ -432,86 +463,89 @@ func TestManifestRejectsDanglingPin(t *testing.T) {
 	}
 }
 
-// TestWatchSeesPromotion pins the watch loop: promoting a version wakes
-// the callback with the new entry.
-func TestWatchSeesPromotion(t *testing.T) {
-	blob1, blob2, _ := fixtures(t)
-	r := open(t)
-	e1, err := r.Publish(blob1, PublishOptions{Promote: true})
+// follower opens a second handle on r's directory, as a serving process
+// does, and returns a reader of its effective version for shardID
+// straight off the manifest: the read a registry follower makes on each
+// wake.
+func follower(t *testing.T, r *Registry, shardID string) func() int {
+	t.Helper()
+	f, err := Open(r.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Publish(blob2, PublishOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	got := make(chan Entry, 1)
-	go r.WatchEffective(ctx, 5*time.Millisecond, "", e1.Version, func(e Entry) { got <- e }, nil)
-	if _, err := r.Promote(2); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case e := <-got:
-		if e.Version != 2 {
-			t.Fatalf("watch reported v%d, want v2", e.Version)
+	return func() int {
+		t.Helper()
+		m, err := f.Manifest()
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-ctx.Done():
-		t.Fatal("watch never reported the promotion")
+		return m.EffectiveVersion(shardID)
 	}
 }
 
-// TestWatchEffectiveSeesPinOnlyChange pins the rollout-critical watch
-// path: a pin-table-only manifest write — no new version, no promotion,
-// Active untouched — must still wake the shard it targets, and the
-// later unpin must swap it back to the active version. A shard watching
-// under a different id must see neither.
+// TestWatchSeesPromotion pins the registry half of following the active
+// version: a handle opened before a promotion sees the new version on
+// its next manifest read, with nothing cached from when it opened.
+func TestWatchSeesPromotion(t *testing.T) {
+	blob1, blob2, _ := fixtures(t)
+	r := open(t)
+	if _, err := r.Publish(blob1, PublishOptions{Promote: true}); err != nil {
+		t.Fatal(err)
+	}
+	effective := follower(t, r, "")
+	if v := effective(); v != 1 {
+		t.Fatalf("follower starts at v%d, want v1", v)
+	}
+	e2, err := r.Publish(blob2, PublishOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := effective(); v != 1 {
+		t.Fatalf("unpromoted publish moved the follower to v%d", v)
+	}
+	if _, err := r.Promote(e2.Version); err != nil {
+		t.Fatal(err)
+	}
+	if v := effective(); v != 2 {
+		t.Fatalf("follower sees v%d after the promotion, want v2", v)
+	}
+}
+
+// TestWatchEffectiveSeesPinOnlyChange pins the rollout-critical half: a
+// pin-table-only manifest write — no new version, no promotion, Active
+// untouched — moves the effective version a follower of the targeted
+// shard reads, and the later unpin moves it back to the active version.
+// A follower under a different id sees neither.
 func TestWatchEffectiveSeesPinOnlyChange(t *testing.T) {
 	blob1, blob2, _ := fixtures(t)
 	r := open(t)
-	e1, err := r.Publish(blob1, PublishOptions{Promote: true})
-	if err != nil {
+	if _, err := r.Publish(blob1, PublishOptions{Promote: true}); err != nil {
 		t.Fatal(err)
 	}
 	e2, err := r.Publish(blob2, PublishOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	canary := make(chan Entry, 1)
-	other := make(chan Entry, 1)
-	go r.WatchEffective(ctx, 5*time.Millisecond, "canary", e1.Version, func(e Entry) { canary <- e }, nil)
-	go r.WatchEffective(ctx, 5*time.Millisecond, "other", e1.Version, func(e Entry) { other <- e }, nil)
+	canary := follower(t, r, "canary")
+	other := follower(t, r, "other")
 
 	if _, err := r.Pin("canary", e2.Version); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-canary:
-		if e.Version != 2 {
-			t.Fatalf("pinned shard watch reported v%d, want v2", e.Version)
-		}
-	case <-ctx.Done():
-		t.Fatal("pin-only manifest change never reached the pinned shard's watch")
+	if v := canary(); v != 2 {
+		t.Fatalf("pinned shard's follower reads v%d, want v2", v)
+	}
+	if v := other(); v != 1 {
+		t.Fatalf("untargeted shard moved to v%d on someone else's pin", v)
 	}
 
 	if err := r.Unpin("canary"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-canary:
-		if e.Version != 1 {
-			t.Fatalf("unpin reported v%d, want active v1", e.Version)
-		}
-	case <-ctx.Done():
-		t.Fatal("unpin never reached the pinned shard's watch")
+	if v := canary(); v != 1 {
+		t.Fatalf("unpinned shard's follower reads v%d, want active v1", v)
 	}
-
-	// The untargeted shard's effective version never changed.
-	select {
-	case e := <-other:
-		t.Fatalf("untargeted shard woke on someone else's pin: v%d", e.Version)
-	case <-time.After(50 * time.Millisecond):
+	if v := other(); v != 1 {
+		t.Fatalf("untargeted shard moved to v%d on someone else's unpin", v)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"twosmart/internal/fleet"
@@ -365,7 +366,7 @@ func (c *Controller) Run(ctx context.Context) (*State, error) {
 				"divergence", ev.Divergence, "drift_retrain", ev.DriftRetrain)
 			if !ev.Pass {
 				c.gateFails.Inc()
-				return c.state, c.rollback("gate failed: " + joinFailures(ev.Failures))
+				return c.state, c.rollback("gate failed: " + strings.Join(ev.Failures, "; "))
 			}
 		}
 		if time.Now().After(deadline) {
@@ -556,15 +557,4 @@ func (c *Controller) widen() error {
 	c.cfg.Log.Info("rollout widened: candidate promoted fleet-wide",
 		"candidate", c.state.Candidate, "evaluations", len(c.state.Evaluations))
 	return c.save()
-}
-
-func joinFailures(fs []string) string {
-	out := ""
-	for i, f := range fs {
-		if i > 0 {
-			out += "; "
-		}
-		out += f
-	}
-	return out
 }

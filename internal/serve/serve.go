@@ -13,12 +13,16 @@
 // agents. Metrics land in the serve_* families.
 //
 // Zero-downtime model swap: the server holds the active model behind an
-// atomic pointer. Each stream binds the generation that was active when
-// it opened — it compiles that generation's detector and reports that
-// generation's version in its StreamSummary — so Swap never touches a
-// stream in flight; only streams opened after the swap score with the
-// new model. cmd/smartserve triggers Swap from SIGHUP or a registry
-// watch loop.
+// atomic pointer. New and Swap admit a Model only through one bind,
+// which validates it against the served width and builds, once, the
+// generation streams capture. Each stream binds the generation that was
+// active when it opened — it compiles that generation's detector and
+// reports that generation's version in its StreamSummary — so Swap never
+// touches a stream in flight; only streams opened after the swap score
+// with the new model. Drift monitoring is the exception: the active
+// generation's monitor observes every scored sample, whichever
+// generation scored it. cmd/smartserve triggers Swap from one loop that
+// follows the registry on SIGHUP and -watch polls.
 package serve
 
 import (
@@ -46,23 +50,9 @@ import (
 
 // Config configures a streaming detection server.
 type Config struct {
-	// Detector is the trained model to serve; every stream gets its own
-	// compiled instance. Required.
-	Detector *core.Detector
-	// Model is the display name advertised in the Welcome frame.
-	Model string
-	// ModelVersion is the initial model's registry version, echoed in
-	// Welcome and StreamSummary frames (0 outside a registry).
-	ModelVersion int
-	// Drift, when non-nil, receives every scored sample of the initial
-	// model generation for feature-distribution monitoring. A hot swap
-	// installs the replacement generation's monitor (see Model.Drift).
-	Drift *drift.Monitor
-	// Envelope, when non-nil, enables the stage-0 cascade for the initial
-	// model generation at the envelope's calibrated threshold: samples
-	// inside the envelope short-circuit with a benign verdict before the
-	// full detector runs. Must cover the detector's exact feature width.
-	Envelope *anomaly.Envelope
+	// Model is the initial model generation. Its Detector is required and
+	// fixes the feature width the server enforces for life.
+	Model Model
 	// Monitor tunes the per-stream smoothing and alarm hysteresis.
 	Monitor monitor.Config
 	// QueueDepth bounds each connection's ingress ring; beyond it the
@@ -94,7 +84,7 @@ type Config struct {
 }
 
 func (c Config) fill() (Config, error) {
-	if c.Detector == nil {
+	if c.Model.Detector == nil {
 		return c, errors.New("serve: nil detector")
 	}
 	if c.QueueDepth == 0 {
@@ -109,51 +99,67 @@ func (c Config) fill() (Config, error) {
 	if c.Log == nil {
 		c.Log = slog.Default()
 	}
-	if c.Model == "" {
-		c.Model = "detector"
-	}
 	return c, nil
 }
 
 // Model is one servable model generation: the detector plus its registry
-// identity and optional drift monitor. The server swaps generations
-// atomically; streams bind the generation active at open time.
+// identity, optional drift monitor and optional stage-0 envelope. The
+// server swaps generations atomically; streams bind the generation active
+// at open time.
 type Model struct {
 	// Detector is the trained model; every stream compiles its own
 	// instance. Required.
 	Detector *core.Detector
-	// Version is the registry version (0 outside a registry).
+	// Version is the registry version (0 outside a registry), echoed in
+	// Welcome and StreamSummary frames.
 	Version int
-	// Name is the display name advertised in the Welcome frame.
+	// Name is the display name advertised in the Welcome frame (default
+	// "detector"; Swap gives a nameless model the initial model's name).
 	Name string
-	// Drift, when non-nil, receives every sample scored under this
-	// generation. It must be safe for concurrent use (drift.Monitor is).
+	// Drift, when non-nil, is the generation's training distribution
+	// monitor. While the generation is active it observes every scored
+	// sample, whichever generation scored it: drift compares live traffic
+	// with the active model. It must be safe for concurrent use
+	// (drift.Monitor is).
 	Drift *drift.Monitor
 	// Envelope, when non-nil, is the generation's stage-0 anomaly
 	// envelope; streams binding the generation run the cascade at its
-	// calibrated Threshold. Entries without one serve with the cascade
-	// off.
+	// calibrated Threshold: samples inside the envelope short-circuit with
+	// a benign verdict before the full detector runs. Models without one
+	// serve with the cascade off.
 	Envelope *anomaly.Envelope
 
-	// cascade is m.Envelope compiled by New/Swap (nil = cascade off).
-	cascade *anomaly.Compiled
+	// gen is what streams capture at open, built once by bind.
+	gen session.Generation
 }
 
-// resolveCascade validates m.Envelope against the served feature width n
-// and compiles it into the generation's cascade.
-func resolveCascade(m *Model, n int) error {
-	m.cascade = nil
-	if m.Envelope == nil {
-		return nil
+// bind validates m for a server whose samples are width features wide —
+// detector, drift monitor and envelope must all match it — defaults its
+// name, and builds the stream generation, compiling the envelope once.
+func (m *Model) bind(width int) error {
+	if m.Detector == nil {
+		return errors.New("serve: nil detector")
 	}
-	if err := m.Envelope.Validate(); err != nil {
-		return fmt.Errorf("serve: anomaly envelope: %w", err)
+	if n := m.Detector.NumFeatures(); n != width {
+		return fmt.Errorf("serve: model expects %d features, serving %d", n, width)
 	}
-	if m.Envelope.NumFeatures() != n {
-		return fmt.Errorf("serve: anomaly envelope covers %d features, model has %d",
-			m.Envelope.NumFeatures(), n)
+	if m.Drift != nil && m.Drift.NumFeatures() != width {
+		return fmt.Errorf("serve: drift monitor covers %d features, serving %d", m.Drift.NumFeatures(), width)
 	}
-	m.cascade = m.Envelope.Compile()
+	m.gen = session.Generation{Detector: m.Detector, Version: m.Version}
+	if env := m.Envelope; env != nil {
+		if err := env.Validate(); err != nil {
+			return fmt.Errorf("serve: anomaly envelope: %w", err)
+		}
+		if env.NumFeatures() != width {
+			return fmt.Errorf("serve: anomaly envelope covers %d features, serving %d", env.NumFeatures(), width)
+		}
+		m.gen.Cascade = env.Compile()
+		m.gen.CascadeThreshold = env.Threshold
+	}
+	if m.Name == "" {
+		m.Name = "detector"
+	}
 	return nil
 }
 
@@ -185,12 +191,12 @@ func New(cfg Config) (*Server, error) {
 	if err := filled.Monitor.Validate(); err != nil {
 		return nil, err
 	}
-	n := filled.Detector.NumFeatures()
+	n := filled.Model.Detector.NumFeatures()
 	if n > wire.MaxFeatures {
 		return nil, fmt.Errorf("serve: model expects %d features, above the wire limit %d", n, wire.MaxFeatures)
 	}
-	if filled.Drift != nil && filled.Drift.NumFeatures() != n {
-		return nil, fmt.Errorf("serve: drift monitor covers %d features, model has %d", filled.Drift.NumFeatures(), n)
+	if err := filled.Model.bind(n); err != nil {
+		return nil, err
 	}
 	reg := filled.Telemetry
 	s := &Server{
@@ -218,18 +224,9 @@ func New(cfg Config) (*Server, error) {
 		},
 		Log: filled.Log,
 	})
-	initial := &Model{
-		Detector: filled.Detector,
-		Version:  filled.ModelVersion,
-		Name:     filled.Model,
-		Drift:    filled.Drift,
-		Envelope: filled.Envelope,
-	}
-	if err := resolveCascade(initial, n); err != nil {
-		return nil, err
-	}
-	s.active.Store(initial)
-	s.setModelInfo(nil, initial)
+	initial := filled.Model
+	s.active.Store(&initial)
+	s.setModelInfo(nil, &initial)
 	return s, nil
 }
 
@@ -247,20 +244,11 @@ func (s *Server) ActiveModel() Model { return *s.active.Load() }
 // read loop enforces it per sample, so changing it would invalidate
 // every live connection.
 func (s *Server) Swap(m Model) error {
-	if m.Detector == nil {
-		return errors.New("serve: swap with nil detector")
-	}
-	if n := m.Detector.NumFeatures(); n != s.numFeatures {
-		return fmt.Errorf("serve: swap model expects %d features, serving %d", n, s.numFeatures)
-	}
-	if m.Drift != nil && m.Drift.NumFeatures() != s.numFeatures {
-		return fmt.Errorf("serve: swap drift monitor covers %d features, serving %d", m.Drift.NumFeatures(), s.numFeatures)
-	}
-	if err := resolveCascade(&m, s.numFeatures); err != nil {
-		return err
-	}
 	if m.Name == "" {
-		m.Name = s.cfg.Model
+		m.Name = s.cfg.Model.Name
+	}
+	if err := m.bind(s.numFeatures); err != nil {
+		return err
 	}
 	old := s.active.Swap(&m)
 	s.swaps.Inc()
@@ -342,19 +330,7 @@ func (s *Server) heartbeat(hb wire.Heartbeat) wire.Heartbeat {
 // open at disconnect off monitor_active_apps.
 func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(), error) {
 	h, err := session.NewScoring(session.ScoringConfig{
-		Source: func() session.Generation {
-			am := s.active.Load()
-			g := session.Generation{
-				Detector: am.Detector,
-				Version:  am.Version,
-				Drift:    am.Drift,
-				Cascade:  am.cascade,
-			}
-			if am.Envelope != nil {
-				g.CascadeThreshold = am.Envelope.Threshold
-			}
-			return g
-		},
+		Source:    func() session.Generation { return s.active.Load().gen },
 		Emit:      c,
 		Monitor:   s.cfg.Monitor,
 		Tap:       s.tap,
@@ -369,10 +345,17 @@ func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(),
 	return h, h.Teardown, nil
 }
 
-// tap offers every scored chunk to the attached shadow scorer and the
-// durable sample log, if configured — both off the hot path: Offer and
-// Append copy what they keep and never block.
+// tap feeds every scored chunk to the active generation's drift monitor
+// and offers it to the attached shadow scorer and the durable sample log,
+// if configured — the last two off the hot path: Offer and Append copy
+// what they keep and never block.
 func (s *Server) tap(ch session.TapChunk) {
+	if dm := s.active.Load().Drift; dm != nil {
+		// ObserveBatch fails only on a sample of another width, which
+		// cannot reach here: bind matched the monitor to the served width,
+		// and the read loop enforces that width on every sample.
+		_ = dm.ObserveBatch(ch.Samples)
+	}
 	if sh := s.shadowP.Load(); sh != nil {
 		for i := range ch.Samples {
 			sh.Offer(ch.Samples[i], shadow.Primary{

@@ -77,7 +77,7 @@ func TestServeCascadeShortCircuitAll(t *testing.T) {
 	env := *trainEnvelope(t, data)
 	env.Threshold = 1e18
 	reg := telemetry.New()
-	ts := start(t, Config{Telemetry: reg, Envelope: &env}, nil)
+	ts := start(t, Config{Telemetry: reg, Model: Model{Envelope: &env}}, nil)
 	c := dial(t, ts)
 
 	const n = 64
@@ -148,7 +148,7 @@ func TestServeCascadeMixedEquivalence(t *testing.T) {
 	det, data := fixtures(t)
 	env := trainEnvelope(t, data)
 	reg := telemetry.New()
-	ts := start(t, Config{Telemetry: reg, Envelope: env}, nil)
+	ts := start(t, Config{Telemetry: reg, Model: Model{Envelope: env}}, nil)
 	c := dial(t, ts)
 
 	const n = 128

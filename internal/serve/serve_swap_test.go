@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"io"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
 
 	"twosmart/internal/core"
+	"twosmart/internal/dataset"
 	"twosmart/internal/drift"
 	"twosmart/internal/shadow"
 	"twosmart/internal/telemetry"
@@ -96,7 +99,7 @@ func TestHotSwapEpochs(t *testing.T) {
 	requireDistinct(t, want1, want2)
 
 	reg := telemetry.New()
-	ts := start(t, Config{Detector: det1, Model: "fixture", ModelVersion: 1, Telemetry: reg}, nil)
+	ts := start(t, Config{Model: Model{Detector: det1, Name: "fixture", Version: 1}, Telemetry: reg}, nil)
 
 	c1 := dial(t, ts)
 	if got := c1.Welcome().ModelVersion; got != 1 {
@@ -222,7 +225,7 @@ func TestDrainWithSwapMidStream(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var gate sync.Once
-	ts := start(t, Config{Detector: det1, ModelVersion: 1}, func(s *Server) {
+	ts := start(t, Config{Model: Model{Detector: det1, Version: 1}}, func(s *Server) {
 		s.scoreHook = func() {
 			gate.Do(func() {
 				close(entered)
@@ -295,7 +298,7 @@ func TestDrainWithSwapMidStream(t *testing.T) {
 // TestSwapValidation pins the compatibility checks a swap must pass.
 func TestSwapValidation(t *testing.T) {
 	det, data := fixtures(t)
-	ts := start(t, Config{Detector: det, ModelVersion: 1}, nil)
+	ts := start(t, Config{Model: Model{Detector: det, Version: 1}}, nil)
 
 	if err := ts.srv.Swap(Model{}); err == nil {
 		t.Fatal("swap with nil detector accepted")
@@ -334,7 +337,7 @@ func TestServeDriftAndShadow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := start(t, Config{Detector: det1, ModelVersion: 1, Drift: dm}, nil)
+	ts := start(t, Config{Model: Model{Detector: det1, Version: 1, Drift: dm}}, nil)
 
 	sh, err := shadow.New(det2, shadow.Config{Version: 2, Queue: 4096})
 	if err != nil {
@@ -377,5 +380,180 @@ func TestServeDriftAndShadow(t *testing.T) {
 	}
 	if rep.CandidateVersion != 2 {
 		t.Fatalf("shadow report version %d", rep.CandidateVersion)
+	}
+}
+
+// TestBindRefusesInvalidModels runs each invalid model through both ways
+// in — New's Config.Model and Swap — and requires both to refuse it. Each
+// case is a valid model with one part broken, and the valid model itself
+// must pass both, so no refusal comes from an unrelated part. A refused
+// Swap leaves the active version and serve_model_swaps_total unchanged.
+func TestBindRefusesInvalidModels(t *testing.T) {
+	det, data := fixtures(t)
+	narrow, err := data.Select([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitorOver := func(d *dataset.Dataset) *drift.Monitor {
+		ref, err := drift.BuildReference(d, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := drift.NewMonitor(ref, drift.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	// A detector one feature wider: the fixture corpus plus a constant
+	// column, which training (on the Common features) ignores.
+	wide := dataset.New(append(append([]string(nil), data.FeatureNames...), "constant"), data.ClassNames)
+	for _, ins := range data.Instances {
+		wide.Instances = append(wide.Instances, dataset.Instance{
+			Features: append(append([]float64(nil), ins.Features...), 1),
+			Label:    ins.Label,
+		})
+	}
+	wideDet, err := core.Train(wide, core.TrainConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidEnv := trainEnvelope(t, data)
+	invalidEnv.InvWidth[0] = -1
+
+	valid := func() Model {
+		return Model{Detector: det, Version: 9, Drift: monitorOver(data), Envelope: trainEnvelope(t, data)}
+	}
+	cases := []struct {
+		name  string
+		spoil func(*Model)
+	}{
+		{"nil detector", func(m *Model) { m.Detector = nil }},
+		{"detector of another width", func(m *Model) { m.Detector = wideDet }},
+		{"drift monitor of another width", func(m *Model) { m.Drift = monitorOver(narrow) }},
+		{"envelope of another width", func(m *Model) { m.Envelope = trainEnvelope(t, narrow) }},
+		{"envelope failing Validate", func(m *Model) { m.Envelope = invalidEnv }},
+	}
+
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	if _, err := New(Config{Model: valid(), Log: quiet}); err != nil {
+		t.Fatalf("New refused the valid model: %v", err)
+	}
+	reg := telemetry.New()
+	ts := start(t, Config{Model: Model{Detector: det, Version: 1}, Telemetry: reg}, nil)
+	for _, tc := range cases {
+		m := valid()
+		tc.spoil(&m)
+		if _, err := New(Config{Model: m, Log: quiet}); err == nil {
+			t.Errorf("%s: New accepted it", tc.name)
+		}
+		if err := ts.srv.Swap(m); err == nil {
+			t.Errorf("%s: Swap accepted it", tc.name)
+		}
+	}
+	if got := ts.srv.ActiveModel().Version; got != 1 {
+		t.Fatalf("refused swaps changed the active version to %d", got)
+	}
+	if got := reg.Counter("serve_model_swaps_total").Value(); got != 0 {
+		t.Fatalf("serve_model_swaps_total = %d after refused swaps, want 0", got)
+	}
+	if err := ts.srv.Swap(valid()); err != nil {
+		t.Fatalf("Swap refused the valid model: %v", err)
+	}
+}
+
+// TestDriftFollowsActiveModel pins drift monitoring across a hot swap:
+// drift compares live traffic with the active model's training
+// distribution, so the active generation's monitor observes every scored
+// sample, including those of streams opened before the swap. Otherwise
+// such a stream keeps feeding the old monitor, which overwrites the
+// shared drift_alert gauge that fleet status and the rollout gate read.
+func TestDriftFollowsActiveModel(t *testing.T) {
+	det, data := fixtures(t)
+	const n = 192
+	samples := samplesFrom(data, n)
+	// v1 was trained on exactly this traffic; v2 on a distribution far
+	// from it (every feature ×10 + 1000), so only v2's monitor alerts.
+	referenceOf := func(scale func(float64) float64) *drift.Reference {
+		d := dataset.New(data.FeatureNames, data.ClassNames)
+		for _, fv := range samples {
+			row := make([]float64, len(fv))
+			for i, v := range fv {
+				row[i] = scale(v)
+			}
+			d.Instances = append(d.Instances, dataset.Instance{Features: row})
+		}
+		ref, err := drift.BuildReference(d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	reg := telemetry.New()
+	monitorOf := func(ref *drift.Reference) *drift.Monitor {
+		mon, err := drift.NewMonitor(ref, drift.Config{MinSamples: 64, RecomputeEvery: 64, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	dm1 := monitorOf(referenceOf(func(v float64) float64 { return v }))
+	dm2 := monitorOf(referenceOf(func(v float64) float64 { return v*10 + 1000 }))
+	ts := start(t, Config{Model: Model{Detector: det, Version: 1, Drift: dm1}, Telemetry: reg}, nil)
+
+	// sendAll sends every sample on an open stream and reads its verdicts
+	// back: the tap has observed a chunk before its verdicts go out.
+	sendAll := func(c *Client, stream, seq0 uint32) {
+		t.Helper()
+		for i, fv := range samples {
+			if err := c.Send(stream, seq0+uint32(i), fv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < n; {
+			f, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := f.(wire.Verdict); !ok {
+				t.Fatalf("unexpected frame %#v", f)
+			}
+			got++
+		}
+	}
+
+	old := dial(t, ts)
+	if err := old.OpenStream(1, "app-old"); err != nil {
+		t.Fatal(err)
+	}
+	sendAll(old, 1, 0)
+	if err := ts.srv.Swap(Model{Detector: det, Version: 2, Drift: dm2}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := dial(t, ts)
+	if err := fresh.OpenStream(1, "app-new"); err != nil {
+		t.Fatal(err)
+	}
+	sendAll(fresh, 1, 0)
+	alert := reg.Gauge("drift_alert")
+	if alert.Value() != 1 {
+		t.Fatalf("drift_alert = %v after v2 saw traffic far from its reference, want 1", alert.Value())
+	}
+
+	// The stream opened under v1 keeps scoring on v1, but its traffic is
+	// live traffic for v2's drift monitor.
+	sendAll(old, 1, n)
+	if alert.Value() != 1 {
+		t.Fatalf("drift_alert = %v after the pre-swap stream sent more, want 1: the old model's monitor overwrote it", alert.Value())
+	}
+	// Snapshot republishes each monitor's gauges, so it comes last.
+	if got := dm1.Snapshot().Samples; got != n {
+		t.Fatalf("v1's monitor saw %d samples, want the %d sent before the swap", got, n)
+	}
+	if got := dm2.Snapshot().Samples; got != 2*n {
+		t.Fatalf("v2's monitor saw %d samples, want all %d sent after the swap", got, 2*n)
 	}
 }

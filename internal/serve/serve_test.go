@@ -89,9 +89,9 @@ func (ts *testServer) stop(t *testing.T) {
 // drains it and asserts Serve returned nil.
 func start(t *testing.T, cfg Config, tweak func(*Server)) *testServer {
 	t.Helper()
-	if cfg.Detector == nil {
+	if cfg.Model.Detector == nil {
 		det, _ := fixtures(t)
-		cfg.Detector = det
+		cfg.Model.Detector = det
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -141,7 +141,7 @@ func samplesFrom(d *dataset.Dataset, n int) [][]float64 {
 func TestServeVerdictRoundTrip(t *testing.T) {
 	det, data := fixtures(t)
 	reg := telemetry.New()
-	ts := start(t, Config{Telemetry: reg, Model: "tiny"}, nil)
+	ts := start(t, Config{Telemetry: reg, Model: Model{Name: "tiny"}}, nil)
 	c := dial(t, ts)
 
 	if c.Welcome().Model != "tiny" {
@@ -672,7 +672,7 @@ func TestServeSampleLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := start(t, Config{SampleLog: sl, ModelVersion: 3}, nil)
+	ts := start(t, Config{SampleLog: sl, Model: Model{Version: 3}}, nil)
 	c := dial(t, ts)
 
 	const n = 96

@@ -19,7 +19,7 @@ func TestServeTraceCapture(t *testing.T) {
 	_, data := fixtures(t)
 	reg := telemetry.New()
 	tr := trace.New(trace.Config{SampleEvery: 1, Depth: 512})
-	ts := start(t, Config{Telemetry: reg, Tracer: tr, Model: "tiny"}, nil)
+	ts := start(t, Config{Telemetry: reg, Tracer: tr, Model: Model{Name: "tiny"}}, nil)
 	c := dial(t, ts)
 
 	const n = 64

@@ -6,7 +6,6 @@ import (
 
 	"twosmart/internal/anomaly"
 	"twosmart/internal/core"
-	"twosmart/internal/drift"
 	"twosmart/internal/monitor"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/trace"
@@ -14,15 +13,13 @@ import (
 )
 
 // Generation is one servable model generation as the scoring handler
-// binds it: the trained detector, its registry version, the optional
-// drift monitor that observes every sample scored under it, and the
-// optional stage-0 cascade. The Source callback returns the generation
-// active *right now*; each stream captures the generation at open time
-// (the hot-swap epoch model from DESIGN §11) and keeps it for life.
+// binds it: the trained detector, its registry version and the optional
+// stage-0 cascade. The Source callback returns the generation active
+// *right now*; each stream captures the generation at open time (the
+// hot-swap epoch model from DESIGN §11) and keeps it for life.
 type Generation struct {
 	Detector *core.Detector
 	Version  int
-	Drift    *drift.Monitor
 	// Cascade, when non-nil, is the compiled stage-0 anomaly envelope:
 	// samples scoring <= CascadeThreshold short-circuit with a benign
 	// verdict (Stage = core.StageShortCircuit) and never reach the full
@@ -84,8 +81,8 @@ type ScoringConfig struct {
 	// Telemetry registry also receives the monitor_active_apps gauge.
 	Monitor monitor.Config
 	// Tap, when non-nil, observes every scored chunk after its verdicts
-	// are computed — the shadow-scoring and sample-log hook. The chunk's
-	// slices are engine-owned and valid only during the call.
+	// are computed — the drift, shadow-scoring and sample-log hook. The
+	// chunk's slices are engine-owned and valid only during the call.
 	Tap func(TapChunk)
 	// Tracer, when non-nil, samples scored chunks into end-to-end trace
 	// records with per-hop attribution (gateway → ring wait → assembly →
@@ -188,7 +185,7 @@ func (s *Scoring) OpenStream(id uint32, app string) (Stream, error) {
 		return nil, err
 	}
 	st := &scoredStream{s: s, id: id, app: app, det: det, mon: mon,
-		sum: monitor.Summary{App: app}, version: g.Version, drft: g.Drift}
+		sum: monitor.Summary{App: app}, version: g.Version}
 	if g.Cascade != nil {
 		st.env = g.Cascade
 		st.threshold = g.CascadeThreshold
@@ -215,7 +212,7 @@ func (s *Scoring) Teardown() {
 // its smoothing monitor and session summary, plus the reusable scoring
 // arenas. A stream is only ever touched by its engine's worker goroutine.
 //
-// det, version and drft are the stream's model epoch, captured from the
+// det and version are the stream's model epoch, captured from the
 // active generation in OpenStream. A hot swap that lands mid-stream does
 // not change them: samples already queued and samples still arriving on
 // this stream score on the epoch's detector, and the Summary reports the
@@ -228,7 +225,6 @@ type scoredStream struct {
 	mon     *monitor.Monitor
 	sum     monitor.Summary
 	version int
-	drft    *drift.Monitor
 
 	// stage-0 cascade, captured with the epoch (nil = disabled): the
 	// compiled envelope, its threshold, and the shared instruments.
@@ -297,11 +293,6 @@ func (st *scoredStream) Process(b Batch) error {
 		}
 		for _, ev := range events {
 			st.sum.Add(ev)
-		}
-		if st.drft != nil {
-			if err := st.drft.ObserveBatch(b.Samples[off:end]); err != nil {
-				return err
-			}
 		}
 		if s.cfg.Tap != nil {
 			s.cfg.Tap(TapChunk{
@@ -376,10 +367,10 @@ func (st *scoredStream) cascadeChunk(verdicts []core.Verdict, scores []float64, 
 	n := len(samples)
 	cm.short.Add(uint64(n - p))
 	cm.pass.Add(uint64(p))
-	cm.stage0Nanos.Add(uint64(max64(stage0End.Sub(stage0Start).Nanoseconds(), 0)))
+	cm.stage0Nanos.Add(uint64(max(stage0End.Sub(stage0Start).Nanoseconds(), 0)))
 	cm.stage0Samples.Add(uint64(n))
 	if p > 0 {
-		cm.stage1Nanos.Add(uint64(max64(stage1End.Sub(stage0End).Nanoseconds(), 0)))
+		cm.stage1Nanos.Add(uint64(max(stage1End.Sub(stage0End).Nanoseconds(), 0)))
 		cm.stage1Samples.Add(uint64(p))
 	}
 	return stage0End, nil
@@ -408,8 +399,8 @@ func (st *scoredStream) capture(b Batch, i int, traceID uint64, scoreStart, stag
 			rec.Hops[trace.HopGateway] = gw
 		}
 	}
-	rec.Hops[trace.HopQueue] = max64(b.DrainedAt.Sub(at).Nanoseconds(), 0)
-	rec.Hops[trace.HopAssembly] = max64(scoreStart.Sub(b.DrainedAt).Nanoseconds(), 0)
+	rec.Hops[trace.HopQueue] = max(b.DrainedAt.Sub(at).Nanoseconds(), 0)
+	rec.Hops[trace.HopAssembly] = max(scoreStart.Sub(b.DrainedAt).Nanoseconds(), 0)
 	fullStart := scoreStart
 	if !stage0End.IsZero() {
 		// Cascade chunk: stage-0's envelope pass owns its own hop and the
@@ -426,13 +417,6 @@ func (st *scoredStream) capture(b Batch, i int, traceID uint64, scoreStart, stag
 	rec.StartNanos = emitEnd.UnixNano() - rec.TotalNanos
 	s.cfg.Tracer.Add(rec)
 	s.cfg.Latency.Exemplar(float64(rec.TotalNanos)/1e9, traceID)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Close emits the stream's session summary.
