@@ -120,7 +120,7 @@ func main() {
 	bake := flag.Duration("bake", 2*time.Minute, "rollout start: total bake window before the candidate may widen")
 	every := flag.Duration("every", 0, "rollout start: gate evaluation cadence (0 = bake/4); each evaluation scrapes both sides twice, this far apart")
 	convergeTimeout := flag.Duration("converge-timeout", 30*time.Second, "rollout start: how long the canary may take to start serving the candidate after the pin")
-	maxDivergence := flag.Float64("max-divergence", 0, "rollout start: gate — max canary shadow_divergence (0 disables; skipped when the canary runs no shadow scorer)")
+	maxDivergence := flag.Float64("max-divergence", 0, "rollout start: gate — max canary shadow divergence over each evaluation window (0 disables; skipped when the canary compared nothing in the window)")
 	maxP99Ratio := flag.Float64("max-p99-ratio", 0, "rollout start: gate — max canary/baseline p99 latency ratio (0 disables)")
 	minSamples := flag.Float64("min-samples", 50, "rollout start: gate — min canary verdicts per evaluation window, so an idle canary cannot pass (0 disables)")
 
@@ -515,8 +515,18 @@ func runDiff(ctx context.Context, reg *registry.Registry, baseVer, candVer int, 
 	}
 	rep.CandidateVersion = candVer
 	fmt.Printf("diff v%d -> v%d over %d samples\n", baseVer, candVer, rep.Scored)
+	printReport(rep)
+}
+
+// printReport prints a shadow report: its divergence and score-delta
+// lines, then the caller's notes (whole lines), then one line per class
+// in name order.
+func printReport(rep shadow.Report, notes ...string) {
 	fmt.Printf("  verdict divergence: %.4f (%d disagreements)\n", rep.VerdictDivergence, rep.Disagreements)
 	fmt.Printf("  score delta: mean abs %.4f, max %.4f\n", rep.MeanAbsScoreDelta, rep.MaxScoreDelta)
+	for _, note := range notes {
+		fmt.Println(note)
+	}
 	classes := make([]string, 0, len(rep.PerClass))
 	for name := range rep.PerClass {
 		classes = append(classes, name)
@@ -589,7 +599,6 @@ func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, can
 		}
 		return
 	}
-	rep := res.Report
 	fmt.Printf("backtest v%d over %d recorded verdicts (log: %d records in %d segments)\n",
 		candVer, res.Replayed, res.Log.Records, len(res.Log.Segments))
 	fmt.Printf("  skipped: %d unscored, %d outside window/app filter\n",
@@ -598,27 +607,18 @@ func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, can
 		fmt.Printf("  log integrity: torn tail %d bytes, corrupted %d record(s)\n",
 			res.Log.TornBytes, res.Log.Corrupted)
 	}
-	fmt.Printf("  verdict divergence: %.4f (%d disagreements)\n", rep.VerdictDivergence, rep.Disagreements)
-	fmt.Printf("  score delta: mean abs %.4f, max %.4f\n", rep.MeanAbsScoreDelta, rep.MaxScoreDelta)
-	if rep.Errors > 0 {
-		fmt.Printf("  scoring errors: %d\n", rep.Errors)
+	var notes []string
+	if res.Report.Errors > 0 {
+		notes = append(notes, fmt.Sprintf("  scoring errors: %d", res.Report.Errors))
 	}
 	if c := res.Cascade; c != nil {
-		fmt.Printf("  cascade (threshold %.4g): %d short-circuited (%.1f%%), %d passed on\n",
-			c.Threshold, c.ShortCircuited, 100*c.ShortFraction, c.PassedOn)
-		fmt.Printf("  cascade safety: %d recorded malware verdict(s) would have short-circuited\n",
-			c.MalwareShortCircuited)
+		notes = append(notes,
+			fmt.Sprintf("  cascade (threshold %.4g): %d short-circuited (%.1f%%), %d passed on",
+				c.Threshold, c.ShortCircuited, 100*c.ShortFraction, c.PassedOn),
+			fmt.Sprintf("  cascade safety: %d recorded malware verdict(s) would have short-circuited",
+				c.MalwareShortCircuited))
 	}
-	classes := make([]string, 0, len(rep.PerClass))
-	for name := range rep.PerClass {
-		classes = append(classes, name)
-	}
-	sort.Strings(classes)
-	for _, name := range classes {
-		cs := rep.PerClass[name]
-		fmt.Printf("  class %-10s observed %-6d disagreed %-6d mean abs delta %.4f\n",
-			name, cs.Observed, cs.Disagreed, cs.MeanAbsDelta)
-	}
+	printReport(res.Report, notes...)
 }
 
 // runLogVerify scans a sample log and reports its integrity: record and

@@ -59,7 +59,9 @@ type Config struct {
 	Replicas int
 	// CheckInterval is the shard health-probe period (default 2s).
 	CheckInterval time.Duration
-	// DialTimeout bounds each upstream dial + handshake (default 3s).
+	// DialTimeout bounds each upstream dial + handshake, and how long an
+	// ending agent connection waits for its shards' last verdicts
+	// (default 3s).
 	DialTimeout time.Duration
 	// QueueDepth bounds each agent connection's ingress ring (default
 	// 4096); beyond it the oldest queued samples are shed.
@@ -120,8 +122,7 @@ type routeState struct {
 }
 
 // shardMetrics caches one shard's labeled instruments so the data path
-// never formats label strings. isCanary mirrors the canary gauge as an
-// atomic so the per-sample forward path can test it without locking.
+// never formats label strings.
 type shardMetrics struct {
 	routed    telemetry.Counter
 	forwarded telemetry.Counter
@@ -129,8 +130,6 @@ type shardMetrics struct {
 	up        telemetry.Gauge
 	probeRTT  telemetry.Gauge
 	version   telemetry.Gauge
-	canary    telemetry.Gauge
-	isCanary  atomic.Bool
 }
 
 // Gateway accepts agent connections and routes their streams across the
@@ -155,8 +154,6 @@ type Gateway struct {
 	shardsHealthy  telemetry.Gauge
 	memberChanges  telemetry.Counter
 	healthFailures telemetry.Counter
-	canaryStreams  telemetry.Counter
-	canarySamples  telemetry.Counter
 }
 
 // New validates the configuration and builds a gateway. Call Listen then
@@ -179,8 +176,6 @@ func New(cfg Config) (*Gateway, error) {
 		shardsHealthy:  reg.Gauge("cluster_shards_healthy"),
 		memberChanges:  reg.Counter("cluster_membership_changes_total"),
 		healthFailures: reg.Counter("cluster_health_check_failures_total"),
-		canaryStreams:  reg.Counter("cluster_canary_streams_total"),
-		canarySamples:  reg.Counter("cluster_canary_samples_total"),
 	}
 	g.fe = session.NewFrontend(session.Tier{
 		Welcome:    g.agentWelcome,
@@ -218,7 +213,6 @@ func (g *Gateway) metricsForLocked(shard string) *shardMetrics {
 			up:        reg.Gauge(telemetry.Label("cluster_shard_up", "shard", shard)),
 			probeRTT:  reg.Gauge(telemetry.Label("cluster_probe_rtt_seconds", "shard", shard)),
 			version:   reg.Gauge(telemetry.Label("cluster_shard_model_version", "shard", shard)),
-			canary:    reg.Gauge(telemetry.Label("cluster_shard_canary", "shard", shard)),
 		}
 		g.perSh[shard] = m
 	}
@@ -277,7 +271,7 @@ func (g *Gateway) rebuildLocked(shard string, healthy bool) {
 	} else {
 		m.up.Set(0)
 	}
-	g.recomputeCanaryLocked()
+	g.refreshWelcomeLocked()
 	g.cfg.Log.Info("shard membership changed",
 		"shard", shard, "healthy", healthy,
 		"fleet", len(members), "epoch", g.epoch)
@@ -298,45 +292,35 @@ func (g *Gateway) observeVersion(shard string, v uint32) {
 	}
 	g.versions[shard] = v
 	g.metricsForLocked(shard).version.Set(float64(v))
-	g.recomputeCanaryLocked()
+	g.refreshWelcomeLocked()
 	g.cfg.Log.Info("shard model version observed", "shard", shard, "version", v)
 }
 
-// recomputeCanaryLocked relabels the canary split after any version or
-// membership change. The baseline is the version most healthy shards
-// report (ties break toward the older version — a rollout pins the
-// newer candidate to the minority); every healthy shard on a different
-// version is a canary. The agent-facing Welcome template follows the
-// baseline so new agents see the fleet's version, not whichever shard
-// happened to be probed last. Caller holds g.mu.
-func (g *Gateway) recomputeCanaryLocked() {
+// refreshWelcomeLocked points the agent-facing Welcome template at the
+// version most healthy shards report, so new agents see the fleet's
+// version rather than whichever shard was probed last. A tie keeps the
+// template's version when it is among the tied, else takes the older:
+// pinning one shard of two moves nothing. Caller holds g.mu.
+func (g *Gateway) refreshWelcomeLocked() {
+	w := g.welcome.Load()
+	if w == nil {
+		return
+	}
 	counts := make(map[uint32]int)
 	for s, up := range g.up {
-		if up {
-			if v := g.versions[s]; v != 0 {
-				counts[v]++
-			}
+		if v := g.versions[s]; up && v != 0 {
+			counts[v]++
 		}
 	}
-	var baseline uint32
+	best := w.ModelVersion
 	for v, n := range counts {
-		if baseline == 0 || n > counts[baseline] || (n == counts[baseline] && v < baseline) {
-			baseline = v
+		if n > counts[best] || (n == counts[best] && best != w.ModelVersion && v < best) {
+			best = v
 		}
 	}
-	for s := range g.up {
-		m := g.metricsForLocked(s)
-		isCanary := baseline != 0 && g.up[s] && g.versions[s] != 0 && g.versions[s] != baseline
-		m.isCanary.Store(isCanary)
-		if isCanary {
-			m.canary.Set(1)
-		} else {
-			m.canary.Set(0)
-		}
-	}
-	if w := g.welcome.Load(); w != nil && baseline != 0 && w.ModelVersion != baseline {
+	if best != w.ModelVersion {
 		nw := *w
-		nw.ModelVersion = baseline
+		nw.ModelVersion = best
 		g.welcome.Store(&nw)
 	}
 }
@@ -414,9 +398,10 @@ func (g *Gateway) Listen(addr string) (net.Addr, error) { return g.fe.Listen(add
 
 // Serve runs the health loop and accepts agent connections until ctx is
 // cancelled, then drains: the listener closes, every agent connection's
-// read side is shut, queued samples are forwarded and flushed, and Serve
-// returns nil. The first health pass runs synchronously so the earliest
-// agents have a routable fleet.
+// read side is shut, queued samples are forwarded, the shards' verdicts
+// for them are relayed and flushed, and Serve returns nil. The first
+// health pass runs synchronously so the earliest agents have a routable
+// fleet.
 func (g *Gateway) Serve(ctx context.Context) error {
 	g.checkAll(ctx)
 	hctx, stopHealth := context.WithCancel(ctx)
@@ -461,7 +446,7 @@ func (g *Gateway) agentWelcome() (wire.Welcome, *wire.Error) {
 	return *w, nil
 }
 
-// forward builds one agent connection's forwarder; its teardown closes
+// forward builds one agent connection's forwarder; its teardown ends
 // the connection's upstreams once the worker is done with them.
 func (g *Gateway) forward(c *session.Conn, agent string) (session.Handler, func(), error) {
 	f := &forwarder{g: g, c: c, agent: agent, ups: make(map[string]*upstream)}
@@ -539,17 +524,24 @@ func (f *forwarder) upstreamFor(shard string) (*upstream, error) {
 	return up, nil
 }
 
-// shutdown tears down every upstream and waits for the relays so no
-// goroutine outlives the agent connection. The closing flag keeps the
-// relays' resulting read errors from being misread as shard failures —
-// an agent hanging up must not mark its shards unhealthy.
+// shutdown half-closes every upstream once the worker is done with them
+// and waits for the relays: each shard scores what it holds, flushes and
+// closes within DialTimeout, and its verdicts reach the agent before the
+// front end's final flush. The closing flag keeps the relays' EOF from
+// reading as a shard failure — an agent hanging up must not mark its
+// shards unhealthy.
 func (f *forwarder) shutdown() {
+	deadline := time.Now().Add(f.g.cfg.DialTimeout)
 	for _, up := range f.ups {
 		up.closing.Store(true)
-		up.cli.Close()
+		up.cli.SetReadDeadline(deadline)
+		if err := up.cli.CloseWrite(); err != nil {
+			up.cli.Close() // a broken upstream has nothing left to deliver
+		}
 	}
 	for _, up := range f.ups {
 		<-up.done
+		up.cli.Close()
 	}
 }
 
@@ -724,9 +716,6 @@ func (st *fwdStream) ensureRoute() *upstream {
 			st.opened = true
 		}
 		up.met.routed.Inc()
-		if up.met.isCanary.Load() {
-			g.canaryStreams.Inc()
-		}
 		st.up = up
 		st.epoch = cur.epoch
 		return up
@@ -761,9 +750,6 @@ func (st *fwdStream) Process(b session.Batch) error {
 		}
 		st.sent += uint64(b.Len())
 		up.met.forwarded.Add(uint64(b.Len()))
-		if up.met.isCanary.Load() {
-			g.canarySamples.Add(uint64(b.Len()))
-		}
 		if traced {
 			st.capture(b, traceIdx, traceID, sendStart, up.shard)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -467,11 +468,13 @@ func TestGatewayNoShards(t *testing.T) {
 	}
 }
 
-// TestGatewayCanaryLabeling exercises the version-feed → canary-split
-// relabeling directly: the baseline is the version most healthy shards
-// report (ties break toward the older version), every healthy shard on
-// a different version is a canary, and the agent-facing Welcome
-// template tracks the baseline.
+// TestGatewayCanaryLabeling pins what the gateway still reports about a
+// rollout: each shard's live version from its heartbeat echoes, and an
+// agent-facing Welcome that follows the version most healthy shards
+// report — also when the pinned candidate is older than the active
+// version, with a tie keeping the template where it is. Which shard is
+// the canary is the registry pin table's to say: the gateway exports no
+// canary series.
 func TestGatewayCanaryLabeling(t *testing.T) {
 	shards := []string{"10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1"}
 	reg := telemetry.New()
@@ -485,19 +488,15 @@ func TestGatewayCanaryLabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw.mu.Lock()
 	for _, s := range shards {
-		gw.up[s] = true
+		gw.setHealth(s, true)
 	}
-	gw.mu.Unlock()
-	gw.welcome.Store(&wire.Welcome{Proto: wire.ProtoVersion, ModelVersion: 1})
+	gw.welcome.Store(&wire.Welcome{Proto: wire.ProtoVersion, ModelVersion: 3})
 
-	canaryOf := func(s string) float64 {
-		return reg.Gauge(telemetry.Label("cluster_shard_canary", "shard", s)).Value()
-	}
 	versionOf := func(s string) float64 {
 		return reg.Gauge(telemetry.Label("cluster_shard_model_version", "shard", s)).Value()
 	}
+	welcome := func() uint32 { return gw.welcome.Load().ModelVersion }
 
 	// Pre-registry echoes (version 0) are ignored entirely.
 	gw.observeVersion(shards[0], 0)
@@ -505,62 +504,106 @@ func TestGatewayCanaryLabeling(t *testing.T) {
 		t.Fatalf("version gauge after v0 echo = %v, want 0", got)
 	}
 
-	// Uniform fleet: no canary anywhere.
+	// v3 active fleet-wide, then the older v2 pinned to one shard: its
+	// version gauge follows the echo and the Welcome stays on the
+	// majority.
 	for _, s := range shards {
-		gw.observeVersion(s, 1)
+		gw.observeVersion(s, 3)
 	}
-	for _, s := range shards {
-		if canaryOf(s) != 0 {
-			t.Errorf("uniform fleet: shard %s labeled canary", s)
-		}
-	}
-
-	// One shard pinned to a newer candidate: it alone is the canary and
-	// its version gauge follows the echo.
 	gw.observeVersion(shards[2], 2)
 	if got := versionOf(shards[2]); got != 2 {
 		t.Errorf("version gauge = %v, want 2", got)
 	}
-	if canaryOf(shards[2]) != 1 {
-		t.Error("pinned shard not labeled canary")
-	}
-	if canaryOf(shards[0]) != 0 || canaryOf(shards[1]) != 0 {
-		t.Error("baseline shard labeled canary")
-	}
-	if w := gw.welcome.Load(); w.ModelVersion != 1 {
-		t.Errorf("welcome ModelVersion = %d, want baseline 1", w.ModelVersion)
+	if w := welcome(); w != 3 {
+		t.Errorf("welcome ModelVersion = %d, want the majority's 3", w)
 	}
 
-	// Even 1-vs-1 split (third shard down): the tie breaks toward the
-	// older version, so the newer shard stays the canary; the down shard
-	// is never a canary regardless of its last echo.
-	gw.mu.Lock()
-	gw.up[shards[1]] = false
-	gw.mu.Unlock()
-	gw.observeVersion(shards[2], 2) // same version: no-op fast path
-	gw.mu.Lock()
-	gw.recomputeCanaryLocked()
-	gw.mu.Unlock()
-	if canaryOf(shards[2]) != 1 {
-		t.Error("tie split: newer shard lost canary label")
-	}
-	if canaryOf(shards[1]) != 0 {
-		t.Error("down shard labeled canary")
+	// A v3 shard goes down, leaving one shard on each version: the tie
+	// keeps the template on v3 rather than moving it to the candidate.
+	gw.setHealth(shards[1], false)
+	if w := welcome(); w != 3 {
+		t.Errorf("1-vs-1 split: welcome ModelVersion = %d, want 3 kept", w)
 	}
 
-	// Widen lands: the whole fleet reports the candidate, the canary
-	// label clears and the Welcome template moves to the new baseline.
-	gw.mu.Lock()
-	gw.up[shards[1]] = true
-	gw.mu.Unlock()
-	gw.observeVersion(shards[0], 2)
-	gw.observeVersion(shards[1], 2)
+	// A widen lands: the whole fleet reports v4 and the Welcome follows.
+	gw.setHealth(shards[1], true)
 	for _, s := range shards {
-		if canaryOf(s) != 0 {
-			t.Errorf("post-widen: shard %s still labeled canary", s)
+		gw.observeVersion(s, 4)
+	}
+	if w := welcome(); w != 4 {
+		t.Errorf("post-widen welcome ModelVersion = %d, want 4", w)
+	}
+
+	var exp strings.Builder
+	if err := reg.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(exp.String(), "canary") {
+		t.Errorf("gateway exports a canary series:\n%s", exp.String())
+	}
+}
+
+// TestGatewayGracefulDrain mirrors TestServeGracefulDrain through a
+// gateway: once the gateway has forwarded every sample it drains, and
+// the shard's verdicts for them still reach the agent, all before the
+// CodeDraining notice.
+func TestGatewayGracefulDrain(t *testing.T) {
+	_, data := fixtures(t)
+	sh := startShard(t)
+	tg := startGateway(t, []string{sh.addr})
+	c := dialGateway(t, tg, testAgent)
+
+	const n = 2000
+	if err := c.OpenStream(0, testApp(0)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := c.Send(0, uint32(i), data.Instances[i%data.Len()].Features); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if w := gw.welcome.Load(); w.ModelVersion != 2 {
-		t.Errorf("post-widen welcome ModelVersion = %d, want 2", w.ModelVersion)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the gateway has forwarded everything, then drain it.
+	fwd := tg.reg.Counter(telemetry.Label("cluster_samples_forwarded_total", "shard", sh.addr))
+	for deadline := time.Now().Add(10 * time.Second); fwd.Value() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway forwarded %d/%d samples", fwd.Value(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tg.cancel()
+
+	var verdicts int
+	var sawDraining bool
+	for {
+		f, err := c.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch fr := f.(type) {
+		case wire.Verdict:
+			if sawDraining {
+				t.Fatal("verdict after the CodeDraining notice")
+			}
+			verdicts++
+		case wire.Error:
+			if fr.Code != wire.CodeDraining {
+				t.Fatalf("error %+v, want CodeDraining", fr)
+			}
+			sawDraining = true
+		default:
+			t.Fatalf("unexpected frame %#v", f)
+		}
+	}
+	if verdicts != n {
+		t.Fatalf("drain delivered %d verdicts, want %d", verdicts, n)
+	}
+	if !sawDraining {
+		t.Fatal("no CodeDraining notice before close")
 	}
 }

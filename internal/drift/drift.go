@@ -195,9 +195,9 @@ type Config struct {
 	// the alert are considered meaningful (default 200). Snapshots taken
 	// earlier report Warmup=true and never alert.
 	MinSamples int
-	// Alpha is the EWMA coefficient for the per-feature smoothed mean and
-	// variance in (0,1] (default 0.02 — slow on purpose: drift is a
-	// minutes-scale signal, not a per-sample one).
+	// Alpha is the EWMA coefficient for the per-feature smoothed mean, in
+	// (0,1] (default 0.02 — slow on purpose: drift is a minutes-scale
+	// signal, not a per-sample one).
 	Alpha float64
 	// RecomputeEvery re-derives PSI and refreshes the telemetry gauges
 	// every that many observed samples (default 256); Snapshot always
@@ -270,7 +270,6 @@ type Monitor struct {
 	samples  uint64
 	counts   [][]uint64 // live histogram, same shape as ref.Counts
 	ewmaMean []float64
-	ewmaVar  []float64
 	seeded   bool
 
 	psi    []telemetry.Gauge
@@ -296,7 +295,6 @@ func NewMonitor(ref *Reference, cfg Config) (*Monitor, error) {
 		cfg:      filled,
 		counts:   make([][]uint64, len(ref.Features)),
 		ewmaMean: make([]float64, len(ref.Features)),
-		ewmaVar:  make([]float64, len(ref.Features)),
 	}
 	for f := range m.counts {
 		m.counts[f] = make([]uint64, len(ref.Counts[f]))
@@ -343,10 +341,7 @@ func (m *Monitor) ObserveBatch(samples [][]float64) error {
 			if !m.seeded {
 				m.ewmaMean[f] = v
 			} else {
-				a := m.cfg.Alpha
-				d := v - m.ewmaMean[f]
-				m.ewmaMean[f] += a * d
-				m.ewmaVar[f] = (1 - a) * (m.ewmaVar[f] + a*d*d)
+				m.ewmaMean[f] += m.cfg.Alpha * (v - m.ewmaMean[f])
 			}
 		}
 		m.seeded = true

@@ -176,10 +176,18 @@ func TestCollectStatusMergesFleet(t *testing.T) {
 	}
 	shard := fakeNode(t, func(n int64) string {
 		// 200 verdicts and 10 sheds per scrape interval; latency mass at 2ms.
+		// The shadow disagrees on 30 of 200 comparisons per interval while
+		// the lifetime gauge, diluted by earlier agreement, reads 0.001.
 		return fmt.Sprintf(`# TYPE serve_verdicts_total counter
 serve_verdicts_total %d
 # TYPE serve_shed_total counter
 serve_shed_total %d
+# TYPE shadow_observed_total counter
+shadow_observed_total %d
+# TYPE shadow_disagreements_total counter
+shadow_disagreements_total %d
+# TYPE shadow_divergence gauge
+shadow_divergence 0.001
 # TYPE serve_model_info gauge
 serve_model_info{model="tiny",version="3"} 1
 serve_model_info{model="tiny",version="2"} 0
@@ -201,7 +209,7 @@ serve_verdict_latency_seconds_bucket{le="0.005"} %d
 serve_verdict_latency_seconds_bucket{le="+Inf"} %d
 serve_verdict_latency_seconds_sum 1
 serve_verdict_latency_seconds_count %d
-`, 200*n, 10*n, 160*n, 40*n, 10000*n, 200*n, 200*n, 200*n, 200*n)
+`, 200*n, 10*n, 200*n, 30*n, 160*n, 40*n, 10000*n, 200*n, 200*n, 200*n, 200*n)
 	}, trace.Dump{SampleEvery: 1, Depth: 256, Dropped: 2, HopNames: trace.HopNames[:], Records: []trace.Record{shardTrace}})
 
 	gwTrace := trace.Record{
@@ -227,13 +235,7 @@ cluster_probe_rtt_seconds{shard="10.0.0.1:7000"} 0.0004
 cluster_streams_routed_total{shard="10.0.0.1:7000"} 16
 # TYPE cluster_shard_model_version gauge
 cluster_shard_model_version{shard="10.0.0.1:7000"} 3
-# TYPE cluster_shard_canary gauge
-cluster_shard_canary{shard="10.0.0.1:7000"} 1
-# TYPE cluster_canary_streams_total counter
-cluster_canary_streams_total 16
-# TYPE cluster_canary_samples_total counter
-cluster_canary_samples_total %d
-`, 400*n, 390*n, 400*n)
+`, 400*n, 390*n)
 	}, trace.Dump{Records: []trace.Record{gwTrace}})
 
 	dead := "127.0.0.1:1" // nothing listens here
@@ -251,6 +253,12 @@ cluster_canary_samples_total %d
 	}
 	sec := window.Seconds()
 	sh := st.Shards[0]
+	if sh.Verdicts != 200 {
+		t.Fatalf("window verdicts %v, want 200", sh.Verdicts)
+	}
+	if math.Abs(sh.Divergence-0.15) > 1e-9 {
+		t.Fatalf("shadow divergence %v, want the window's 30/200 = 0.15", sh.Divergence)
+	}
 	if want := 200 / sec; math.Abs(sh.VerdictRate-want) > want*0.01 {
 		t.Fatalf("verdict rate %v, want %v", sh.VerdictRate, want)
 	}
@@ -295,14 +303,8 @@ cluster_canary_samples_total %d
 	if up.Shard != "10.0.0.1:7000" || !up.Up || up.ProbeRTT != 0.0004 {
 		t.Fatalf("per-shard view %+v", up)
 	}
-	if up.ModelVersion != 3 || !up.Canary {
-		t.Fatalf("per-shard version view %+v, want v3 canary", up)
-	}
-	if g.CanaryStreams != 16 {
-		t.Fatalf("canary streams = %v, want 16", g.CanaryStreams)
-	}
-	if want := 400 / sec; math.Abs(g.CanarySampleRate-want) > want*0.01 {
-		t.Fatalf("canary sample rate %v, want %v", g.CanarySampleRate, want)
+	if up.ModelVersion != 3 {
+		t.Fatalf("per-shard version view %+v, want v3", up)
 	}
 	if want := 400 / sec; math.Abs(up.ForwardRate-want) > want*0.01 {
 		t.Fatalf("forward rate %v, want %v", up.ForwardRate, want)
@@ -328,7 +330,7 @@ cluster_canary_samples_total %d
 	var text, js strings.Builder
 	st.Render(&text)
 	for _, want := range []string{"GATEWAY", "SHARDS", "tiny v3", "retrain", "CASCADE", "80.0% @50ns", "STAGE0", "SLOWEST TRACES", "UNREACHABLE",
-		"[1 node(s) UNREACHABLE]", "ROLLOUT", "canary", "v3 (canary)"} {
+		"[1 node(s) UNREACHABLE]", "ROLLOUT", "canary", "v3"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("render missing %q:\n%s", want, text.String())
 		}
@@ -355,5 +357,75 @@ func TestCollectStatusAllDead(t *testing.T) {
 	}
 	if st == nil || len(st.Errors) != 1 {
 		t.Fatalf("status = %+v, want the node listed in Errors", st)
+	}
+}
+
+// TestCollectStatusNeedsBothScrapes: a node whose first scrape failed has
+// no window, so it is listed in Errors rather than shown with zero rates
+// — a busy shard must never read as idle.
+func TestCollectStatusNeedsBothScrapes(t *testing.T) {
+	var scrapes atomic.Int64
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		n := scrapes.Add(1)
+		if n == 1 {
+			http.Error(w, "warming up", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintf(w, "# TYPE serve_verdicts_total counter\nserve_verdicts_total %d\n", 500*n)
+	}))
+	t.Cleanup(flaky.Close)
+	steady := fakeNode(t, func(n int64) string {
+		return fmt.Sprintf("# TYPE serve_verdicts_total counter\nserve_verdicts_total %d\n", 100*n)
+	}, trace.Dump{})
+
+	flakyAddr := strings.TrimPrefix(flaky.URL, "http://")
+	st, err := CollectStatus(context.Background(),
+		[]string{flakyAddr, strings.TrimPrefix(steady.URL, "http://")},
+		CollectConfig{Window: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Shards) != 1 || st.Shards[0].Addr == flakyAddr {
+		t.Fatalf("shards = %+v, want only the node with both scrapes", st.Shards)
+	}
+	if len(st.Errors) != 1 || st.Errors[0].Addr != flakyAddr || !strings.Contains(st.Errors[0].Err, "first scrape") {
+		t.Fatalf("errors = %+v, want the node whose first scrape failed", st.Errors)
+	}
+}
+
+// TestStatusAnnouncesNonFiniteSeries: NaN/±Inf series the parser skipped
+// are counted per node and announced on the summary line, beside the
+// unreachable count.
+func TestStatusAnnouncesNonFiniteSeries(t *testing.T) {
+	shard := fakeNode(t, func(n int64) string {
+		return fmt.Sprintf("# TYPE serve_verdicts_total counter\nserve_verdicts_total %d\n"+
+			"# TYPE shadow_divergence gauge\nshadow_divergence NaN\n", 100*n)
+	}, trace.Dump{})
+	gw := fakeNode(t, func(int64) string {
+		return "# TYPE cluster_shards_healthy gauge\ncluster_shards_healthy 1\n" +
+			"# TYPE cluster_probe_rtt_seconds gauge\ncluster_probe_rtt_seconds{shard=\"a\"} +Inf\n"
+	}, trace.Dump{})
+	st, err := CollectStatus(context.Background(),
+		[]string{strings.TrimPrefix(shard.URL, "http://"), strings.TrimPrefix(gw.URL, "http://")},
+		CollectConfig{Window: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One poisoned series per node, skipped once in each of two scrapes.
+	if len(st.Shards) != 1 || st.Shards[0].NonFinite != 2 {
+		t.Fatalf("shards = %+v, want one with 2 skipped series", st.Shards)
+	}
+	if len(st.Gateways) != 1 || st.Gateways[0].NonFinite != 2 {
+		t.Fatalf("gateways = %+v, want one with 2 skipped series", st.Gateways)
+	}
+	var text strings.Builder
+	st.Render(&text)
+	first, _, _ := strings.Cut(text.String(), "\n")
+	if !strings.Contains(first, "[4 non-finite series skipped]") {
+		t.Fatalf("summary line %q does not announce the skipped series", first)
 	}
 }

@@ -209,6 +209,17 @@ func (m *Metrics) Family(name string) []Sample {
 	return out
 }
 
+// ActiveModel returns the serve_model_info series at 1: the model
+// generation a shard is serving. ok is false when the node reports none.
+func (m *Metrics) ActiveModel() (info Sample, ok bool) {
+	for _, s := range m.Family("serve_model_info") {
+		if s.Value == 1 {
+			return s, true
+		}
+	}
+	return Sample{}, false
+}
+
 // bucket is one cumulative histogram bucket.
 type bucket struct {
 	le  float64 // upper bound, +Inf for the overflow bucket

@@ -22,12 +22,22 @@ func (st *Status) WriteJSON(w io.Writer) error {
 // rates, latency, model and drift state, then the slowest traces with
 // their per-hop breakdown.
 func (st *Status) Render(w io.Writer) {
-	// The unreachable count rides the summary line: a half-blind
-	// collection must announce itself up front, not only in per-node
-	// rows a scanning operator can miss.
+	// The unreachable and skipped-series counts ride the summary line: a
+	// half-blind collection must announce itself up front, not only in
+	// per-node rows a scanning operator can miss.
 	fmt.Fprintf(w, "fleet status (rates over %gs window)", st.Window)
 	if n := len(st.Errors); n > 0 {
 		fmt.Fprintf(w, "  [%d node(s) UNREACHABLE]", n)
+	}
+	skipped := 0
+	for _, g := range st.Gateways {
+		skipped += g.NonFinite
+	}
+	for _, s := range st.Shards {
+		skipped += s.NonFinite
+	}
+	if skipped > 0 {
+		fmt.Fprintf(w, "  [%d non-finite series skipped]", skipped)
 	}
 	fmt.Fprintln(w)
 
@@ -36,9 +46,6 @@ func (st *Status) Render(w io.Writer) {
 			g.Addr, g.ShardsHealthy, g.Reroutes, g.RerouteRate, g.TraceCount)
 		if g.TraceDropped > 0 {
 			fmt.Fprintf(w, " (dropped %d)", g.TraceDropped)
-		}
-		if g.CanaryStreams > 0 || g.CanarySampleRate > 0 {
-			fmt.Fprintf(w, "  canary_streams=%.0f (%.1f samples/s)", g.CanaryStreams, g.CanarySampleRate)
 		}
 		fmt.Fprintln(w)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -51,9 +58,6 @@ func (st *Status) Render(w io.Writer) {
 			version := "-"
 			if s.ModelVersion > 0 {
 				version = fmt.Sprintf("v%d", s.ModelVersion)
-				if s.Canary {
-					version += " (canary)"
-				}
 			}
 			fmt.Fprintf(tw, "  %s\t%s\t%s\t%.1f\t%.1f\t%s\t%.0f\n",
 				s.Shard, up, version, s.ForwardRate, s.RelayRate, dur(s.ProbeRTT), s.Routed)

@@ -43,10 +43,17 @@ type ShardStatus struct {
 	Addr         string  `json:"addr"`
 	Model        string  `json:"model,omitempty"`
 	ModelVersion string  `json:"model_version,omitempty"`
+	Verdicts     float64 `json:"verdicts"`     // verdicts scored in the window
 	VerdictRate  float64 `json:"verdict_rate"` // verdicts/s over the window
 	ShedRate     float64 `json:"shed_rate"`    // shed samples/s over the window
-	P99          float64 `json:"p99_seconds"`  // verdict latency p99 (window, falling back to lifetime)
-	DriftAlert   bool    `json:"drift_alert"`
+	P99          float64 `json:"p99_seconds"`  // verdict latency p99 over the window, 0 when idle
+	// Divergence is the shadow scorer's verdict disagreement rate over
+	// the window (Δshadow_disagreements_total / Δshadow_observed_total),
+	// -1 when the shard runs no shadow or compared nothing in the window.
+	Divergence float64 `json:"shadow_divergence"`
+	// NonFinite counts the NaN/±Inf series the two scrapes skipped.
+	NonFinite  int  `json:"nonfinite_series"`
+	DriftAlert bool `json:"drift_alert"`
 	// Drift is the drift recommendation: "retrain" when the monitor's
 	// alert gauge is raised, "steady" when present and clear, "n/a"
 	// when the shard runs without a drift reference.
@@ -116,9 +123,6 @@ type GatewayShard struct {
 	// ModelVersion is the registry version the shard last reported in a
 	// heartbeat echo (0 before the first probe or outside a registry).
 	ModelVersion int `json:"model_version,omitempty"`
-	// Canary marks the shard as serving a minority version — the live
-	// traffic-split label a staged rollout watches.
-	Canary bool `json:"canary,omitempty"`
 }
 
 // GatewayStatus is one gateway's merged view over the window.
@@ -128,13 +132,10 @@ type GatewayStatus struct {
 	Reroutes      float64        `json:"streams_rerouted_total"`
 	RerouteRate   float64        `json:"reroute_rate"`
 	Shards        []GatewayShard `json:"shards"`
-	// CanaryStreams / CanarySampleRate quantify the canary traffic
-	// split: streams ever routed to a canary shard, and canary-bound
-	// samples/s over the window.
-	CanaryStreams    float64 `json:"canary_streams_total,omitempty"`
-	CanarySampleRate float64 `json:"canary_sample_rate,omitempty"`
-	TraceCount       int     `json:"trace_count"`
-	TraceDropped     uint64  `json:"trace_dropped"`
+	// NonFinite counts the NaN/±Inf series the two scrapes skipped.
+	NonFinite    int    `json:"nonfinite_series"`
+	TraceCount   int    `json:"trace_count"`
+	TraceDropped uint64 `json:"trace_dropped"`
 }
 
 // NodeError records a node that could not be scraped.
@@ -184,9 +185,6 @@ func CollectStatus(ctx context.Context, addrs []string, cfg CollectConfig) (*Sta
 	if cfg.Top <= 0 {
 		cfg.Top = 5
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
-	}
 
 	before := scrapeAll(ctx, cfg.Client, addrs)
 	select {
@@ -204,10 +202,12 @@ func CollectStatus(ctx context.Context, addrs []string, cfg CollectConfig) (*Sta
 			st.Errors = append(st.Errors, NodeError{Addr: addr, Err: a.err.Error()})
 			continue
 		}
+		// Rates need both scrapes: zero rates would show a busy node
+		// as idle.
 		b := before[addr]
 		if b.err != nil {
-			// One good scrape: report absolute state with zero rates.
-			b = result{metrics: a.metrics}
+			st.Errors = append(st.Errors, NodeError{Addr: addr, Err: "first scrape: " + b.err.Error()})
+			continue
 		}
 		dump, derr := fetchTraces(ctx, cfg.Client, addr)
 		if derr != nil {
@@ -238,23 +238,21 @@ func CollectStatus(ctx context.Context, addrs []string, cfg CollectConfig) (*Sta
 func shardStatus(addr string, before, after *Metrics, sec float64, dump *trace.Dump) ShardStatus {
 	s := ShardStatus{
 		Addr:         addr,
-		VerdictRate:  Delta(before, after, "serve_verdicts_total") / sec,
+		Verdicts:     Delta(before, after, "serve_verdicts_total"),
 		ShedRate:     Delta(before, after, "serve_shed_total") / sec,
+		P99:          DeltaQuantile(before, after, "serve_verdict_latency_seconds", 0.99),
+		Divergence:   -1,
+		NonFinite:    before.NonFinite + after.NonFinite,
 		TraceCount:   len(dump.Records),
 		TraceDropped: dump.Dropped,
 	}
-	// The active model generation is the serve_model_info series at 1.
-	for _, info := range after.Family("serve_model_info") {
-		if info.Value == 1 {
-			s.Model = info.Label("model")
-			s.ModelVersion = info.Label("version")
-			break
-		}
+	s.VerdictRate = s.Verdicts / sec
+	if info, ok := after.ActiveModel(); ok {
+		s.Model = info.Label("model")
+		s.ModelVersion = info.Label("version")
 	}
-	// p99 over the window when traffic flowed, else lifetime.
-	s.P99 = DeltaQuantile(before, after, "serve_verdict_latency_seconds", 0.99)
-	if s.P99 == 0 {
-		s.P99 = after.Quantile("serve_verdict_latency_seconds", 0.99)
+	if observed := Delta(before, after, "shadow_observed_total"); observed > 0 {
+		s.Divergence = Delta(before, after, "shadow_disagreements_total") / observed
 	}
 	if alert, ok := after.Get("drift_alert"); !ok {
 		s.Drift = "n/a"
@@ -278,6 +276,7 @@ func shardStatus(addr string, before, after *Metrics, sec float64, dump *trace.D
 func gatewayStatus(addr string, before, after *Metrics, sec float64, dump *trace.Dump) GatewayStatus {
 	g := GatewayStatus{
 		Addr:         addr,
+		NonFinite:    before.NonFinite + after.NonFinite,
 		TraceCount:   len(dump.Records),
 		TraceDropped: dump.Dropped,
 	}
@@ -302,14 +301,9 @@ func gatewayStatus(addr string, before, after *Metrics, sec float64, dump *trace
 		if v, ok := after.Get("cluster_shard_model_version", "shard", shard); ok {
 			gs.ModelVersion = int(v)
 		}
-		if c, ok := after.Get("cluster_shard_canary", "shard", shard); ok && c >= 1 {
-			gs.Canary = true
-		}
 		g.Shards = append(g.Shards, gs)
 	}
 	sort.Slice(g.Shards, func(i, j int) bool { return g.Shards[i].Shard < g.Shards[j].Shard })
-	g.CanaryStreams, _ = after.Get("cluster_canary_streams_total")
-	g.CanarySampleRate = Delta(before, after, "cluster_canary_samples_total") / sec
 	return g
 }
 
@@ -327,7 +321,7 @@ func scrapeAll(ctx context.Context, client *http.Client, addrs []string) map[str
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			m, err := fetchMetrics(ctx, client, addr)
+			m, err := FetchMetrics(ctx, client, addr)
 			mu.Lock()
 			out[addr] = result{metrics: m, err: err}
 			mu.Unlock()
@@ -337,7 +331,11 @@ func scrapeAll(ctx context.Context, client *http.Client, addrs []string) map[str
 	return out
 }
 
+// get fetches addr+path; a nil client gets a 5s timeout default.
 func get(ctx context.Context, client *http.Client, addr, path string) (*http.Response, error) {
+	if client == nil {
+		client = &http.Client{Timeout: 5 * time.Second}
+	}
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
@@ -358,16 +356,9 @@ func get(ctx context.Context, client *http.Client, addr, path string) (*http.Res
 
 // FetchMetrics scrapes and parses one node's /metrics endpoint. addr may
 // be a bare host:port (http:// is assumed). A nil client gets a 5s
-// timeout default. The rollout controller builds its canary-vs-baseline
-// evidence on this.
+// timeout default. The rollout controller polls the canary's live model
+// generation with it.
 func FetchMetrics(ctx context.Context, client *http.Client, addr string) (*Metrics, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
-	return fetchMetrics(ctx, client, addr)
-}
-
-func fetchMetrics(ctx context.Context, client *http.Client, addr string) (*Metrics, error) {
 	resp, err := get(ctx, client, addr, "/metrics")
 	if err != nil {
 		return nil, err

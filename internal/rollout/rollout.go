@@ -83,9 +83,10 @@ const (
 // Gates are the explicit promotion thresholds. The drift gate has no
 // knob: a retrain-or-rollback verdict on the canary always fails it.
 type Gates struct {
-	// MaxDivergence fails the gate when the canary's shadow_divergence
-	// gauge exceeds it. <= 0 disables the gate; a canary without shadow
-	// scoring skips it either way (recorded as divergence -1).
+	// MaxDivergence fails the gate when the canary's shadow divergence
+	// over the window exceeds it. <= 0 disables the gate; a canary that
+	// compared nothing in the window (no shadow scorer, or no traffic)
+	// skips it either way (recorded as divergence -1).
 	MaxDivergence float64 `json:"max_divergence"`
 	// MaxP99Ratio fails the gate when canary p99 / worst baseline p99
 	// exceeds it. <= 0 disables the gate.
@@ -115,8 +116,8 @@ type Evaluation struct {
 	// P99Ratio is canary p99 / baseline p99 (0 when either side saw no
 	// traffic — the min-samples gate owns that case).
 	P99Ratio float64 `json:"p99_ratio"`
-	// Divergence is the canary's shadow_divergence gauge, -1 when the
-	// canary runs no shadow scorer.
+	// Divergence is the canary's shadow divergence over the window
+	// (fleet.ShardStatus.Divergence), -1 when it compared nothing.
 	Divergence float64 `json:"divergence"`
 	// DriftRetrain is true when the canary's drift monitor recommends
 	// retrain-or-rollback.
@@ -172,7 +173,8 @@ type Config struct {
 	Gates           Gates
 	Telemetry       *telemetry.Registry
 	Log             *slog.Logger
-	Client          *http.Client
+	// Client fetches every scrape; nil gets internal/fleet's default.
+	Client *http.Client
 }
 
 // Controller drives one rollout. Build with New, run with Run.
@@ -216,9 +218,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.ConvergeTimeout <= 0 {
 		cfg.ConvergeTimeout = 30 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.Default()
@@ -393,11 +392,9 @@ func (c *Controller) awaitConvergence(ctx context.Context) (string, error) {
 	for {
 		m, err := fleet.FetchMetrics(ctx, c.cfg.Client, c.cfg.CanaryAddr)
 		if err == nil {
-			for _, info := range m.Family("serve_model_info") {
-				if info.Value == 1 && info.Label("version") == fmt.Sprint(c.cfg.Candidate) {
-					c.cfg.Log.Info("canary converged on candidate", "version", c.cfg.Candidate)
-					return "", nil
-				}
+			if info, ok := m.ActiveModel(); ok && info.Label("version") == fmt.Sprint(c.cfg.Candidate) {
+				c.cfg.Log.Info("canary converged on candidate", "version", c.cfg.Candidate)
+				return "", nil
 			}
 		}
 		if time.Now().After(deadline) {
@@ -412,36 +409,41 @@ func (c *Controller) awaitConvergence(ctx context.Context) (string, error) {
 	}
 }
 
-// evaluate collects one evidence window — both sides scraped twice,
-// Every apart — and runs the gates over it.
+// evaluate collects one evidence window — every shard's fleet view over
+// two scrapes, Every apart — and runs the gates over it.
 func (c *Controller) evaluate(ctx context.Context) (*Evaluation, error) {
 	addrs := append([]string{c.cfg.CanaryAddr}, c.cfg.BaselineAddrs...)
-	before, err := c.scrape(ctx, addrs)
-	if err != nil {
+	st, err := fleet.CollectStatus(ctx, addrs, fleet.CollectConfig{Window: c.cfg.Every, Client: c.cfg.Client})
+	if st == nil {
 		return nil, err
 	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-time.After(c.cfg.Every):
+	// Every address must yield a shard window: a half-blind comparison
+	// is worse than none.
+	if len(st.Errors) > 0 {
+		return nil, fmt.Errorf("scrape %s: %s", st.Errors[0].Addr, st.Errors[0].Err)
 	}
-	after, err := c.scrape(ctx, addrs)
-	if err != nil {
-		return nil, err
+	if len(st.Gateways) > 0 {
+		return nil, fmt.Errorf("scrape %s: a gateway, not a shard", st.Gateways[0].Addr)
 	}
-	sec := c.cfg.Every.Seconds()
 
 	ev := &Evaluation{
-		At:         time.Now().UTC(),
-		Canary:     sideEvidence([]string{c.cfg.CanaryAddr}, before, after, sec),
-		Baseline:   sideEvidence(c.cfg.BaselineAddrs, before, after, sec),
-		Divergence: -1,
+		At:       time.Now().UTC(),
+		Canary:   Side{Addrs: []string{c.cfg.CanaryAddr}},
+		Baseline: Side{Addrs: c.cfg.BaselineAddrs},
 	}
-	if d, ok := after[c.cfg.CanaryAddr].Get("shadow_divergence"); ok {
-		ev.Divergence = d
-	}
-	if alert, ok := after[c.cfg.CanaryAddr].Get("drift_alert"); ok && alert >= 1 {
-		ev.DriftRetrain = true
+	for _, sh := range st.Shards {
+		c.nonFiniteCt.Add(uint64(sh.NonFinite))
+		side := &ev.Baseline
+		if sh.Addr == c.cfg.CanaryAddr {
+			side = &ev.Canary
+			ev.Divergence, ev.DriftRetrain = sh.Divergence, sh.DriftAlert
+		}
+		// Counts and rates sum; p99 takes the worst shard, so a single
+		// slow canary cannot hide behind a fast fleet mean.
+		side.Verdicts += sh.Verdicts
+		side.VerdictRate += sh.VerdictRate
+		side.ShedRate += sh.ShedRate
+		side.P99 = max(side.P99, sh.P99)
 	}
 	if ev.Canary.P99 > 0 && ev.Baseline.P99 > 0 {
 		ev.P99Ratio = ev.Canary.P99 / ev.Baseline.P99
@@ -470,41 +472,6 @@ func (g Gates) check(ev *Evaluation) (bool, []string) {
 			ev.P99Ratio, g.MaxP99Ratio))
 	}
 	return len(failures) == 0, failures
-}
-
-// scrape fetches /metrics from every addr; any failure fails the whole
-// evidence window (a half-blind comparison is worse than none).
-func (c *Controller) scrape(ctx context.Context, addrs []string) (map[string]*fleet.Metrics, error) {
-	out := make(map[string]*fleet.Metrics, len(addrs))
-	for _, addr := range addrs {
-		m, err := fleet.FetchMetrics(ctx, c.cfg.Client, addr)
-		if err != nil {
-			return nil, fmt.Errorf("scrape %s: %w", addr, err)
-		}
-		if m.NonFinite > 0 {
-			c.nonFiniteCt.Add(uint64(m.NonFinite))
-		}
-		out[addr] = m
-	}
-	return out, nil
-}
-
-// sideEvidence folds one side's scrape pairs into its window evidence.
-// Rates sum across the side's shards; p99 takes the worst shard, so a
-// single slow canary cannot hide behind a fast fleet mean.
-func sideEvidence(addrs []string, before, after map[string]*fleet.Metrics, sec float64) Side {
-	s := Side{Addrs: addrs}
-	for _, addr := range addrs {
-		b, a := before[addr], after[addr]
-		s.Verdicts += fleet.Delta(b, a, "serve_verdicts_total")
-		s.ShedRate += fleet.Delta(b, a, "serve_shed_total") / sec
-		p99 := fleet.DeltaQuantile(b, a, "serve_verdict_latency_seconds", 0.99)
-		if p99 > s.P99 {
-			s.P99 = p99
-		}
-	}
-	s.VerdictRate = s.Verdicts / sec
-	return s
 }
 
 // checkAbort polls the cooperative abort flag; when set it unpins the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -88,7 +89,8 @@ type shardOpts struct {
 	perScrape  int64   // verdicts added per scrape (0 = idle canary)
 	slow       bool    // latency mass in the 0.5s bucket instead of 1ms
 	driftAlert bool    // drift_alert gauge at 1
-	divergence float64 // shadow_divergence gauge when > 0
+	divergence float64 // shadow disagreement rate on each scrape's verdicts when > 0
+	shadowed   int64   // agreeing shadow comparisons made before the first scrape
 }
 
 // fakeShard serves /metrics whose counters advance each scrape, like a
@@ -125,7 +127,17 @@ serve_verdict_latency_seconds_count %d
 			fmt.Fprint(w, "# TYPE drift_alert gauge\ndrift_alert 1\n")
 		}
 		if o.divergence > 0 {
-			fmt.Fprintf(w, "# TYPE shadow_divergence gauge\nshadow_divergence %g\n", o.divergence)
+			// The shadow compares every verdict. The gauge is the lifetime
+			// rate, diluted by the agreeing comparisons made earlier.
+			observed := o.shadowed + verdicts
+			disagreed := int64(math.Round(o.divergence * float64(verdicts)))
+			fmt.Fprintf(w, `# TYPE shadow_observed_total counter
+shadow_observed_total %d
+# TYPE shadow_disagreements_total counter
+shadow_disagreements_total %d
+# TYPE shadow_divergence gauge
+shadow_divergence %g
+`, observed, disagreed, float64(disagreed)/float64(observed))
 		}
 	})
 	srv := httptest.NewServer(mux)
@@ -273,6 +285,30 @@ func TestRolloutRollsBackOnDivergence(t *testing.T) {
 	}
 	if !strings.Contains(st.Reason, "divergence") {
 		t.Fatalf("reason = %q, want a divergence gate failure", st.Reason)
+	}
+}
+
+// TestDivergenceGateReadsTheWindow: a canary that shadowed the baseline
+// long before the pin carries a million agreeing comparisons, which hold
+// its lifetime shadow_divergence gauge under the threshold. The gate
+// must read the window's counter deltas instead: 40% disagreement rolls
+// back.
+func TestDivergenceGateReadsTheWindow(t *testing.T) {
+	reg := openWithCandidate(t)
+	st := run(t, reg,
+		&shardOpts{version: 2, perScrape: 100, divergence: 0.4, shadowed: 1_000_000},
+		&shardOpts{version: 1, perScrape: 100},
+		Gates{MinSamples: 10, MaxDivergence: 0.005}, nil)
+
+	if st.Phase != PhaseRolledBack {
+		t.Fatalf("phase = %s (reason %q), want rolled_back", st.Phase, st.Reason)
+	}
+	if !strings.Contains(st.Reason, "divergence") {
+		t.Fatalf("reason = %q, want a divergence gate failure", st.Reason)
+	}
+	last := st.Evaluations[len(st.Evaluations)-1]
+	if math.Abs(last.Divergence-0.4) > 1e-9 {
+		t.Fatalf("evaluation divergence = %v, want the window's 0.4", last.Divergence)
 	}
 }
 

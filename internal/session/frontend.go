@@ -66,7 +66,8 @@ type Tier struct {
 	Heartbeat func(wire.Heartbeat) wire.Heartbeat
 	// NewHandler builds one connection's handler after the handshake.
 	// The returned teardown, when non-nil, runs once the engine worker
-	// exited and the final frames were flushed. Required.
+	// exited, before the connection's closing notices and final flush,
+	// so frames it writes still reach the agent. Required.
 	NewHandler func(c *Conn, agent string) (Handler, func(), error)
 	// QueueDepth bounds each connection's ingress ring (see Config).
 	QueueDepth int
@@ -171,8 +172,8 @@ func (f *Frontend) handle(ctx context.Context, nc net.Conn) {
 		log.Error("handler", "err", err)
 		return
 	}
-	if teardown != nil {
-		defer teardown()
+	if teardown == nil {
+		teardown = func() {}
 	}
 	c.eng, err = New(Config{
 		Handler:    h,
@@ -181,6 +182,7 @@ func (f *Frontend) handle(ctx context.Context, nc net.Conn) {
 		BatchSize:  m.BatchSize,
 	})
 	if err != nil {
+		teardown()
 		log.Error("session", "err", err)
 		return
 	}
@@ -203,6 +205,7 @@ func (f *Frontend) handle(ctx context.Context, nc net.Conn) {
 	rerr := c.readLoop()
 	close(readerDone)
 	<-workerDone
+	teardown()
 
 	idle := f.tier.IdleTimeout
 	reaped := idle > 0 && ctx.Err() == nil && errors.Is(rerr, os.ErrDeadlineExceeded)
