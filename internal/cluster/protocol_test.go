@@ -26,18 +26,32 @@ func TestProtocolViolationsBothTiers(t *testing.T) {
 	}
 	hello := wire.Hello{Proto: wire.ProtoVersion, Agent: "violator"}
 	open := wire.OpenStream{Stream: 1, App: "violator-app"}
+	// trailing appends one byte to frame's payload, counted in its length
+	// header: a frame no decoder accepts.
+	trailing := func(f wire.Frame) []byte {
+		b, err := wire.Append(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[3]++
+		return append(b, 0xee)
+	}
 	cases := []struct {
 		name   string
-		first  wire.Frame
+		first  wire.Frame // nil: raw is the first frame
 		frames []wire.Frame
+		raw    []byte // undecodable bytes sent after frames
 		code   uint16
 	}{
-		{"non-Hello first frame", open, nil, wire.CodeProtocol},
-		{"wrong proto version", wire.Hello{Proto: wire.ProtoVersion + 1, Agent: "future"}, nil, wire.CodeVersion},
-		{"wrong sample width", hello, []wire.Frame{open, wire.Sample{Stream: 1, Features: []float64{1, 2}}}, wire.CodeBadFeatures},
-		{"unexpected frame type", hello, []wire.Frame{wire.Verdict{Stream: 1}}, wire.CodeProtocol},
-		{"duplicate stream id", hello, []wire.Frame{open, wire.OpenStream{Stream: 1, App: "other-app"}}, wire.CodeBadStream},
-		{"close of unknown stream", hello, []wire.Frame{wire.CloseStream{Stream: 9}}, wire.CodeBadStream},
+		{"non-Hello first frame", open, nil, nil, wire.CodeProtocol},
+		{"wrong proto version", wire.Hello{Proto: wire.ProtoVersion + 1, Agent: "future"}, nil, nil, wire.CodeVersion},
+		{"wrong sample width", hello, []wire.Frame{open, wire.Sample{Stream: 1, Features: []float64{1, 2}}}, nil, wire.CodeBadFeatures},
+		{"unexpected frame type", hello, []wire.Frame{wire.Verdict{Stream: 1}}, nil, wire.CodeProtocol},
+		{"duplicate stream id", hello, []wire.Frame{open, wire.OpenStream{Stream: 1, App: "other-app"}}, nil, wire.CodeBadStream},
+		{"close of unknown stream", hello, []wire.Frame{wire.CloseStream{Stream: 9}}, nil, wire.CodeBadStream},
+		{"unknown frame type byte", hello, nil, []byte{0, 0, 0, 1, 0x7f}, wire.CodeProtocol},
+		{"sample with trailing bytes", hello, []wire.Frame{open}, trailing(wire.Sample{Stream: 1, Features: []float64{1, 2, 3, 4}}), wire.CodeProtocol},
+		{"malformed first frame", nil, nil, trailing(hello), wire.CodeProtocol},
 	}
 	for _, tier := range tiers {
 		for _, tc := range cases {
@@ -50,7 +64,7 @@ func TestProtocolViolationsBothTiers(t *testing.T) {
 				defer nc.Close()
 				nc.SetDeadline(time.Now().Add(10 * time.Second))
 				w, r := wire.NewWriter(nc), wire.NewReader(nc)
-				send := func(frames ...wire.Frame) {
+				send := func(frames []wire.Frame, raw []byte) {
 					for _, f := range frames {
 						if err := w.Write(f); err != nil {
 							t.Fatal(err)
@@ -59,15 +73,23 @@ func TestProtocolViolationsBothTiers(t *testing.T) {
 					if err := w.Flush(); err != nil {
 						t.Fatal(err)
 					}
+					if _, err := nc.Write(raw); err != nil {
+						t.Fatal(err)
+					}
 				}
-				send(tc.first)
-				if tc.first == wire.Frame(hello) {
+				switch tc.first {
+				case nil:
+					send(nil, tc.raw)
+				case wire.Frame(hello):
+					send([]wire.Frame{hello}, nil)
 					if f, err := r.Next(); err != nil {
 						t.Fatal(err)
 					} else if _, ok := f.(wire.Welcome); !ok {
 						t.Fatalf("handshake reply %#v, want Welcome", f)
 					}
-					send(tc.frames...)
+					send(tc.frames, tc.raw)
+				default:
+					send([]wire.Frame{tc.first}, nil)
 				}
 				for {
 					f, err := r.Next()

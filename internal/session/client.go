@@ -153,9 +153,7 @@ func (c *Client) Flush() error {
 }
 
 // Next reads the next server frame. It returns io.EOF once the server has
-// closed the connection cleanly. Frames that borrow reader-owned buffers
-// (none of the server→client types do) follow wire.Reader's aliasing
-// rules.
+// closed the connection cleanly.
 func (c *Client) Next() (wire.Frame, error) {
 	return c.r.Next()
 }

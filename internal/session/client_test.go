@@ -17,7 +17,7 @@ import (
 
 // startFrontend serves tier on a loopback listener until the test ends
 // and returns the bound address.
-func startFrontend(t *testing.T, tier Tier) string {
+func startFrontend(t testing.TB, tier Tier) string {
 	t.Helper()
 	tier.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	fe := NewFrontend(tier)

@@ -248,7 +248,7 @@ func (c *Conn) handshake() (string, error) {
 	r := wire.NewReader(c.nc)
 	f, err := r.Next()
 	if err != nil {
-		return "", err
+		return "", c.readErr(err)
 	}
 	hello, ok := f.(wire.Hello)
 	if !ok {
@@ -279,44 +279,86 @@ func (c *Conn) violation(code uint16, msg string) error {
 	return errors.New(msg)
 }
 
+// readErr answers an undecodable frame as a protocol violation. Any other
+// read error (EOF, reset, deadline, a stream truncated mid-frame) ends
+// the connection quietly.
+func (c *Conn) readErr(err error) error {
+	if errors.Is(err, wire.ErrMalformed) {
+		return c.violation(wire.CodeProtocol, err.Error())
+	}
+	return err
+}
+
 // readLoop parses frames until EOF, a read error, an idle-timeout reap or
 // a protocol violation, feeding samples and stream opens/closes into the
-// engine's ring.
+// engine's ring. It works by the read burst, the frames one buffered read
+// delivers: their samples share one clock read (the ingress stamp, which
+// also drives the idle re-arm) and enter the ring in one push with one
+// worker wake. The burst is pushed before any read that could block and
+// before any other frame, violation or read error, so every frame still
+// takes effect in arrival order. A burst deeper than the ring is pushed
+// in chunks of the ring's depth, so no push sheds samples of its own.
 func (c *Conn) readLoop() error {
 	m := &c.fe.tier.Metrics
 	idle := c.fe.tier.IdleTimeout
 	width := int(c.welcome.NumFeatures)
+	depth := c.eng.cfg.QueueDepth
 	// The idle deadline is re-armed lazily: re-arming costs a poller
 	// update, so it is refreshed only once a quarter of the budget has
 	// elapsed since the last arm. A connection silent past the budget
 	// fails the read with os.ErrDeadlineExceeded and is reaped, between
 	// 0.75× and 1× the budget after its last frame.
-	lastArm := time.Now()
+	now := time.Now()
+	lastArm := now
 	if idle > 0 {
 		c.nc.SetReadDeadline(lastArm.Add(idle))
 	}
+	var burst []wire.Sample // decode targets, reused with their feature buffers
+	n := 0                  // samples decoded since the last push
+	push := func() {
+		if n > 0 {
+			m.Samples.Add(uint64(n))
+			if shed := c.eng.PushBurst(now, burst[:n]); shed > 0 {
+				m.Shed.Add(uint64(shed))
+			}
+			n = 0
+		}
+	}
 	for {
+		fresh := !c.r.Ready()
+		if fresh || n == depth {
+			push()
+		}
+		if n == len(burst) {
+			burst = append(burst, wire.Sample{})
+		}
+		ok, err := c.r.ReadSample(&burst[n])
+		if fresh {
+			now = time.Now()
+			if idle > 0 && now.Sub(lastArm) > idle/4 {
+				c.nc.SetReadDeadline(now.Add(idle))
+				lastArm = now
+			}
+		}
+		if err != nil {
+			push()
+			return c.readErr(err)
+		}
+		if ok {
+			if got := len(burst[n].Features); got != width {
+				push()
+				return c.violation(wire.CodeBadFeatures,
+					fmt.Sprintf("sample has %d features, model wants %d", got, width))
+			}
+			n++
+			continue
+		}
+		push()
 		f, err := c.r.Next()
 		if err != nil {
-			return err
-		}
-		// One clock read per frame: it stamps the sample's ingress and
-		// drives the lazy re-arm.
-		now := time.Now()
-		if idle > 0 && now.Sub(lastArm) > idle/4 {
-			c.nc.SetReadDeadline(now.Add(idle))
-			lastArm = now
+			return c.readErr(err)
 		}
 		switch fr := f.(type) {
-		case wire.Sample:
-			if len(fr.Features) != width {
-				return c.violation(wire.CodeBadFeatures,
-					fmt.Sprintf("sample has %d features, model wants %d", len(fr.Features), width))
-			}
-			m.Samples.Inc()
-			if c.eng.Push(fr.Stream, fr.Seq, int64(fr.IngressNanos), now, fr.Features) {
-				m.Shed.Inc()
-			}
 		case wire.OpenStream:
 			c.eng.Open(fr.Stream, fr.App)
 		case wire.CloseStream:

@@ -3,6 +3,8 @@ package session
 import (
 	"sync"
 	"time"
+
+	"twosmart/internal/wire"
 )
 
 // item is one queued ingress sample or stream control: which stream it
@@ -77,26 +79,37 @@ func (r *ring) grab(n int) []float64 {
 	return make([]float64, n)
 }
 
-// push copies features into the queue. When the ring is full it sheds the
-// oldest queued sample first and reports shed=true.
+// push queues one sample and reports whether it shed one: the one-sample
+// case of pushBurst.
 func (r *ring) push(stream, seq uint32, origin int64, at time.Time, features []float64) (shed bool) {
+	one := [1]wire.Sample{{Stream: stream, Seq: seq, IngressNanos: uint64(origin), Features: features}}
+	return r.pushBurst(at, one[:]) > 0
+}
+
+// pushBurst copies a burst of samples, all received at at, into the queue
+// in order under one lock. Each sample that finds the ring full first
+// sheds the oldest queued sample; pushBurst returns how many it shed.
+func (r *ring) pushBurst(at time.Time, burst []wire.Sample) (shed int) {
 	r.mu.Lock()
-	if r.n == len(r.buf) {
-		oldest := &r.buf[r.head]
-		r.shedAll++
-		r.countShed(oldest.stream, r.pushed-uint64(r.n))
-		r.free = append(r.free, oldest.features)
-		oldest.features = nil
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-		shed = true
+	for i := range burst {
+		s := &burst[i]
+		if r.n == len(r.buf) {
+			oldest := &r.buf[r.head]
+			r.shedAll++
+			r.countShed(oldest.stream, r.pushed-uint64(r.n))
+			r.free = append(r.free, oldest.features)
+			oldest.features = nil
+			r.head = (r.head + 1) % len(r.buf)
+			r.n--
+			shed++
+		}
+		slot := &r.buf[(r.head+r.n)%len(r.buf)]
+		buf := r.grab(len(s.Features))
+		copy(buf, s.Features)
+		*slot = item{stream: s.Stream, seq: s.Seq, origin: int64(s.IngressNanos), at: at, features: buf}
+		r.n++
+		r.pushed++
 	}
-	slot := &r.buf[(r.head+r.n)%len(r.buf)]
-	buf := r.grab(len(features))
-	copy(buf, features)
-	*slot = item{stream: stream, seq: seq, origin: origin, at: at, features: buf}
-	r.n++
-	r.pushed++
 	r.mu.Unlock()
 	return shed
 }

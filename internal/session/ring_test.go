@@ -1,9 +1,14 @@
 package session
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"twosmart/internal/wire"
 )
 
 func TestRingDropOldest(t *testing.T) {
@@ -144,4 +149,88 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 	if total != per {
 		t.Fatalf("total shed %d != sum of per-stream sheds %d", total, per)
 	}
+}
+
+// TestRingBurstMatchesSinglePushes pins that pushing samples as one burst
+// leaves the ring exactly as pushing them one by one does: the same
+// drained order, features and control positions, the same total and
+// per-incarnation shed counts, and the same number of sheds reported.
+func TestRingBurstMatchesSinglePushes(t *testing.T) {
+	// A step is a burst of samples (stream, seq; features derive from
+	// both) or, when ctl is set, a stream open or close.
+	type step struct {
+		ctl     *ctrl
+		stream  uint32
+		samples [][2]uint32
+	}
+	burst := func(samples ...[2]uint32) step { return step{samples: samples} }
+	open := func(stream uint32) step { return step{ctl: &ctrl{open: true, app: "app"}, stream: stream} }
+	closeStream := func(stream uint32) step { return step{ctl: &ctrl{}, stream: stream} }
+	cases := []struct {
+		name  string
+		depth int
+		shed  int // samples shed in all
+		steps []step
+	}{
+		{"fits", 8, 0, []step{open(1), open(2), burst([2]uint32{1, 0}, [2]uint32{2, 0}, [2]uint32{1, 1})}},
+		{"burst overflows the ring", 3, 4, []step{open(1), burst([2]uint32{1, 0}, [2]uint32{1, 1}, [2]uint32{1, 2},
+			[2]uint32{1, 3}, [2]uint32{1, 4}, [2]uint32{1, 5}, [2]uint32{1, 6})}},
+		{"overflow across streams", 4, 3, []step{burst([2]uint32{1, 0}, [2]uint32{2, 0}, [2]uint32{1, 1}),
+			burst([2]uint32{2, 1}, [2]uint32{3, 0}, [2]uint32{1, 2}, [2]uint32{2, 2})}},
+		// The second burst sheds samples queued before the close: countShed
+		// charges them to the close, not to the reopened incarnation.
+		{"close between bursts of one stream", 4, 2, []step{open(1), burst([2]uint32{1, 0}, [2]uint32{1, 1}, [2]uint32{1, 2}),
+			closeStream(1), open(1), burst([2]uint32{1, 0}, [2]uint32{1, 1}, [2]uint32{1, 2})}},
+		{"close before a later shed of another stream", 2, 3, []step{burst([2]uint32{1, 0}, [2]uint32{2, 0}),
+			closeStream(2), burst([2]uint32{1, 1}, [2]uint32{1, 2}, [2]uint32{1, 3})}},
+	}
+	at := time.Unix(1, 0)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bursty, single := newRing(tc.depth), newRing(tc.depth)
+			var shedBursty, shedSingle int
+			for _, st := range tc.steps {
+				if st.ctl != nil {
+					c1, c2 := *st.ctl, *st.ctl
+					bursty.control(st.stream, &c1)
+					single.control(st.stream, &c2)
+					continue
+				}
+				samples := make([]wire.Sample, len(st.samples))
+				for i, s := range st.samples {
+					samples[i] = wire.Sample{Stream: s[0], Seq: s[1], IngressNanos: uint64(10*s[0] + s[1]),
+						Features: []float64{float64(s[0]), float64(s[1])}}
+				}
+				shedBursty += bursty.pushBurst(at, samples)
+				for _, s := range samples {
+					if single.push(s.Stream, s.Seq, int64(s.IngressNanos), at, s.Features) {
+						shedSingle++
+					}
+				}
+			}
+			if shedBursty != tc.shed || shedSingle != tc.shed {
+				t.Errorf("burst push reported %d sheds, single pushes %d, want %d", shedBursty, shedSingle, tc.shed)
+			}
+			if !reflect.DeepEqual(bursty.shedBy, single.shedBy) || bursty.shedAll != single.shedAll {
+				t.Errorf("shed counts: burst %d %v, single %d %v", bursty.shedAll, bursty.shedBy, single.shedAll, single.shedBy)
+			}
+			got, want := bursty.drainInto(nil), single.drainInto(nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("drained:\n burst  %s\n single %s", describe(got), describe(want))
+			}
+		})
+	}
+}
+
+// describe renders drained items for a failure message.
+func describe(items []item) string {
+	var b strings.Builder
+	for _, it := range items {
+		if it.ctl != nil {
+			fmt.Fprintf(&b, "[ctl %d open=%v pos=%d shed=%d] ", it.stream, it.ctl.open, it.ctl.pos, it.ctl.shed)
+			continue
+		}
+		fmt.Fprintf(&b, "[%d/%d %v] ", it.stream, it.seq, it.features)
+	}
+	return b.String()
 }

@@ -30,8 +30,8 @@
 // backend shard the consistent-hash ring picked.
 //
 // Goroutine model: per connection, one reader goroutine calls
-// Push/Open/Close and one worker goroutine runs Run; every Handler and
-// Stream method runs on that worker. The connection is the unit of
+// PushBurst/Open/Close and one worker goroutine runs Run; every Handler
+// and Stream method runs on that worker. The connection is the unit of
 // parallelism. Conn's writer stays mutex-guarded: the reader's Heartbeat
 // echoes and the gateway's relay goroutines write beside the worker.
 package session
@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"twosmart/internal/telemetry"
+	"twosmart/internal/wire"
 )
 
 // Batch is one stream's pending micro-batch, handed to Stream.Process.
@@ -172,7 +173,7 @@ type entry struct {
 }
 
 // Engine is one connection's stream pump. The reader goroutine feeds it
-// (Push, Open, Close); the worker goroutine drives it (Run).
+// (PushBurst or Push, Open, Close); the worker goroutine drives it (Run).
 type Engine struct {
 	cfg Config
 	q   *ring
@@ -198,14 +199,25 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Push copies one sample into the ingress ring, waking the worker. It
-// reports whether the ring shed its oldest queued sample to make room —
-// the caller owns the shed telemetry. origin is the upstream tier's
-// unix-nano ingress stamp (wire.Sample.IngressNanos; 0 for direct
-// agents), threaded through to Batch.Origins for trace attribution.
-// Safe to call from the reader goroutine concurrently with Run.
+// Push copies one sample into the ingress ring, waking the worker: the
+// one-sample case of PushBurst. It reports whether the ring shed its
+// oldest queued sample to make room — the caller owns the shed
+// telemetry. origin is the upstream tier's unix-nano ingress stamp
+// (wire.Sample.IngressNanos; 0 for direct agents), threaded through to
+// Batch.Origins for trace attribution. Safe to call from the reader
+// goroutine concurrently with Run.
 func (e *Engine) Push(stream, seq uint32, origin int64, at time.Time, features []float64) (shed bool) {
 	shed = e.q.push(stream, seq, origin, at, features)
+	e.wake()
+	return shed
+}
+
+// PushBurst copies a burst of samples, all received at at, into the
+// ingress ring in order under one lock, and wakes the worker once. It
+// returns how many queued samples the ring shed to make room. The burst
+// is not retained.
+func (e *Engine) PushBurst(at time.Time, burst []wire.Sample) (shed int) {
+	shed = e.q.pushBurst(at, burst)
 	e.wake()
 	return shed
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"testing"
 )
@@ -74,9 +76,75 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{TypeHello, 0, 1, 0, 0})
 	f.Add([]byte{TypeError, 0, 1, 0, 3, 'b', 'a', 'd'})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fr, err := DecodePayload(body, nil)
+		fr, err := DecodePayload(body)
 		if err == nil && fr == nil {
 			t.Fatal("nil frame with nil error")
+		}
+	})
+}
+
+// FuzzReaderBurst walks one arbitrary byte stream twice: once the way the
+// front end's read loop does (Ready, then ReadSample, then Next for any
+// other frame type), once with repeated Decode. The walks must agree
+// frame by frame (type, every field, bytes consumed) and stop at the same
+// place for the same reason: where Decode reports ErrIncomplete the Reader
+// reports the end of the stream, and where Decode reports a malformed
+// frame so does the Reader. A frame Ready calls buffered must be read
+// without touching the stream. Neither walk may panic.
+func FuzzReaderBurst(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		r := NewReader(src)
+		var s Sample
+		for off := 0; ; {
+			want, n, derr := Decode(data[off:])
+			ready, unread := r.Ready(), src.Len()
+			took, err := r.ReadSample(&s)
+			var got Frame = s
+			if !took && err == nil {
+				got, err = r.Next()
+			}
+			if ready && src.Len() != unread {
+				t.Fatalf("at byte %d: Ready, yet reading the frame read the stream", off)
+			}
+			if derr != nil {
+				switch {
+				case errors.Is(derr, ErrIncomplete):
+					end := io.ErrUnexpectedEOF
+					if off == len(data) {
+						end = io.EOF
+					}
+					if err != end {
+						t.Fatalf("at byte %d: Decode: %v; Reader: %v, want %v", off, derr, err, end)
+					}
+				case errors.Is(derr, ErrMalformed):
+					if !errors.Is(err, ErrMalformed) {
+						t.Fatalf("at byte %d: Decode: %v; Reader: %v, want ErrMalformed", off, derr, err)
+					}
+				default:
+					t.Fatalf("at byte %d: Decode error %v wraps neither ErrIncomplete nor ErrMalformed", off, derr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("at byte %d: Decode read a %T, Reader failed: %v", off, want, err)
+			}
+			if took != (want.Type() == TypeSample) {
+				t.Fatalf("at byte %d: ReadSample took=%v for frame type 0x%02x", off, took, want.Type())
+			}
+			// The encoding is canonical, so equal encodings mean equal
+			// frames, NaN payloads included.
+			enc, err := Append(nil, got)
+			if err != nil {
+				t.Fatalf("at byte %d: re-encoding %#v: %v", off, got, err)
+			}
+			if !bytes.Equal(enc, data[off:off+n]) {
+				t.Fatalf("at byte %d: Reader read %x, Decode %x", off, enc, data[off:off+n])
+			}
+			off += n
+			if consumed := len(data) - src.Len() - r.Buffered(); consumed != off {
+				t.Fatalf("Reader consumed %d bytes, Decode %d", consumed, off)
+			}
 		}
 	})
 }

@@ -3,64 +3,93 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
 // Reader decodes a frame stream from an io.Reader. It is not safe for
 // concurrent use; a connection owns one Reader on its read side.
+//
+// Frames are decoded in place from the Reader's buffer, which holds a
+// frame of MaxPayload whole, so reading one copies nothing out of the
+// stream. A read loop takes what one buffered read delivered, the read
+// burst, without blocking: while Ready reports the next frame whole,
+// ReadSample decodes Samples into a caller-owned Sample (no allocation)
+// and Next decodes every other frame.
 type Reader struct {
-	br    *bufio.Reader
-	body  []byte    // reused frame-body buffer
-	feats []float64 // reused Sample feature buffer
+	br *bufio.Reader
 }
 
 // NewReader builds a buffered frame reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+	return &Reader{br: bufio.NewReaderSize(r, 4+MaxPayload)}
 }
 
-// Next reads and decodes the next frame.
-//
-// Aliasing contract: to keep the per-frame steady state allocation-free,
-// the Features slice of a returned Sample aliases a buffer owned by the
-// Reader and is only valid until the next call to Next — callers that
-// retain samples (the server's ingress queue does) must copy. A clean
-// end of stream returns io.EOF; a stream truncated mid-frame returns
-// io.ErrUnexpectedEOF.
+// Ready reports whether the next frame is already buffered whole, so that
+// ReadSample or Next returns without reading from the underlying reader.
+func (r *Reader) Ready() bool {
+	n := r.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := r.br.Peek(4)
+	return binary.BigEndian.Uint32(hdr) <= uint32(n-4)
+}
+
+// ReadSample reads the next frame into s if it is a Sample, reusing
+// s.Features' backing array when it is wide enough, and reports true. Any
+// other frame type is left unread (false, nil) for Next. It blocks until
+// the next frame is buffered whole, so a following Next does not block.
+// Errors are those of Next.
+func (r *Reader) ReadSample(s *Sample) (bool, error) {
+	frame, err := r.fill()
+	if err != nil || frame[4] != TypeSample {
+		return false, err
+	}
+	err = decodeSample(frame[4:], s)
+	r.br.Discard(len(frame))
+	return err == nil, err
+}
+
+// Next reads and decodes the next frame. A clean end of stream returns
+// io.EOF; a stream truncated mid-frame returns io.ErrUnexpectedEOF; an
+// undecodable frame returns an error wrapping ErrMalformed. Other errors
+// are the underlying reader's.
 func (r *Reader) Next() (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
-		}
+	frame, err := r.fill()
+	if err != nil {
 		return nil, err
 	}
-	length := int(binary.BigEndian.Uint32(hdr[:]))
+	f, err := DecodePayload(frame[4:])
+	r.br.Discard(len(frame))
+	return f, err
+}
+
+// fill blocks until the next frame is buffered whole, validates its length
+// header and returns the frame, header included, without consuming it.
+func (r *Reader) fill() ([]byte, error) {
+	hdr, err := r.peek(4)
+	if err != nil {
+		return nil, err
+	}
+	length := int(binary.BigEndian.Uint32(hdr))
 	if length < 1 {
-		return nil, fmt.Errorf("wire: zero-length frame")
+		return nil, errZeroLength
 	}
 	if length > MaxPayload {
 		return nil, ErrFrameTooLarge
 	}
-	if cap(r.body) < length {
-		r.body = make([]byte, length)
+	return r.peek(4 + length)
+}
+
+// peek returns the next n bytes without consuming them, reading until they
+// are buffered. A stream that ends at a frame boundary returns io.EOF, one
+// that ends inside a frame io.ErrUnexpectedEOF.
+func (r *Reader) peek(n int) ([]byte, error) {
+	b, err := r.br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
 	}
-	body := r.body[:length]
-	if _, err := io.ReadFull(r.br, body); err != nil {
-		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	f, err := DecodePayload(body, r.feats)
-	if err != nil {
-		return nil, err
-	}
-	if s, ok := f.(Sample); ok {
-		r.feats = s.Features[:cap(s.Features)]
-	}
-	return f, nil
+	return b, err
 }
 
 // Buffered reports how many bytes are already read into the Reader's

@@ -19,8 +19,9 @@
 // protocol version and the server's model format version and feature
 // width, so version skew fails fast with a typed error instead of a
 // garbled stream. Decode never panics on malformed input
-// (FuzzDecodeFrame); resource bounds are enforced before allocation
-// (MaxPayload, MaxString, MaxFeatures).
+// (FuzzDecodeFrame), and every decode error wraps ErrMalformed; resource
+// bounds are enforced before allocation (MaxPayload, MaxString,
+// MaxFeatures).
 package wire
 
 import (
@@ -47,8 +48,10 @@ const ProtoVersion = 4
 
 // Codec resource bounds, enforced during decode before any allocation.
 const (
-	// MaxPayload bounds the type byte plus payload of one frame.
-	MaxPayload = 1 << 20
+	// MaxPayload bounds the type byte plus payload of one frame, so a
+	// frame with its length header fits a Reader's 64 KiB buffer. The
+	// largest valid frame, a Sample of MaxFeatures, is about half that.
+	MaxPayload = 64<<10 - 4
 	// MaxString bounds encoded strings (application and model names).
 	MaxString = 1 << 10
 	// MaxFeatures bounds the feature vector width of one sample frame.
@@ -92,9 +95,22 @@ var (
 	// ErrIncomplete reports that the buffer ends mid-frame; the caller
 	// should read more bytes and retry.
 	ErrIncomplete = errors.New("wire: incomplete frame")
+	// ErrMalformed is wrapped by every error that reports undecodable
+	// input: a zero-length header or one above MaxPayload, an unknown type
+	// byte, or a payload of the wrong size or with trailing bytes. An
+	// error that does not wrap it (ErrIncomplete, or an I/O error from a
+	// Reader) means the input ended or failed, not that it was wrong.
+	ErrMalformed = errors.New("wire: malformed frame")
 	// ErrFrameTooLarge reports a length header above MaxPayload.
-	ErrFrameTooLarge = errors.New("wire: frame exceeds max payload")
+	ErrFrameTooLarge = fmt.Errorf("%w: length exceeds max payload", ErrMalformed)
+
+	errZeroLength = fmt.Errorf("%w: zero length", ErrMalformed)
 )
+
+// malformed returns a decode error wrapping ErrMalformed.
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+}
 
 // Frame is one decoded protocol frame: exactly one of the concrete frame
 // structs in this package.
@@ -308,7 +324,7 @@ func (r *reader) take(n int) []byte {
 		return nil
 	}
 	if len(r.buf)-r.off < n {
-		r.err = fmt.Errorf("wire: truncated payload (want %d more bytes, have %d)", n, len(r.buf)-r.off)
+		r.err = malformed("truncated payload (want %d more bytes, have %d)", n, len(r.buf)-r.off)
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -353,7 +369,7 @@ func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) str() string {
 	n := int(r.u16())
 	if n > MaxString {
-		r.err = fmt.Errorf("wire: string of %d bytes exceeds max %d", n, MaxString)
+		r.err = malformed("string of %d bytes exceeds max %d", n, MaxString)
 		return ""
 	}
 	b := r.take(n)
@@ -370,18 +386,48 @@ func (r *reader) finish(f Frame) (Frame, error) {
 		return nil, r.err
 	}
 	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %T payload", len(r.buf)-r.off, f)
+		return nil, malformed("%d trailing bytes after %T payload", len(r.buf)-r.off, f)
 	}
 	return f, nil
 }
 
+// decodeSample decodes a Sample frame body (type byte plus payload) into
+// s. s.Features, when wide enough, backs the decoded features. It is the
+// one Sample decoder: DecodePayload and Reader.ReadSample both use it.
+func decodeSample(body []byte, s *Sample) error {
+	r := reader{buf: body, off: 1}
+	s.Stream, s.Seq, s.IngressNanos = r.u32(), r.u32(), r.u64()
+	n := int(r.u16())
+	if r.err != nil {
+		return r.err
+	}
+	if n > MaxFeatures {
+		return malformed("sample with %d features exceeds max %d", n, MaxFeatures)
+	}
+	// Size-check before allocating so a lying header cannot force a large
+	// allocation, and so no bytes trail the features: n features need
+	// exactly 8n more bytes.
+	if len(body)-r.off != 8*n {
+		return malformed("sample payload has %d feature bytes, want %d", len(body)-r.off, 8*n)
+	}
+	if cap(s.Features) >= n {
+		s.Features = s.Features[:n]
+	} else {
+		s.Features = make([]float64, n)
+	}
+	raw := body[r.off:]
+	for i := range s.Features {
+		s.Features[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+	}
+	return nil
+}
+
 // DecodePayload decodes the body of one frame (the type byte plus
-// payload, without the length header). feats, when non-nil and wide
-// enough, backs the Features slice of a Sample frame so a streaming
-// reader can amortise the allocation; the returned slice then aliases it.
-func DecodePayload(body []byte, feats []float64) (Frame, error) {
+// payload, without the length header). The frame shares no memory with
+// body.
+func DecodePayload(body []byte) (Frame, error) {
 	if len(body) == 0 {
-		return nil, errors.New("wire: empty frame body")
+		return nil, malformed("empty frame body")
 	}
 	r := &reader{buf: body, off: 1}
 	switch body[0] {
@@ -395,25 +441,11 @@ func DecodePayload(body []byte, feats []float64) (Frame, error) {
 		f := OpenStream{Stream: r.u32(), App: r.str()}
 		return r.finish(f)
 	case TypeSample:
-		f := Sample{Stream: r.u32(), Seq: r.u32(), IngressNanos: r.u64()}
-		n := int(r.u16())
-		if n > MaxFeatures {
-			return nil, fmt.Errorf("wire: sample with %d features exceeds max %d", n, MaxFeatures)
+		var s Sample
+		if err := decodeSample(body, &s); err != nil {
+			return nil, err
 		}
-		// Size-check before allocating so a lying header cannot force a
-		// large allocation: n features need exactly 8n more bytes.
-		if r.err == nil && len(body)-r.off != 8*n {
-			return nil, fmt.Errorf("wire: sample payload has %d feature bytes, want %d", len(body)-r.off, 8*n)
-		}
-		if cap(feats) >= n {
-			f.Features = feats[:n]
-		} else {
-			f.Features = make([]float64, n)
-		}
-		for i := 0; i < n; i++ {
-			f.Features[i] = r.f64()
-		}
-		return r.finish(f)
+		return s, nil
 	case TypeVerdict:
 		f := Verdict{Stream: r.u32(), Seq: r.u32(), Flags: r.u8(), Class: r.u8(), Score: r.f64(), Smoothed: r.f64()}
 		return r.finish(f)
@@ -430,21 +462,21 @@ func DecodePayload(body []byte, feats []float64) (Frame, error) {
 		f := Error{Code: r.u16(), Msg: r.str()}
 		return r.finish(f)
 	default:
-		return nil, fmt.Errorf("wire: unknown frame type 0x%02x", body[0])
+		return nil, malformed("unknown frame type 0x%02x", body[0])
 	}
 }
 
 // Decode decodes the first complete frame in buf, returning the frame and
 // the number of bytes consumed. It returns ErrIncomplete when buf ends
-// mid-frame (read more and retry) and ErrFrameTooLarge when the header
-// announces a frame above MaxPayload; it never panics on malformed input.
+// mid-frame (read more and retry); any other error wraps ErrMalformed,
+// ErrFrameTooLarge among them. It never panics on malformed input.
 func Decode(buf []byte) (Frame, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, ErrIncomplete
 	}
 	length := int(binary.BigEndian.Uint32(buf))
 	if length < 1 {
-		return nil, 0, errors.New("wire: zero-length frame")
+		return nil, 0, errZeroLength
 	}
 	if length > MaxPayload {
 		return nil, 0, ErrFrameTooLarge
@@ -452,7 +484,7 @@ func Decode(buf []byte) (Frame, int, error) {
 	if len(buf) < 4+length {
 		return nil, 0, ErrIncomplete
 	}
-	f, err := DecodePayload(buf[4:4+length], nil)
+	f, err := DecodePayload(buf[4 : 4+length])
 	if err != nil {
 		return nil, 0, err
 	}

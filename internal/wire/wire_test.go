@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // every frame type with representative field values, including the edge
@@ -111,6 +113,11 @@ func TestDecodeMultipleFrames(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
+	// The longest frame a length header may announce, which a Reader
+	// must still hold whole to find what is wrong with it.
+	maxFrame := binary.BigEndian.AppendUint32(nil, MaxPayload)
+	maxFrame = append(maxFrame, TypeCloseStream)
+	maxFrame = append(maxFrame, make([]byte, MaxPayload-1)...)
 	cases := []struct {
 		name string
 		buf  []byte
@@ -120,12 +127,19 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown type", []byte{0, 0, 0, 1, 0x7f}},
 		{"truncated hello", []byte{0, 0, 0, 2, TypeHello, 0}},
 		{"trailing bytes", []byte{0, 0, 0, 6, TypeCloseStream, 0, 0, 0, 1, 0xee}},
+		{"trailing bytes at max payload", maxFrame},
 		{"sample feature count lies", []byte{0, 0, 0, 19, TypeSample, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}},
 		{"string over max", append([]byte{0, 0, 0, 5, TypeHello, 0, 1, 0xff, 0xff}, make([]byte, 0)...)},
 	}
 	for _, tc := range cases {
 		if _, _, err := Decode(tc.buf); err == nil || errors.Is(err, ErrIncomplete) {
 			t.Errorf("%s: Decode err=%v, want a hard decode error", tc.name, err)
+		} else if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: Decode err=%v does not wrap ErrMalformed", tc.name, err)
+		}
+		// A Reader reports the same frame as malformed, not as an I/O end.
+		if _, err := NewReader(bytes.NewReader(tc.buf)).Next(); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: Reader.Next err=%v, want ErrMalformed", tc.name, err)
 		}
 	}
 }
@@ -167,8 +181,6 @@ func TestReaderWriter(t *testing.T) {
 			t.Fatalf("frame %d: type 0x%02x, want 0x%02x", i, got.Type(), want.Type())
 		}
 		if s, ok := got.(Sample); ok {
-			// The reader-owned features buffer aliases; copy before the
-			// next call per the documented contract.
 			ws := want.(Sample)
 			if len(s.Features) != len(ws.Features) {
 				t.Fatalf("frame %d: %d features, want %d", i, len(s.Features), len(ws.Features))
@@ -181,14 +193,106 @@ func TestReaderWriter(t *testing.T) {
 }
 
 func TestReaderTruncatedStream(t *testing.T) {
-	full, err := Append(nil, Heartbeat{Nanos: 99})
+	for _, f := range []Frame{Heartbeat{Nanos: 99}, Sample{Stream: 1, Seq: 2, Features: []float64{1, 2}}} {
+		full, err := Append(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 1; cut < len(full); cut++ {
+			r := NewReader(bytes.NewReader(full[:cut]))
+			if _, err := r.Next(); err != io.ErrUnexpectedEOF {
+				t.Errorf("%T cut at %d: Next err=%v, want io.ErrUnexpectedEOF", f, cut, err)
+			}
+			var s Sample
+			r = NewReader(bytes.NewReader(full[:cut]))
+			if _, err := r.ReadSample(&s); err != io.ErrUnexpectedEOF {
+				t.Errorf("%T cut at %d: ReadSample err=%v, want io.ErrUnexpectedEOF", f, cut, err)
+			}
+		}
+	}
+}
+
+// TestReaderBurst walks a stream the way the front end's read loop does:
+// Ready says whether the next frame is already buffered, ReadSample takes
+// Samples and leaves every other frame for Next. Fed through readers that
+// deliver one byte or half the request per read, frames end up split
+// across buffered reads, and ReadSample must still see every frame in
+// order.
+func TestReaderBurst(t *testing.T) {
+	var stream []byte
+	var want []Frame
+	for i := 0; i < 3000; i++ {
+		var f Frame = Sample{Stream: uint32(i % 5), Seq: uint32(i), IngressNanos: uint64(i) * 7,
+			Features: []float64{float64(i), 0.5, -1, math.Inf(1)}}
+		switch i % 97 {
+		case 0:
+			f = OpenStream{Stream: uint32(i), App: "app"}
+		case 50:
+			f = Heartbeat{Nanos: uint64(i)}
+		}
+		var err error
+		if stream, err = Append(stream, f); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f)
+	}
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"whole": func(r io.Reader) io.Reader { return r },
+		"half":  iotest.HalfReader,
+		"byte":  iotest.OneByteReader,
+	} {
+		r := NewReader(wrap(bytes.NewReader(stream)))
+		var s Sample
+		for i, w := range want {
+			ok, err := r.ReadSample(&s)
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			var got Frame = s
+			if !ok {
+				if got, err = r.Next(); err != nil {
+					t.Fatalf("%s: frame %d: %v", name, i, err)
+				}
+			}
+			if ok != (w.Type() == TypeSample) {
+				t.Fatalf("%s: frame %d: ReadSample took=%v for type 0x%02x", name, i, ok, w.Type())
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s: frame %d: got %#v, want %#v", name, i, got, w)
+			}
+		}
+		if r.Ready() {
+			t.Fatalf("%s: Ready after the last frame", name)
+		}
+		if ok, err := r.ReadSample(&s); ok || err != io.EOF {
+			t.Fatalf("%s: after the last frame: ReadSample = %v, %v, want io.EOF", name, ok, err)
+		}
+	}
+}
+
+// TestReaderReady pins the whole-frame check the read loop uses to decide
+// when a read could block: the next frame is ready only once every byte
+// of it is buffered, and a frame over MaxPayload never is.
+func TestReaderReady(t *testing.T) {
+	frame, err := Append(nil, Sample{Stream: 1, Seq: 2, Features: []float64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 1; cut < len(full); cut++ {
-		r := NewReader(bytes.NewReader(full[:cut]))
-		if _, err := r.Next(); err != io.ErrUnexpectedEOF {
-			t.Errorf("cut at %d: err=%v, want io.ErrUnexpectedEOF", cut, err)
+	if NewReader(bytes.NewReader(frame)).Ready() {
+		t.Fatal("Ready before anything was read")
+	}
+	long := append([]byte{0, 1, 0, 0, TypeError}, make([]byte, 100)...) // announces 64 KiB, over MaxPayload
+	for k := 0; k <= len(frame); k++ {
+		for name, next := range map[string][]byte{"sample": frame[:k], "long": long[:min(k, len(long))]} {
+			// Reading the first frame buffers the whole stream behind it.
+			r := NewReader(bytes.NewReader(append(append([]byte{}, frame...), next...)))
+			var s Sample
+			if ok, err := r.ReadSample(&s); !ok || err != nil {
+				t.Fatalf("%s/%d: first frame: %v, %v", name, k, ok, err)
+			}
+			if want := name == "sample" && k == len(frame); r.Ready() != want {
+				t.Errorf("%s: Ready() = %v with %d bytes of the next frame buffered", name, !want, len(next))
+			}
 		}
 	}
 }
@@ -217,24 +321,84 @@ func TestWriterWriteAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkWireSample measures the hot encode+decode path of one 4-feature
-// sample frame, the unit of work the serving layer pays per streamed HPC
-// sample on each side of the socket.
+// TestReaderReadAllocs is the decode half of TestWriterWriteAllocs:
+// reading a buffered burst of Sample frames into a caller-owned Sample
+// allocates nothing, and Next of a Verdict allocates only the box that
+// carries it as a Frame.
+func TestReaderReadAllocs(t *testing.T) {
+	var burst []byte
+	for seq := uint32(0); seq < 64; seq++ {
+		var err error
+		burst, err = Append(burst, Sample{Stream: 3, Seq: seq, IngressNanos: 99, Features: []float64{1.25, 0.5, 3.75, 0.125}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewReader(&replay{frames: burst})
+	var s Sample
+	readBurst := func() {
+		for i := 0; i < 64; i++ {
+			if ok, err := r.ReadSample(&s); !ok || err != nil {
+				t.Fatalf("ReadSample = %v, %v", ok, err)
+			}
+		}
+	}
+	readBurst()
+	if n := testing.AllocsPerRun(100, readBurst); n != 0 {
+		t.Errorf("reading a burst of 64 Samples allocates %.1f times, want 0", n)
+	}
+
+	verdict, err := Append(nil, Verdict{Stream: 3, Seq: 7, Flags: FlagMalware, Class: 2, Score: 0.9, Smoothed: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv := NewReader(&replay{frames: verdict})
+	next := func() {
+		if _, err := rv.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next()
+	if n := testing.AllocsPerRun(100, next); n != 1 {
+		t.Errorf("Reader.Next of a Verdict allocates %.1f times per call, want 1 (the Frame box)", n)
+	}
+}
+
+// replay is an endless stream repeating frames, as a busy connection
+// keeps a Reader's buffer full.
+type replay struct {
+	frames []byte
+	off    int
+}
+
+func (p *replay) Read(b []byte) (int, error) {
+	n := 0
+	for n < len(b) {
+		k := copy(b[n:], p.frames[p.off:])
+		n += k
+		p.off = (p.off + k) % len(p.frames)
+	}
+	return n, nil
+}
+
+// BenchmarkWireSample measures one 4-feature sample frame through both
+// sides of the socket: the encode a sender pays (Append) and the decode
+// the front end's read loop pays (Reader.ReadSample into a reused Sample,
+// its buffer kept full by a replayed stream of that frame).
 func BenchmarkWireSample(b *testing.B) {
 	s := Sample{Stream: 3, Seq: 7, Features: []float64{1.25, 0.5, 3.75, 0.125}}
 	buf, err := Append(nil, s)
 	if err != nil {
 		b.Fatal(err)
 	}
-	feats := make([]float64, 4)
+	r := NewReader(&replay{frames: append([]byte(nil), buf...)})
+	var got Sample
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, _ = Append(buf[:0], s)
-		f, err := DecodePayload(buf[4:], feats)
-		if err != nil {
-			b.Fatal(err)
+		if ok, err := r.ReadSample(&got); !ok || err != nil {
+			b.Fatalf("ReadSample = %v, %v", ok, err)
 		}
-		feats = f.(Sample).Features
 	}
 }
