@@ -105,7 +105,7 @@ func main() {
 	scale := flag.Float64("scale", 0.01, "diff/-reference: synthetic corpus scale")
 	seed := flag.Int64("seed", 1, "diff/-reference: synthetic corpus seed")
 	workers := flag.Int("workers", 0, "diff/backtest: scoring parallelism (0 = NumCPU)")
-	logDir := flag.String("log", "", "backtest/logverify: sample log directory (written by smartserve/smartgw -samplelog)")
+	logDir := flag.String("log", "", "backtest/logverify: sample log directory (written by smartserve -samplelog)")
 	appFilter := flag.String("app", "", "backtest: replay only this application's records")
 	fromTS := flag.String("from", "", "backtest: replay window start, inclusive (RFC3339, e.g. 2026-08-07T12:00:00Z)")
 	toTS := flag.String("to", "", "backtest: replay window end, inclusive (RFC3339)")
@@ -556,7 +556,7 @@ func parseWindowTS(flagName, val string) int64 {
 // the fleet actually served — runDiff's report shape over real traffic.
 func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, candVer int, appFilter, fromTS, toTS, envelopeIn string, workers int, jsonOut bool) {
 	if logDir == "" {
-		app.Fatal(fmt.Errorf("backtest needs -log DIR (a smartserve/smartgw -samplelog directory)"))
+		app.Fatal(fmt.Errorf("backtest needs -log DIR (a smartserve -samplelog directory)"))
 	}
 	if candVer == 0 {
 		m, err := reg.Manifest()
@@ -627,7 +627,7 @@ func runBacktest(ctx context.Context, reg *registry.Registry, logDir string, can
 // crash-recovery step can assert a SIGKILLed log recovered cleanly).
 func runLogVerify(logDir string, jsonOut bool) {
 	if logDir == "" {
-		app.Fatal(fmt.Errorf("logverify needs -log DIR (a smartserve/smartgw -samplelog directory)"))
+		app.Fatal(fmt.Errorf("logverify needs -log DIR (a smartserve -samplelog directory)"))
 	}
 	rep, err := samplelog.Verify(logDir)
 	if err != nil {

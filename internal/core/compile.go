@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"twosmart/internal/ml"
+	"twosmart/internal/parallel"
 	"twosmart/internal/workload"
 )
 
@@ -197,6 +200,37 @@ func (cd *CompiledDetector) DetectScoredBatch(dst []Verdict, scores []float64, s
 		}
 	}
 	return nil
+}
+
+// DetectAll scores every sample offline: verdicts[i] and scores[i] are
+// the compiled detector's Detect and MalwareScore values for samples[i],
+// from one stage-1 + stage-2 evaluation per sample. The samples are split
+// into one contiguous chunk per worker; each worker compiles its own
+// detector and scores its chunk with DetectScoredBatch. opts.Workers <= 0
+// means runtime.NumCPU(), and never more workers than samples; opts.Hook
+// and opts.OnProgress observe the chunks. A sample of the wrong width is
+// an error.
+func (det *Detector) DetectAll(ctx context.Context, samples [][]float64, opts parallel.Options) ([]Verdict, []float64, error) {
+	width := det.NumFeatures()
+	for i, fv := range samples {
+		if len(fv) != width {
+			return nil, nil, fmt.Errorf("core: sample %d has %d features, want %d", i, len(fv), width)
+		}
+	}
+	verdicts := make([]Verdict, len(samples))
+	scores := make([]float64, len(samples))
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.NumCPU()
+	}
+	opts.Workers = min(opts.Workers, len(samples))
+	err := parallel.ForEach(ctx, opts.Workers, opts, func(_ context.Context, w int) error {
+		lo, hi := w*len(samples)/opts.Workers, (w+1)*len(samples)/opts.Workers
+		return det.Compile().DetectScoredBatch(verdicts[lo:hi], scores[lo:hi], samples[lo:hi])
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return verdicts, scores, nil
 }
 
 // Stage2Kind reports the compiled specialized detector's algorithm for a

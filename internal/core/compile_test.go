@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"twosmart/internal/parallel"
 	"twosmart/internal/workload"
 )
 
@@ -184,6 +186,56 @@ func TestDetectScoredBatch(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("DetectScoredBatch allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestDetectAll pins the offline fan-out against per-sample Detect and
+// MalwareScore, bit for bit, at the default worker count (0), one worker,
+// uneven chunks, and more workers than samples. 50 workers over 97
+// samples is a split where chunks of ceil(97/50) = 2 would run out
+// before the last worker. A wrong-width sample is an error, and no
+// samples score to nothing.
+func TestDetectAll(t *testing.T) {
+	det, cd := compiledFixtures(t, false)
+	data, err := testData(t).SelectByName(CommonFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 97
+	samples := make([][]float64, n)
+	wantVerdicts := make([]Verdict, n)
+	wantScores := make([]float64, n)
+	for i := range samples {
+		samples[i] = data.Instances[i%data.Len()].Features
+		if wantVerdicts[i], err = cd.Detect(samples[i]); err != nil {
+			t.Fatal(err)
+		}
+		if wantScores[i], err = cd.MalwareScore(samples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, workers := range []int{0, 1, 3, 50, n + 5} {
+		verdicts, scores, err := det.DetectAll(ctx, samples, parallel.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if len(verdicts) != n || len(scores) != n {
+			t.Fatalf("workers %d: %d verdicts, %d scores for %d samples", workers, len(verdicts), len(scores), n)
+		}
+		for i := range samples {
+			if verdicts[i] != wantVerdicts[i] || math.Float64bits(scores[i]) != math.Float64bits(wantScores[i]) {
+				t.Fatalf("workers %d, sample %d: %+v %v, want %+v %v",
+					workers, i, verdicts[i], scores[i], wantVerdicts[i], wantScores[i])
+			}
+		}
+	}
+	bad := append(append([][]float64(nil), samples...), []float64{1})
+	if _, _, err := det.DetectAll(ctx, bad, parallel.Options{Workers: 3}); err == nil {
+		t.Fatal("wrong-width sample accepted")
+	}
+	if v, s, err := det.DetectAll(ctx, nil, parallel.Options{}); err != nil || len(v) != 0 || len(s) != 0 {
+		t.Fatalf("no samples: %d verdicts, %d scores, err %v", len(v), len(s), err)
 	}
 }
 

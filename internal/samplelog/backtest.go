@@ -16,7 +16,8 @@ import (
 type BacktestOptions struct {
 	// Version is the candidate's registry version, echoed in the report.
 	Version int
-	// Workers bounds the replay fan-out (default: parallel's default).
+	// Workers bounds the candidate's scoring fan-out; zero or less means
+	// runtime.NumCPU(), as in core.Detector.DetectAll.
 	Workers int
 	// FromNanos/ToNanos bound the replay window (inclusive); zero means
 	// unbounded on that side.
@@ -62,7 +63,9 @@ type BacktestResult struct {
 	Report shadow.Report `json:"report"`
 	// Log is the integrity scan of the whole directory.
 	Log VerifyReport `json:"log"`
-	// Replayed counts records actually scored against the candidate.
+	// Replayed counts the scored records that passed the filters: those
+	// the candidate scored plus those of another width, which count in
+	// Report.Errors.
 	Replayed int `json:"replayed"`
 	// SkippedUnscored counts records that carried no recorded verdict.
 	// The shard scores every record it writes; unscored records come from
@@ -77,76 +80,36 @@ type BacktestResult struct {
 	Cascade *CascadeBacktest `json:"cascade,omitempty"`
 }
 
-// btStats is one backtest worker's accumulator: the shared shadow
-// divergence accumulator plus the cascade replay counters.
-type btStats struct {
-	div shadow.Stats
-
-	// cascade replay accounting (all zero when no envelope rides along)
-	cascadeShort  uint64
-	cascadePass   uint64
-	malwareShort  uint64
-	cascadeErrors uint64 // records whose width the envelope could not score
-}
-
-// observe replays one record through the candidate against the verdict
-// the fleet recorded for it.
-func (st *btStats) observe(cand *core.CompiledDetector, rec Record) {
-	st.div.Observe(cand, rec.Features, shadow.Primary{
-		Malware: rec.Malware(),
-		Class:   workload.Class(rec.Class).String(),
-		Score:   rec.Score,
-	})
-}
-
-// observeCascade replays one record through the stage-0 envelope and
-// accounts what the cascade would have done to it.
-func (st *btStats) observeCascade(env *anomaly.Compiled, threshold float64, rec Record) {
-	if len(rec.Features) != env.NumFeatures() {
-		st.cascadeErrors++
-		return
-	}
-	if env.Score(rec.Features) <= threshold {
-		st.cascadeShort++
-		if rec.Malware() {
-			st.malwareShort++
-		}
-	} else {
-		st.cascadePass++
-	}
-}
-
-func (st *btStats) merge(o btStats) {
-	st.div.Merge(o.div)
-	st.cascadeShort += o.cascadeShort
-	st.cascadePass += o.cascadePass
-	st.malwareShort += o.malwareShort
-	st.cascadeErrors += o.cascadeErrors
-}
-
 // Backtest replays a recorded log window through a candidate detector at
 // full speed and reports divergence against the verdicts the fleet
 // actually served. Records without a recorded verdict (edge captures in
 // logs an earlier gateway wrote) are skipped — there is nothing to
-// diverge from. Each worker compiles its own candidate (compiled
-// detectors are single-goroutine by contract) and scores a contiguous
-// chunk; the torn/corrupt accounting of the underlying scan rides along
-// in the result.
+// diverge from — and records of another width than the candidate's count
+// as scoring errors. The rest are scored with one Detector.DetectAll and
+// folded against their recorded verdicts; with an envelope, a sequential
+// recount replays them through the cascade. The torn/corrupt accounting
+// of the underlying scan rides along in the result.
 func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts BacktestOptions) (BacktestResult, error) {
 	var res BacktestResult
 	if candidate == nil {
 		return res, errors.New("samplelog: nil candidate detector")
 	}
+	width := candidate.NumFeatures()
 	if opts.Envelope != nil {
 		if err := opts.Envelope.Validate(); err != nil {
 			return res, fmt.Errorf("samplelog: cascade envelope: %w", err)
 		}
-		if opts.Envelope.NumFeatures() != candidate.NumFeatures() {
+		if opts.Envelope.NumFeatures() != width {
 			return res, fmt.Errorf("samplelog: cascade envelope has %d features, candidate wants %d",
-				opts.Envelope.NumFeatures(), candidate.NumFeatures())
+				opts.Envelope.NumFeatures(), width)
 		}
 	}
-	var records []Record
+	var (
+		samples    [][]float64
+		ref        []core.Verdict
+		refScores  []float64
+		mismatched int
+	)
 	rep, err := ReadDir(dir, func(r Record) error {
 		if !r.Scored() {
 			res.SkippedUnscored++
@@ -158,65 +121,50 @@ func Backtest(ctx context.Context, dir string, candidate *core.Detector, opts Ba
 			res.SkippedFiltered++
 			return nil
 		}
-		records = append(records, r)
+		if len(r.Features) != width {
+			mismatched++
+			return nil
+		}
+		samples = append(samples, r.Features)
+		ref = append(ref, core.Verdict{PredictedClass: workload.Class(r.Class), Malware: r.Malware()})
+		refScores = append(refScores, r.Score)
 		return nil
 	})
 	if err != nil {
 		return res, err
 	}
 	res.Log = rep
-	res.Replayed = len(records)
-	if len(records) == 0 {
+	res.Replayed = len(samples) + mismatched
+	if res.Replayed == 0 {
 		return res, fmt.Errorf("samplelog: no scored records to replay in %s (records=%d, unscored=%d, filtered=%d)",
 			dir, rep.Records, res.SkippedUnscored, res.SkippedFiltered)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(records) {
-		workers = len(records)
-	}
-	chunk := (len(records) + workers - 1) / workers
-	parts, err := parallel.Map(ctx, workers, parallel.Options{Workers: workers}, func(_ context.Context, w int) (btStats, error) {
-		lo := w * chunk
-		hi := min(lo+chunk, len(records))
-		cand := candidate.Compile()
-		var env *anomaly.Compiled
-		if opts.Envelope != nil {
-			env = opts.Envelope.Compile()
-		}
-		var st btStats
-		for _, rec := range records[lo:hi] {
-			st.observe(cand, rec)
-			if env != nil {
-				st.observeCascade(env, opts.Envelope.Threshold, rec)
-			}
-		}
-		return st, nil
-	})
+	cand, candScores, err := candidate.DetectAll(ctx, samples, parallel.Options{Workers: opts.Workers})
 	if err != nil {
 		return res, err
 	}
-	var total btStats
-	for _, st := range parts {
-		total.merge(st)
-	}
-	res.Report = total.div.Report(opts.Version, 0)
-	if res.Report.Errors > 0 && res.Report.Scored == 0 {
-		return res, fmt.Errorf("samplelog: candidate scored none of %d records (feature width mismatch?)", len(records))
+	var st shadow.Stats
+	st.Fold(ref, refScores, cand, candScores)
+	st.Fail(mismatched)
+	res.Report = st.Report(opts.Version, 0)
+	if len(samples) == 0 {
+		return res, fmt.Errorf("samplelog: candidate scored none of %d records (feature width mismatch?)", mismatched)
 	}
 	if opts.Envelope != nil {
-		cb := &CascadeBacktest{
-			Threshold:             opts.Envelope.Threshold,
-			ShortCircuited:        total.cascadeShort,
-			PassedOn:              total.cascadePass,
-			MalwareShortCircuited: total.malwareShort,
+		env := opts.Envelope.Compile()
+		cb := &CascadeBacktest{Threshold: opts.Envelope.Threshold}
+		for i, fv := range samples {
+			if env.Score(fv) <= cb.Threshold {
+				cb.ShortCircuited++
+				if ref[i].Malware {
+					cb.MalwareShortCircuited++
+				}
+			} else {
+				cb.PassedOn++
+			}
 		}
-		if replayed := total.cascadeShort + total.cascadePass; replayed > 0 {
-			cb.ShortFraction = float64(total.cascadeShort) / float64(replayed)
-		}
+		cb.ShortFraction = float64(cb.ShortCircuited) / float64(len(samples))
 		res.Cascade = cb
 	}
 	return res, nil

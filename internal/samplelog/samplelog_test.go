@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -662,5 +663,53 @@ func TestBacktestFilters(t *testing.T) {
 	}
 	if _, err := Backtest(context.Background(), dir, live, BacktestOptions{App: "nope"}); err == nil {
 		t.Fatal("empty replay set must error")
+	}
+}
+
+// TestBacktestMixedWidths pins how a log holding records of another width
+// than the candidate's replays: those records count as scoring errors,
+// and the rest are scored and cascade-replayed. With no record of the
+// candidate's width the backtest fails.
+func TestBacktestMixedWidths(t *testing.T) {
+	live, _, data := fixtures(t)
+	const narrow = 3
+	writeNarrow := func(dir string) {
+		w, err := OpenWriter(WriterConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < narrow; i++ {
+			w.Append(Record{Nanos: int64(i + 1), App: "narrow", Flags: FlagScored, Score: 0.5,
+				Features: data.Instances[i].Features[:2]})
+		}
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	n := writeScoredLog(t, dir, live, data)
+	writeNarrow(dir)
+	res, err := Backtest(context.Background(), dir, live, BacktestOptions{
+		Workers: 2, Envelope: cascadeEnvelope(t, data),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed != n+narrow || res.Report.Scored != uint64(n) || res.Report.Errors != narrow {
+		t.Fatalf("replayed %d, scored %d, errors %d; want %d, %d, %d",
+			res.Replayed, res.Report.Scored, res.Report.Errors, n+narrow, n, narrow)
+	}
+	if res.Report.Disagreements != 0 {
+		t.Fatalf("self backtest diverged: %+v", res.Report)
+	}
+	if got := res.Cascade.ShortCircuited + res.Cascade.PassedOn; got != uint64(n) {
+		t.Fatalf("cascade replayed %d records, want the %d scored", got, n)
+	}
+
+	only := t.TempDir()
+	writeNarrow(only)
+	if _, err := Backtest(context.Background(), only, live, BacktestOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "scored none") || !strings.Contains(err.Error(), "feature width mismatch?") {
+		t.Fatalf("err %v, want the scored-none width-mismatch error", err)
 	}
 }

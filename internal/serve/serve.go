@@ -347,8 +347,8 @@ func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(),
 
 // tap feeds every scored chunk to the active generation's drift monitor
 // and offers it to the attached shadow scorer and the durable sample log,
-// if configured — the last two off the hot path: Offer and Append copy
-// what they keep and never block.
+// if configured — the last two off the hot path: each takes the whole
+// chunk in one call, copies what it keeps and never blocks.
 func (s *Server) tap(ch session.TapChunk) {
 	if dm := s.active.Load().Drift; dm != nil {
 		// ObserveBatch fails only on a sample of another width, which
@@ -357,13 +357,7 @@ func (s *Server) tap(ch session.TapChunk) {
 		_ = dm.ObserveBatch(ch.Samples)
 	}
 	if sh := s.shadowP.Load(); sh != nil {
-		for i := range ch.Samples {
-			sh.Offer(ch.Samples[i], shadow.Primary{
-				Malware: ch.Verdicts[i].Malware,
-				Class:   ch.Verdicts[i].PredictedClass.String(),
-				Score:   ch.Scores[i],
-			})
-		}
+		sh.Offer(ch.Samples, ch.Verdicts, ch.Scores)
 	}
 	if sl := s.cfg.SampleLog; sl != nil {
 		// One AppendBatch per chunk: per-record locking here serializes

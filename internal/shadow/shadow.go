@@ -1,16 +1,20 @@
-// Package shadow scores a candidate model side-by-side with the live one
-// so an operator can measure how a new registry version would behave on
-// real traffic before promoting it. The live path stays untouched: the
-// serving tier hands each scored sample (features plus the primary
-// verdict) to a Shadow, which copies it into a bounded queue and returns
-// immediately; a drain goroutine re-scores the sample with the candidate
-// off the hot path and accumulates divergence statistics. When the queue
-// is full the sample is dropped and counted — shadow scoring sheds load
-// before it can ever back-pressure live detection.
+// Package shadow compares a candidate model with a reference so an
+// operator can measure how a new registry version would behave before
+// promoting it. Every comparison scores the candidate through the
+// compiled batch path and folds (reference verdict and score, candidate
+// verdict and score) pairs into one Stats:
 //
-// For offline comparison (cmd/smartctl diff), Evaluate scores a replayed
-// sample set under both models at once, fanned out through the shared
-// worker pool.
+//   - Shadow re-scores live traffic off the hot path. The serving tier
+//     offers each scored chunk (features plus the live verdicts and
+//     scores); Offer copies it into a queue bounded in samples and returns
+//     immediately, and a drain goroutine scores each chunk with one
+//     DetectScoredBatch and folds it. A chunk that would overfill the
+//     queue is dropped whole and counted — shadow scoring sheds load
+//     before it can ever back-pressure live detection.
+//   - Evaluate compares two models offline over a sample set (cmd/smartctl
+//     diff): two Detector.DetectAll calls and one fold.
+//   - samplelog.Backtest compares a candidate with the verdicts a recorded
+//     sample log carries.
 package shadow
 
 import (
@@ -19,19 +23,23 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"twosmart/internal/core"
 	"twosmart/internal/parallel"
 	"twosmart/internal/telemetry"
+	"twosmart/internal/workload"
 )
 
-// DefaultQueue is the bounded queue depth when Config.Queue is zero.
+// DefaultQueue is the bound on queued samples when Config.Queue is zero.
+// The serving tier offers chunks of at most 512 samples, so two fit.
 const DefaultQueue = 1024
 
 // Config tunes a streaming Shadow.
 type Config struct {
-	// Queue bounds the copy-in queue; offers beyond it are dropped and
-	// counted, never blocked on. Defaults to DefaultQueue.
+	// Queue bounds the samples queued for the scorer; a chunk that would
+	// take them past the bound is dropped whole and counted, never
+	// blocked on. Defaults to DefaultQueue.
 	Queue int
 	// Version is the candidate's registry version, echoed in reports.
 	Version int
@@ -39,29 +47,16 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// Primary is the live path's decision for one sample, the baseline the
-// candidate is compared against.
-type Primary struct {
-	Malware bool
-	Class   string  // primary's predicted class name, keys per-class stats
-	Score   float64 // primary's malware ranking score
-}
-
-type observation struct {
-	features []float64 // owned copy
-	primary  Primary
-}
-
-// ClassStat is the divergence of one primary-predicted class.
+// ClassStat is the divergence of one reference-predicted class.
 type ClassStat struct {
 	Observed     uint64  `json:"observed"`
 	Disagreed    uint64  `json:"disagreed"`
 	MeanAbsDelta float64 `json:"mean_abs_delta"`
 }
 
-// Report summarises a shadow run. VerdictDivergence is the fraction of
+// Report summarises a comparison. VerdictDivergence is the fraction of
 // scored samples where the candidate's malware decision differed from
-// the live model's.
+// the reference's.
 type Report struct {
 	CandidateVersion  int                  `json:"candidate_version,omitempty"`
 	Scored            uint64               `json:"scored"`
@@ -74,18 +69,18 @@ type Report struct {
 	PerClass          map[string]ClassStat `json:"per_class,omitempty"`
 }
 
-// Stats accumulates a candidate's divergence from primary decisions:
-// live shadow scoring, offline Evaluate and log backtests all fold
-// samples into one and emit its Report. Accumulators from parallel
-// workers combine with Merge. The zero value is ready to use; a Stats is
-// not safe for concurrent use.
+// Stats accumulates a candidate's divergence from a reference — the live
+// model, a baseline version or the recorded verdicts — and emits its
+// Report. Live shadow scoring, Evaluate and log backtests all fold into
+// one. The zero value is ready to use; a Stats is not safe for concurrent
+// use.
 type Stats struct {
 	scored        uint64
 	errors        uint64
 	disagreements uint64
 	sumAbsDelta   float64
 	maxDelta      float64
-	perClass      map[string]*classAcc
+	perClass      map[workload.Class]*classAcc
 }
 
 type classAcc struct {
@@ -94,63 +89,41 @@ type classAcc struct {
 	sumAbsDelta float64
 }
 
-// class returns the per-class accumulator for name, creating it.
-func (st *Stats) class(name string) *classAcc {
+// Fold adds samples scored by both sides, in order: ref[i] and
+// refScores[i] are the reference's verdict and malware score for sample
+// i, cand[i] and candScores[i] the candidate's; all four have equal
+// length. Per-class stats key on the reference's predicted class. Fold
+// returns how many of the samples the two malware decisions disagree on.
+func (st *Stats) Fold(ref []core.Verdict, refScores []float64, cand []core.Verdict, candScores []float64) uint64 {
 	if st.perClass == nil {
-		st.perClass = make(map[string]*classAcc)
+		st.perClass = make(map[workload.Class]*classAcc)
 	}
-	ca := st.perClass[name]
-	if ca == nil {
-		ca = &classAcc{}
-		st.perClass[name] = ca
+	var disagreed uint64
+	for i := range ref {
+		delta := math.Abs(candScores[i] - refScores[i])
+		st.sumAbsDelta += delta
+		if delta > st.maxDelta {
+			st.maxDelta = delta
+		}
+		ca := st.perClass[ref[i].PredictedClass]
+		if ca == nil {
+			ca = &classAcc{}
+			st.perClass[ref[i].PredictedClass] = ca
+		}
+		ca.observed++
+		ca.sumAbsDelta += delta
+		if cand[i].Malware != ref[i].Malware {
+			disagreed++
+			ca.disagreed++
+		}
 	}
-	return ca
+	st.scored += uint64(len(ref))
+	st.disagreements += disagreed
+	return disagreed
 }
 
-// Observe scores one sample with the candidate and folds the comparison
-// with the primary decision p into the accumulator.
-func (st *Stats) Observe(cand *core.CompiledDetector, features []float64, p Primary) {
-	v, err := cand.Detect(features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	score, err := cand.MalwareScore(features)
-	if err != nil {
-		st.errors++
-		return
-	}
-	st.scored++
-	delta := math.Abs(score - p.Score)
-	st.sumAbsDelta += delta
-	if delta > st.maxDelta {
-		st.maxDelta = delta
-	}
-	ca := st.class(p.Class)
-	ca.observed++
-	ca.sumAbsDelta += delta
-	if v.Malware != p.Malware {
-		st.disagreements++
-		ca.disagreed++
-	}
-}
-
-// Merge folds another accumulator into st.
-func (st *Stats) Merge(o Stats) {
-	st.scored += o.scored
-	st.errors += o.errors
-	st.disagreements += o.disagreements
-	st.sumAbsDelta += o.sumAbsDelta
-	if o.maxDelta > st.maxDelta {
-		st.maxDelta = o.maxDelta
-	}
-	for name, ca := range o.perClass {
-		dst := st.class(name)
-		dst.observed += ca.observed
-		dst.disagreed += ca.disagreed
-		dst.sumAbsDelta += ca.sumAbsDelta
-	}
-}
+// Fail counts n samples the candidate could not score.
+func (st *Stats) Fail(n int) { st.errors += uint64(n) }
 
 // Report summarises the accumulated divergence for candidate version,
 // with dropped counting samples that never reached the accumulator.
@@ -169,15 +142,23 @@ func (st *Stats) Report(version int, dropped uint64) Report {
 	}
 	if len(st.perClass) > 0 {
 		rep.PerClass = make(map[string]ClassStat, len(st.perClass))
-		for name, ca := range st.perClass {
-			cs := ClassStat{Observed: ca.observed, Disagreed: ca.disagreed}
-			if ca.observed > 0 {
-				cs.MeanAbsDelta = ca.sumAbsDelta / float64(ca.observed)
+		for class, ca := range st.perClass {
+			rep.PerClass[class.String()] = ClassStat{
+				Observed:     ca.observed,
+				Disagreed:    ca.disagreed,
+				MeanAbsDelta: ca.sumAbsDelta / float64(ca.observed),
 			}
-			rep.PerClass[name] = cs
 		}
 	}
 	return rep
+}
+
+// chunk is one offered chunk, copied: the samples' features (one backing
+// array) with the live verdicts and scores.
+type chunk struct {
+	samples  [][]float64
+	verdicts []core.Verdict
+	scores   []float64
 }
 
 // Shadow re-scores live traffic with a candidate model off the hot path.
@@ -185,15 +166,25 @@ func (st *Stats) Report(version int, dropped uint64) Report {
 type Shadow struct {
 	cand    *core.CompiledDetector
 	version int
+	limit   int64 // Config.Queue
 
-	queue chan observation
-	stop  chan struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
+	// queue carries offered chunks to the drain; queued counts their
+	// samples. A chunk is queued only after reserving its samples against
+	// limit, and no queued chunk is empty, so the queue (limit deep) never
+	// fills and Offer's send never blocks.
+	queue  chan chunk
+	queued atomic.Int64
+	stop   chan struct{}
+	once   sync.Once
+	wg     sync.WaitGroup
+
+	// the drain's candidate verdicts and scores, reused across chunks
+	verdicts []core.Verdict
+	scores   []float64
 
 	mu      sync.Mutex
 	st      Stats
-	dropped uint64
+	dropped atomic.Uint64
 
 	observedC telemetry.Counter
 	droppedC  telemetry.Counter
@@ -212,7 +203,8 @@ func New(candidate *core.Detector, cfg Config) (*Shadow, error) {
 	s := &Shadow{
 		cand:      candidate.Compile(),
 		version:   cfg.Version,
-		queue:     make(chan observation, cfg.Queue),
+		limit:     int64(cfg.Queue),
+		queue:     make(chan chunk, cfg.Queue),
 		stop:      make(chan struct{}),
 		observedC: cfg.Telemetry.Counter("shadow_observed_total"),
 		droppedC:  cfg.Telemetry.Counter("shadow_dropped_total"),
@@ -230,40 +222,55 @@ func (s *Shadow) NumFeatures() int { return s.cand.NumFeatures() }
 // Version returns the candidate's registry version.
 func (s *Shadow) Version() int { return s.version }
 
-// Offer hands one already-scored live sample to the shadow. The feature
-// vector is copied, so the caller may reuse its buffer. It never blocks:
-// when the queue is full (or the shadow is closed) the sample is dropped,
-// counted, and false is returned.
-func (s *Shadow) Offer(features []float64, primary Primary) bool {
+// Offer hands one already-scored live chunk to the shadow: samples[i]'s
+// features with the live model's verdicts[i] and scores[i]. The chunk is
+// copied, so the caller may reuse its buffers. It never blocks: when the
+// chunk would take the queue past Config.Queue samples (or the shadow is
+// closed) it is dropped whole and false is returned; a full queue counts
+// the chunk's samples as dropped.
+func (s *Shadow) Offer(samples [][]float64, verdicts []core.Verdict, scores []float64) bool {
 	select {
 	case <-s.stop:
 		return false
 	default:
 	}
-	o := observation{features: append([]float64(nil), features...), primary: primary}
-	select {
-	case s.queue <- o:
+	n := int64(len(samples))
+	if n == 0 {
 		return true
-	default:
-		s.mu.Lock()
-		s.dropped++
-		s.mu.Unlock()
-		s.droppedC.Inc()
+	}
+	if s.queued.Add(n) > s.limit {
+		s.queued.Add(-n)
+		s.dropped.Add(uint64(n))
+		s.droppedC.Add(uint64(n))
 		return false
 	}
+	// One backing array for the chunk's features; a sample of another
+	// width only grows it, and the drain then fails the chunk.
+	flat := make([]float64, 0, len(samples)*s.cand.NumFeatures())
+	c := chunk{
+		samples:  make([][]float64, len(samples)),
+		verdicts: append([]core.Verdict(nil), verdicts...),
+		scores:   append([]float64(nil), scores...),
+	}
+	for i, fv := range samples {
+		flat = append(flat, fv...)
+		c.samples[i] = flat[len(flat)-len(fv):]
+	}
+	s.queue <- c
+	return true
 }
 
 func (s *Shadow) drain() {
 	defer s.wg.Done()
 	for {
 		select {
-		case o := <-s.queue:
-			s.score(o)
+		case c := <-s.queue:
+			s.score(c)
 		case <-s.stop:
 			for {
 				select {
-				case o := <-s.queue:
-					s.score(o)
+				case c := <-s.queue:
+					s.score(c)
 				default:
 					return
 				}
@@ -272,20 +279,31 @@ func (s *Shadow) drain() {
 	}
 }
 
-func (s *Shadow) score(o observation) {
+// score runs the candidate over one chunk and folds it against the live
+// decisions; a chunk the candidate cannot score counts as errors whole.
+func (s *Shadow) score(c chunk) {
+	n := len(c.samples)
+	s.queued.Add(-int64(n))
+	if cap(s.verdicts) < n {
+		s.verdicts = make([]core.Verdict, n)
+		s.scores = make([]float64, n)
+	}
+	verdicts, scores := s.verdicts[:n], s.scores[:n]
+	err := s.cand.DetectScoredBatch(verdicts, scores, c.samples)
 	s.mu.Lock()
-	before := s.st.disagreements
-	s.st.Observe(s.cand, o.features, o.primary)
-	disagreed := s.st.disagreements - before
+	var disagreed uint64
+	if err != nil {
+		s.st.Fail(n)
+	} else {
+		disagreed = s.st.Fold(c.verdicts, c.scores, verdicts, scores)
+	}
 	var div float64
 	if s.st.scored > 0 {
 		div = float64(s.st.disagreements) / float64(s.st.scored)
 	}
 	s.mu.Unlock()
-	s.observedC.Inc()
-	if disagreed > 0 {
-		s.disagreeC.Inc()
-	}
+	s.observedC.Add(uint64(n))
+	s.disagreeC.Add(disagreed)
 	s.divergeG.Set(div)
 }
 
@@ -293,7 +311,7 @@ func (s *Shadow) score(o observation) {
 func (s *Shadow) Report() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.st.Report(s.version, s.dropped)
+	return s.st.Report(s.version, s.dropped.Load())
 }
 
 // Close stops accepting samples, drains what is already queued, waits for
@@ -305,10 +323,9 @@ func (s *Shadow) Close() Report {
 	return s.Report()
 }
 
-// Evaluate replays a sample set under both models at once and reports
-// the candidate's divergence from the baseline, fanning the work out
-// through the shared worker pool. Each worker compiles its own pair of
-// detectors (compiled detectors are single-goroutine by contract).
+// Evaluate scores a sample set under both models and reports the
+// candidate's divergence from the baseline: one Detector.DetectAll per
+// model, fanned out as opts says, then one fold.
 func Evaluate(ctx context.Context, baseline, candidate *core.Detector, samples [][]float64, opts parallel.Options) (Report, error) {
 	if baseline == nil || candidate == nil {
 		return Report{}, errors.New("shadow: nil detector")
@@ -316,45 +333,15 @@ func Evaluate(ctx context.Context, baseline, candidate *core.Detector, samples [
 	if len(samples) == 0 {
 		return Report{}, errors.New("shadow: no samples to evaluate")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(samples) {
-		workers = len(samples)
-	}
-	chunk := (len(samples) + workers - 1) / workers
-	parts, err := parallel.Map(ctx, workers, opts, func(_ context.Context, w int) (Stats, error) {
-		lo := w * chunk
-		hi := min(lo+chunk, len(samples))
-		base, cand := baseline.Compile(), candidate.Compile()
-		var st Stats
-		for _, features := range samples[lo:hi] {
-			v, err := base.Detect(features)
-			if err != nil {
-				return Stats{}, fmt.Errorf("shadow: baseline: %w", err)
-			}
-			score, err := base.MalwareScore(features)
-			if err != nil {
-				return Stats{}, fmt.Errorf("shadow: baseline: %w", err)
-			}
-			st.Observe(cand, features, Primary{
-				Malware: v.Malware,
-				Class:   v.PredictedClass.String(),
-				Score:   score,
-			})
-		}
-		return st, nil
-	})
+	ref, refScores, err := baseline.DetectAll(ctx, samples, opts)
 	if err != nil {
-		return Report{}, err
+		return Report{}, fmt.Errorf("shadow: baseline: %w", err)
 	}
-	var total Stats
-	for _, st := range parts {
-		total.Merge(st)
+	cand, candScores, err := candidate.DetectAll(ctx, samples, opts)
+	if err != nil {
+		return Report{}, fmt.Errorf("shadow: candidate: %w", err)
 	}
-	if total.errors > 0 && total.scored == 0 {
-		return Report{}, fmt.Errorf("shadow: candidate scored none of %d samples (feature width mismatch?)", len(samples))
-	}
-	return total.Report(0, 0), nil
+	var st Stats
+	st.Fold(ref, refScores, cand, candScores)
+	return st.Report(0, 0), nil
 }

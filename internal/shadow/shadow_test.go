@@ -2,7 +2,10 @@ package shadow
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,21 +55,30 @@ func fixtures(t *testing.T) (*core.Detector, *core.Detector, *dataset.Dataset) {
 	return fixDets[0], fixDets[1], fixData
 }
 
-// offerAll feeds every dataset sample through the live detector and into
-// the shadow, the way the serving tier does.
-func offerAll(t *testing.T, s *Shadow, live *core.CompiledDetector, d *dataset.Dataset) {
+// offerAll scores every dataset sample with the live detector and offers
+// the results in chunks of size samples, the way the serving tier does.
+// The verdict and score buffers are reused, so the shadow must copy them.
+func offerAll(t *testing.T, s *Shadow, live *core.CompiledDetector, d *dataset.Dataset, size int) {
 	t.Helper()
-	for _, ins := range d.Instances {
-		v, err := live.Detect(ins.Features)
-		if err != nil {
+	samples := featuresOf(d)
+	verdicts := make([]core.Verdict, size)
+	scores := make([]float64, size)
+	for lo := 0; lo < len(samples); lo += size {
+		chunk := samples[lo:min(lo+size, len(samples))]
+		n := len(chunk)
+		if err := live.DetectScoredBatch(verdicts[:n], scores[:n], chunk); err != nil {
 			t.Fatal(err)
 		}
-		score, err := live.MalwareScore(ins.Features)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Offer(ins.Features, Primary{Malware: v.Malware, Class: v.PredictedClass.String(), Score: score})
+		s.Offer(chunk, verdicts[:n], scores[:n])
 	}
+}
+
+func featuresOf(d *dataset.Dataset) [][]float64 {
+	samples := make([][]float64, len(d.Instances))
+	for i, ins := range d.Instances {
+		samples[i] = ins.Features
+	}
+	return samples
 }
 
 // TestShadowAgainstItself pins the zero-divergence baseline: a candidate
@@ -77,7 +89,7 @@ func TestShadowAgainstItself(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offerAll(t, s, live.Compile(), data)
+	offerAll(t, s, live.Compile(), data, 16)
 	rep := s.Close()
 	if rep.Scored == 0 || rep.Errors != 0 {
 		t.Fatalf("report %+v", rep)
@@ -103,7 +115,7 @@ func TestShadowDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offerAll(t, s, live.Compile(), data)
+	offerAll(t, s, live.Compile(), data, 16)
 	rep := s.Close()
 	if rep.Scored != uint64(len(data.Instances))-rep.Dropped {
 		t.Fatalf("scored %d + dropped %d != offered %d", rep.Scored, rep.Dropped, len(data.Instances))
@@ -138,7 +150,7 @@ func TestOfferNeverBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		offerAll(t, s, live.Compile(), data)
+		offerAll(t, s, live.Compile(), data, 1)
 	}()
 	select {
 	case <-done:
@@ -160,20 +172,19 @@ func TestOfferAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if s.Offer(data.Instances[0].Features, Primary{}) {
+	if s.Offer(featuresOf(data)[:1], make([]core.Verdict, 1), make([]float64, 1)) {
 		t.Fatal("closed shadow accepted a sample")
 	}
 	s.Close() // idempotent
 }
 
-// TestEvaluate pins the offline comparator: self-diff is zero, cross-diff
-// matches a sequential streaming shadow on the same data.
+// TestEvaluate pins the offline comparator: self-diff is zero, and a
+// 4-worker cross-diff equals a sequential streaming shadow on the same
+// data field for field — the fold runs in sample order at any worker
+// count.
 func TestEvaluate(t *testing.T) {
 	live, cand, data := fixtures(t)
-	samples := make([][]float64, len(data.Instances))
-	for i, ins := range data.Instances {
-		samples[i] = ins.Features
-	}
+	samples := featuresOf(data)
 
 	self, err := Evaluate(context.Background(), live, live, samples, parallel.Options{Workers: 4})
 	if err != nil {
@@ -194,16 +205,89 @@ func TestEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offerAll(t, ref, live.Compile(), data)
+	offerAll(t, ref, live.Compile(), data, 16)
 	want := ref.Close()
-	if cross.Disagreements != want.Disagreements || cross.Scored != want.Scored {
+	if !reflect.DeepEqual(cross, want) {
 		t.Fatalf("parallel evaluate %+v != streaming shadow %+v", cross, want)
-	}
-	if cross.MaxScoreDelta != want.MaxScoreDelta {
-		t.Fatalf("max delta %v != %v", cross.MaxScoreDelta, want.MaxScoreDelta)
 	}
 
 	if _, err := Evaluate(context.Background(), live, cand, nil, parallel.Options{}); err == nil {
 		t.Fatal("empty sample set accepted")
+	}
+}
+
+// TestOfferDropsWholeChunk pins that Config.Queue bounds queued samples,
+// not chunks: a chunk that would take the queued samples past the bound
+// is dropped whole and its samples are counted, while a chunk that fits
+// is scored.
+func TestOfferDropsWholeChunk(t *testing.T) {
+	live, cand, data := fixtures(t)
+	samples := featuresOf(data)[:11]
+	verdicts, scores, err := live.DetectAll(context.Background(), samples, parallel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	s, err := New(cand, Config{Queue: 10, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := func(lo, hi int) bool { return s.Offer(samples[lo:hi], verdicts[lo:hi], scores[lo:hi]) }
+	// Hold the fold lock and let the drain take a one-sample chunk: it
+	// then waits on the lock, so everything offered next stays queued.
+	s.mu.Lock()
+	if !offer(10, 11) {
+		t.Error("an empty queue refused 1 sample")
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.queued.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if s.queued.Load() != 0 {
+		s.mu.Unlock()
+		t.Fatal("the drain never took the first chunk")
+	}
+	if offer(0, 11) {
+		t.Error("an 11-sample chunk entered a 10-sample queue")
+	}
+	if !offer(0, 6) {
+		t.Error("an empty queue refused 6 samples")
+	}
+	if offer(6, 11) {
+		t.Error("5 more samples entered a queue holding 6 of 10")
+	}
+	if !offer(6, 10) {
+		t.Error("a queue holding 6 of 10 refused 4 more samples")
+	}
+	s.mu.Unlock()
+	rep := s.Close()
+	if rep.Scored != 11 || rep.Dropped != 16 {
+		t.Fatalf("scored %d, dropped %d; want 11 scored, 16 dropped", rep.Scored, rep.Dropped)
+	}
+	if got := reg.Counter("shadow_dropped_total").Value(); got != 16 {
+		t.Fatalf("shadow_dropped_total = %d, want 16", got)
+	}
+	if got := reg.Counter("shadow_observed_total").Value(); got != 11 {
+		t.Fatalf("shadow_observed_total = %d, want 11", got)
+	}
+}
+
+// countHook counts the pool tasks a fan-out starts.
+type countHook struct{ started atomic.Int64 }
+
+func (h *countHook) TaskStart(int, time.Duration)       { h.started.Add(1) }
+func (h *countHook) TaskDone(int, time.Duration, error) {}
+
+// TestEvaluateDefaultWorkers pins that Workers 0 means NumCPU: each
+// model's scoring splits the samples into min(NumCPU, len) chunks, one
+// pool task each.
+func TestEvaluateDefaultWorkers(t *testing.T) {
+	live, cand, data := fixtures(t)
+	samples := featuresOf(data)
+	var hook countHook
+	if _, err := Evaluate(context.Background(), live, cand, samples, parallel.Options{Hook: &hook}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hook.started.Load(), int64(2*min(runtime.NumCPU(), len(samples))); got != want {
+		t.Fatalf("Workers 0 started %d tasks over %d samples, want %d", got, len(samples), want)
 	}
 }
