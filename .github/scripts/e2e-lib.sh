@@ -1,40 +1,46 @@
-# Daemon helpers for the end-to-end smoke steps. Source it, don't run it:
-#
-#   . .github/scripts/e2e-lib.sh
-#   start serve /tmp/smartserve -model /tmp/det.json -addr 127.0.0.1:0
-#   /tmp/smartload -addr "$(addr serve)" ...
-#   stop serve                    # SIGTERM, expect the documented exit 130
-#
-# A daemon NAME writes stdout to /tmp/NAME.out and stderr to
-# /tmp/NAME.err. Daemons must be started and waited on from the same
-# shell, so every helper runs in the caller's shell, never a subshell.
+# Daemon helpers for the end-to-end smokes, sourced once by smoke.sh
+# from the smoke's work directory. A daemon NAME writes stdout to
+# NAME.out and stderr to NAME.err there. Daemons must be started and
+# waited on from the same shell, so every helper runs in the caller's
+# shell, never a subshell.
 
 declare -A E2E_PID
 
-# start NAME CMD [ARGS...] runs CMD in the background and waits for its
-# "listening ADDR" line.
+# e2e_exit runs when the smoke exits, an interrupt included. A failed
+# smoke prints every log in the work directory. Every background process
+# still running, the daemons start launched included, is killed and
+# reaped, so none holds a fixed telemetry port against the next run.
+e2e_exit() {
+  local rc=$? f
+  set +e
+  if [ "$rc" -ne 0 ]; then
+    for f in *.out *.err; do [ -f "$f" ] && { echo "--- $f"; cat "$f"; }; done
+  fi
+  kill -KILL $(jobs -p) 2>/dev/null
+  wait
+  exit "$rc"
+}
+trap e2e_exit EXIT
+trap 'exit 130' INT TERM
+
+# start NAME CMD [ARGS...] runs CMD in the background and waits up to
+# 10s for its "listening ADDR" line.
 start() {
   local name=$1
   shift
-  "$@" >"/tmp/$name.out" 2>"/tmp/$name.err" &
+  "$@" >"$name.out" 2>"$name.err" &
   E2E_PID[$name]=$!
-  wait_listening "$name"
-}
-
-# wait_listening NAME polls /tmp/NAME.out for the bound address (10s).
-wait_listening() {
   for _ in $(seq 1 50); do
-    grep -q '^listening ' "/tmp/$1.out" && { echo "$1 at $(addr "$1")"; return 0; }
+    grep -q '^listening ' "$name.out" && { echo "$name at $(addr "$name")"; return 0; }
     sleep 0.2
   done
-  echo "FAIL: $1 never printed its listening address"
-  cat "/tmp/$1.err"
+  echo "FAIL: $name never printed its listening address"
   return 1
 }
 
 # addr NAME prints the address daemon NAME is listening on.
 addr() {
-  awk '/^listening /{print $2; exit}' "/tmp/$1.out"
+  awk '/^listening /{print $2; exit}' "$1.out"
 }
 
 # pid NAME prints daemon NAME's process id.

@@ -166,23 +166,6 @@ func main() {
 			"segment_bytes", *sampleLogSegment, "retain", *sampleLogRetain)
 	}
 
-	srv, err := serve.New(serve.Config{
-		Model:       initial,
-		Monitor:     monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
-		QueueDepth:  *queueDepth,
-		IdleTimeout: *idleTimeout,
-		Telemetry:   app.Telemetry,
-		Tracer:      tracer,
-		SampleLog:   sampleLog,
-		Log:         app.Log,
-	})
-	if err != nil {
-		app.Fatal(err)
-	}
-	if env := initial.Envelope; env != nil {
-		app.Log.Info("stage-0 cascade enabled", "threshold", env.Threshold)
-	}
-
 	var sh *shadow.Shadow
 	if *shadowVer != 0 {
 		if reg == nil {
@@ -196,10 +179,25 @@ func main() {
 		if err != nil {
 			app.Fatal(err)
 		}
-		if err := srv.SetShadow(sh); err != nil {
-			app.Fatal(err)
-		}
 		app.Log.Info("shadow scoring attached", "version", entry.Version, "sha256", entry.SHA256)
+	}
+
+	srv, err := serve.New(serve.Config{
+		Model:       initial,
+		Monitor:     monitor.Config{Alpha: *alpha, RaiseThreshold: *raise, ClearThreshold: *clear, Telemetry: app.Telemetry},
+		QueueDepth:  *queueDepth,
+		IdleTimeout: *idleTimeout,
+		Telemetry:   app.Telemetry,
+		Tracer:      tracer,
+		SampleLog:   sampleLog,
+		Shadow:      sh,
+		Log:         app.Log,
+	})
+	if err != nil {
+		app.Fatal(err)
+	}
+	if env := initial.Envelope; env != nil {
+		app.Log.Info("stage-0 cascade enabled", "threshold", env.Threshold)
 	}
 
 	// One loop follows the registry. SIGHUP always wakes it; with -watch
@@ -377,15 +375,12 @@ func (f *follower) wake(sighup bool) {
 		"from", cur, "to", entry.Version, "sha256", entry.SHA256)
 }
 
-// finish detaches the shadow, drains and closes the sample log, folds
+// finish closes the shadow, drains and closes the sample log, folds
 // the drift assessment, shadow divergence and log accounting into the
 // run report, and writes it when -report is set.
 func finish(srv *serve.Server, sh *shadow.Shadow, sampleLog *samplelog.Writer, reportOut string) {
 	var shadowRep shadow.Report
 	if sh != nil {
-		if err := srv.SetShadow(nil); err != nil {
-			app.Log.Warn("shadow detach", "err", err)
-		}
 		shadowRep = sh.Close()
 		app.Log.Info("shadow verdict",
 			"candidate_version", shadowRep.CandidateVersion,

@@ -511,13 +511,13 @@ func (f *forwarder) upstreamFor(shard string) (*upstream, error) {
 		return nil, err
 	}
 	up := &upstream{
-		g:        g,
-		c:        f.c,
-		shard:    shard,
-		cli:      cli,
-		met:      g.metricsFor(shard),
-		perState: make(map[uint32]closeState),
-		done:     make(chan struct{}),
+		g:      g,
+		c:      f.c,
+		shard:  shard,
+		cli:    cli,
+		met:    g.metricsFor(shard),
+		closes: make(map[uint32][]closeState),
+		done:   make(chan struct{}),
 	}
 	f.ups[shard] = up
 	go up.relay()
@@ -545,8 +545,8 @@ func (f *forwarder) shutdown() {
 	}
 }
 
-// closeState is the relay-side bookkeeping for one stream's CloseStream
-// sent upstream: either its summary is suppressed (the stream drained to
+// closeState is the relay-side bookkeeping for one CloseStream sent
+// upstream: either its summary is suppressed (the stream drained to
 // another shard mid-flight) or the gateway-side shed count to fold into
 // the shard's StreamSummary before forwarding it.
 type closeState struct {
@@ -566,8 +566,12 @@ type upstream struct {
 	dead    atomic.Bool
 	closing atomic.Bool // deliberate local teardown, not a shard failure
 
-	mu       sync.Mutex
-	perState map[uint32]closeState
+	// closes queues, per stream id, the closes sent upstream and not yet
+	// answered, oldest first: a move's close and the agent's close of one
+	// id can both be outstanding, and the shard answers one connection's
+	// closes in the order they were sent.
+	mu     sync.Mutex
+	closes map[uint32][]closeState
 
 	done chan struct{}
 }
@@ -590,18 +594,27 @@ func (up *upstream) fail() {
 	}
 }
 
-func (up *upstream) setCloseState(id uint32, cs closeState) {
+func (up *upstream) pushClose(id uint32, cs closeState) {
 	up.mu.Lock()
-	up.perState[id] = cs
+	up.closes[id] = append(up.closes[id], cs)
 	up.mu.Unlock()
 }
 
-func (up *upstream) takeCloseState(id uint32) closeState {
+// popClose takes the oldest outstanding close of stream id; a summary no
+// close asked for passes through unchanged.
+func (up *upstream) popClose(id uint32) closeState {
 	up.mu.Lock()
-	cs := up.perState[id]
-	delete(up.perState, id)
-	up.mu.Unlock()
-	return cs
+	defer up.mu.Unlock()
+	q := up.closes[id]
+	if len(q) == 0 {
+		return closeState{}
+	}
+	if len(q) == 1 {
+		delete(up.closes, id)
+	} else {
+		up.closes[id] = q[1:]
+	}
+	return q[0]
 }
 
 // relay pumps shard frames back to the agent: verdicts pass through
@@ -624,7 +637,7 @@ func (up *upstream) relay() {
 			up.c.WriteFrame(fr)
 			up.met.relayed.Inc()
 		case wire.StreamSummary:
-			cs := up.takeCloseState(fr.Stream)
+			cs := up.popClose(fr.Stream)
 			if cs.suppress {
 				continue
 			}
@@ -690,7 +703,7 @@ func (st *fwdStream) ensureRoute() *upstream {
 			}
 			// Moved: close out the old placement and suppress its summary —
 			// the agent gets exactly one summary, from the final shard.
-			st.up.setCloseState(st.id, closeState{suppress: true})
+			st.up.pushClose(st.id, closeState{suppress: true})
 			if err := st.up.cli.CloseStream(st.id); err != nil {
 				st.up.fail()
 			}
@@ -791,11 +804,10 @@ func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart t
 func (st *fwdStream) Close(shed uint64) error {
 	up := st.up
 	if up != nil && !up.dead.Load() {
-		up.setCloseState(st.id, closeState{shed: shed})
+		up.pushClose(st.id, closeState{shed: shed})
 		if err := up.cli.CloseStream(st.id); err == nil {
 			return nil
 		}
-		up.takeCloseState(st.id)
 		up.fail()
 	}
 	var version uint32

@@ -210,7 +210,7 @@ serve_verdict_latency_seconds_bucket{le="+Inf"} %d
 serve_verdict_latency_seconds_sum 1
 serve_verdict_latency_seconds_count %d
 `, 200*n, 10*n, 200*n, 30*n, 160*n, 40*n, 10000*n, 200*n, 200*n, 200*n, 200*n)
-	}, trace.Dump{SampleEvery: 1, Depth: 256, Dropped: 2, HopNames: trace.HopNames[:], Records: []trace.Record{shardTrace}})
+	}, trace.Dump{SampleEvery: 1, Depth: 256, HopNames: trace.HopNames[:], Records: []trace.Record{shardTrace}})
 
 	gwTrace := trace.Record{
 		TraceID: 4, Tier: trace.TierGateway, App: "app-a", Shard: "10.0.0.1:7000", Stream: 1, Seq: 2,
@@ -277,8 +277,8 @@ cluster_shard_model_version{shard="10.0.0.1:7000"} 3
 	if sh.P99 <= 0.001 || sh.P99 > 0.005 {
 		t.Fatalf("p99 = %v, want inside the (0.001, 0.005] bucket", sh.P99)
 	}
-	if sh.TraceCount != 1 || sh.TraceDropped != 2 {
-		t.Fatalf("trace count/dropped = %d/%d, want 1/2", sh.TraceCount, sh.TraceDropped)
+	if sh.TraceCount != 1 {
+		t.Fatalf("trace count = %d, want 1", sh.TraceCount)
 	}
 	// 160 shorts + 40 passes per interval → 80% short-circuited; 10000ns
 	// over 200 stage-0 samples → 50ns/sample.

@@ -42,12 +42,8 @@ func (st *Status) Render(w io.Writer) {
 	fmt.Fprintln(w)
 
 	for _, g := range st.Gateways {
-		fmt.Fprintf(w, "\nGATEWAY %s  shards_healthy=%d  reroutes=%.0f (%.1f/s)  traces=%d",
+		fmt.Fprintf(w, "\nGATEWAY %s  shards_healthy=%d  reroutes=%.0f (%.1f/s)  traces=%d\n",
 			g.Addr, g.ShardsHealthy, g.Reroutes, g.RerouteRate, g.TraceCount)
-		if g.TraceDropped > 0 {
-			fmt.Fprintf(w, " (dropped %d)", g.TraceDropped)
-		}
-		fmt.Fprintln(w)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "  SHARD\tUP\tVERSION\tFWD/S\tRELAY/S\tPROBE RTT\tROUTED")
 		for _, s := range g.Shards {
@@ -76,16 +72,12 @@ func (st *Status) Render(w io.Writer) {
 			} else if s.ModelVersion != "" {
 				model += " v" + s.ModelVersion
 			}
-			traces := fmt.Sprintf("%d", s.TraceCount)
-			if s.TraceDropped > 0 {
-				traces += fmt.Sprintf(" (dropped %d)", s.TraceDropped)
-			}
 			rollout := s.Rollout
 			if rollout == "" {
 				rollout = "-"
 			}
-			fmt.Fprintf(tw, "  %s\t%s\t%.1f\t%.1f\t%s\t%s\t%s\t%s\t%s\n",
-				s.Addr, model, s.VerdictRate, s.ShedRate, dur(s.P99), s.Drift, rollout, cascadeCell(s.Cascade), traces)
+			fmt.Fprintf(tw, "  %s\t%s\t%.1f\t%.1f\t%s\t%s\t%s\t%s\t%d\n",
+				s.Addr, model, s.VerdictRate, s.ShedRate, dur(s.P99), s.Drift, rollout, cascadeCell(s.Cascade), s.TraceCount)
 		}
 		tw.Flush()
 	}

@@ -62,9 +62,8 @@ type ShardStatus struct {
 	// pin table targets it (serve_rollout_pinned=1), "active" when it
 	// follows the promoted version, "" for a shard without -shard-id
 	// (the gauge is absent).
-	Rollout      string `json:"rollout,omitempty"`
-	TraceCount   int    `json:"trace_count"`
-	TraceDropped uint64 `json:"trace_dropped"`
+	Rollout    string `json:"rollout,omitempty"`
+	TraceCount int    `json:"trace_count"`
 	// Cascade mirrors the node's cascade_* families: absent entirely when
 	// the node runs no stage-0 cascade.
 	Cascade *CascadeStatus `json:"cascade,omitempty"`
@@ -133,9 +132,8 @@ type GatewayStatus struct {
 	RerouteRate   float64        `json:"reroute_rate"`
 	Shards        []GatewayShard `json:"shards"`
 	// NonFinite counts the NaN/±Inf series the two scrapes skipped.
-	NonFinite    int    `json:"nonfinite_series"`
-	TraceCount   int    `json:"trace_count"`
-	TraceDropped uint64 `json:"trace_dropped"`
+	NonFinite  int `json:"nonfinite_series"`
+	TraceCount int `json:"trace_count"`
 }
 
 // NodeError records a node that could not be scraped.
@@ -237,14 +235,13 @@ func CollectStatus(ctx context.Context, addrs []string, cfg CollectConfig) (*Sta
 
 func shardStatus(addr string, before, after *Metrics, sec float64, dump *trace.Dump) ShardStatus {
 	s := ShardStatus{
-		Addr:         addr,
-		Verdicts:     Delta(before, after, "serve_verdicts_total"),
-		ShedRate:     Delta(before, after, "serve_shed_total") / sec,
-		P99:          DeltaQuantile(before, after, "serve_verdict_latency_seconds", 0.99),
-		Divergence:   -1,
-		NonFinite:    before.NonFinite + after.NonFinite,
-		TraceCount:   len(dump.Records),
-		TraceDropped: dump.Dropped,
+		Addr:       addr,
+		Verdicts:   Delta(before, after, "serve_verdicts_total"),
+		ShedRate:   Delta(before, after, "serve_shed_total") / sec,
+		P99:        DeltaQuantile(before, after, "serve_verdict_latency_seconds", 0.99),
+		Divergence: -1,
+		NonFinite:  before.NonFinite + after.NonFinite,
+		TraceCount: len(dump.Records),
 	}
 	s.VerdictRate = s.Verdicts / sec
 	if info, ok := after.ActiveModel(); ok {
@@ -275,10 +272,9 @@ func shardStatus(addr string, before, after *Metrics, sec float64, dump *trace.D
 
 func gatewayStatus(addr string, before, after *Metrics, sec float64, dump *trace.Dump) GatewayStatus {
 	g := GatewayStatus{
-		Addr:         addr,
-		NonFinite:    before.NonFinite + after.NonFinite,
-		TraceCount:   len(dump.Records),
-		TraceDropped: dump.Dropped,
+		Addr:       addr,
+		NonFinite:  before.NonFinite + after.NonFinite,
+		TraceCount: len(dump.Records),
 	}
 	if v, ok := after.Get("cluster_shards_healthy"); ok {
 		g.ShardsHealthy = int(v)

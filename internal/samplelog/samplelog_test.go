@@ -364,6 +364,36 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
+// TestWriterCountsRefusedRecordOnce pins the writer's accounting when the
+// encoder refuses a record: it is dropped, not appended, so Appended +
+// Dropped equals the records offered.
+func TestWriterCountsRefusedRecordOnce(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWriter(WriterConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := testRecord(0)
+	long.App = strings.Repeat("a", MaxApp+1)
+	if w.AppendBatch([]Record{long, testRecord(1)}) != 2 {
+		t.Fatal("batch not queued whole")
+	}
+	st, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Appended != 1 || st.Dropped != 1 {
+		t.Fatalf("appended %d, dropped %d; want 1 and 1", st.Appended, st.Dropped)
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Records != 1 || rep.Corrupted != 0 {
+		t.Fatalf("verify %+v, want 1 record", rep)
+	}
+}
+
 func TestAppendBatch(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(WriterConfig{Dir: dir})

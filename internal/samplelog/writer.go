@@ -371,6 +371,7 @@ func (w *Writer) writeBatch(batch []pending) {
 		}
 	}
 	w.enc = w.enc[:0]
+	encoded := 0
 	for i := range batch {
 		var err error
 		w.enc, err = AppendRecord(w.enc, batch[i].rec)
@@ -379,17 +380,18 @@ func (w *Writer) writeBatch(batch []pending) {
 			w.countDropped(1)
 			continue
 		}
+		encoded++
 	}
 	n, err := w.f.Write(w.enc)
 	if err != nil {
-		w.fail(err, len(batch))
+		w.fail(err, encoded)
 		return
 	}
 	w.segBytes += int64(n)
 	w.stats.bytes.Add(uint64(n))
 	w.bytesC.Add(uint64(n))
-	w.stats.appended.Add(uint64(len(batch)))
-	w.appendedC.Add(uint64(len(batch)))
+	w.stats.appended.Add(uint64(encoded))
+	w.appendedC.Add(uint64(encoded))
 }
 
 // fail records a sticky disk failure: the current segment is closed and

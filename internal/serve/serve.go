@@ -79,6 +79,12 @@ type Config struct {
 	// stall verdicts. The caller keeps ownership and Closes it after
 	// Serve returns.
 	SampleLog *samplelog.Writer
+	// Shadow, when non-nil, re-scores every sample the live path scored
+	// with a candidate model, off the hot path, so an operator can measure
+	// the candidate's divergence on real traffic before promoting it. It
+	// must be of the served width. The caller keeps ownership and Closes
+	// it after Serve returns to collect the final report.
+	Shadow *shadow.Shadow
 	// Log receives connection lifecycle events (default slog.Default).
 	Log *slog.Logger
 }
@@ -169,8 +175,7 @@ type Server struct {
 	numFeatures int
 	fe          *session.Frontend
 
-	active  atomic.Pointer[Model]
-	shadowP atomic.Pointer[shadow.Shadow]
+	active atomic.Pointer[Model]
 
 	// scoreHook, when set (tests only), runs before every per-stream
 	// scoring round; a slow hook makes load-shedding deterministic.
@@ -197,6 +202,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := filled.Model.bind(n); err != nil {
 		return nil, err
+	}
+	if sh := filled.Shadow; sh != nil && sh.NumFeatures() != n {
+		return nil, fmt.Errorf("serve: shadow model expects %d features, serving %d", sh.NumFeatures(), n)
 	}
 	reg := filled.Telemetry
 	s := &Server{
@@ -277,19 +285,6 @@ func modelInfoName(m *Model) string {
 	return telemetry.Label(name, "version", strconv.Itoa(m.Version))
 }
 
-// SetShadow attaches (or, with nil, detaches) a shadow scorer: every
-// sample scored by the live path is offered to it off the hot path, so
-// an operator can measure a candidate's divergence on real traffic
-// before promoting it. The caller keeps ownership — Close the shadow
-// after detaching to collect the final report.
-func (s *Server) SetShadow(sh *shadow.Shadow) error {
-	if sh != nil && sh.NumFeatures() != s.numFeatures {
-		return fmt.Errorf("serve: shadow model expects %d features, serving %d", sh.NumFeatures(), s.numFeatures)
-	}
-	s.shadowP.Store(sh)
-	return nil
-}
-
 // Listen binds the server's TCP listener and returns the bound address
 // (useful with ":0").
 func (s *Server) Listen(addr string) (net.Addr, error) { return s.fe.Listen(addr) }
@@ -346,7 +341,7 @@ func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(),
 }
 
 // tap feeds every scored chunk to the active generation's drift monitor
-// and offers it to the attached shadow scorer and the durable sample log,
+// and offers it to the shadow scorer and the durable sample log,
 // if configured — the last two off the hot path: each takes the whole
 // chunk in one call, copies what it keeps and never blocks.
 func (s *Server) tap(ch session.TapChunk) {
@@ -356,7 +351,7 @@ func (s *Server) tap(ch session.TapChunk) {
 		// and the read loop enforces that width on every sample.
 		_ = dm.ObserveBatch(ch.Samples)
 	}
-	if sh := s.shadowP.Load(); sh != nil {
+	if sh := s.cfg.Shadow; sh != nil {
 		sh.Offer(ch.Samples, ch.Verdicts, ch.Scores)
 	}
 	if sl := s.cfg.SampleLog; sl != nil {

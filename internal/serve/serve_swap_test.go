@@ -325,7 +325,7 @@ func TestSwapValidation(t *testing.T) {
 
 // TestServeDriftAndShadow pins the two observation taps on the scoring
 // path: the active generation's drift monitor sees every scored sample,
-// and an attached shadow re-scores them against a candidate.
+// and the configured shadow re-scores them against a candidate.
 func TestServeDriftAndShadow(t *testing.T) {
 	det1, data := fixtures(t)
 	det2 := candidate(t)
@@ -337,15 +337,11 @@ func TestServeDriftAndShadow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := start(t, Config{Model: Model{Detector: det1, Version: 1, Drift: dm}}, nil)
-
 	sh, err := shadow.New(det2, shadow.Config{Version: 2, Queue: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.srv.SetShadow(sh); err != nil {
-		t.Fatal(err)
-	}
+	ts := start(t, Config{Model: Model{Detector: det1, Version: 1, Drift: dm}, Shadow: sh}, nil)
 
 	const n = 96
 	samples := samplesFrom(data, n)
@@ -371,9 +367,7 @@ func TestServeDriftAndShadow(t *testing.T) {
 	if got := dm.Snapshot().Samples; got != n {
 		t.Fatalf("drift monitor saw %d samples, want %d", got, n)
 	}
-	if err := ts.srv.SetShadow(nil); err != nil {
-		t.Fatal(err)
-	}
+	ts.stop(t)
 	rep := sh.Close()
 	if rep.Scored+rep.Dropped != n {
 		t.Fatalf("shadow scored %d + dropped %d, want %d offered", rep.Scored, rep.Dropped, n)
@@ -459,6 +453,14 @@ func TestBindRefusesInvalidModels(t *testing.T) {
 	}
 	if err := ts.srv.Swap(valid()); err != nil {
 		t.Fatalf("Swap refused the valid model: %v", err)
+	}
+	wideShadow, err := shadow.New(wideDet, shadow.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wideShadow.Close()
+	if _, err := New(Config{Model: valid(), Shadow: wideShadow, Log: quiet}); err == nil {
+		t.Error("shadow of another width: New accepted it")
 	}
 }
 

@@ -3,7 +3,7 @@
 // per-hop latency attribution: time spent inside the gateway (route +
 // forward queue), waiting in the shard's ingress ring, micro-batch
 // assembly, scoring, and verdict emission. Records land in a fixed-size
-// lock-free ring and are exposed as JSON via Handler (mounted at
+// ring behind one mutex and are exposed as JSON via Handler (mounted at
 // /debug/traces by the cmd tools).
 //
 // Hot-path contract: sampling decisions cost one atomic add per scored
@@ -17,7 +17,7 @@ package trace
 import (
 	"encoding/json"
 	"net/http"
-	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -113,25 +113,16 @@ type Config struct {
 	Depth int
 }
 
-type slot struct {
-	// seq is a per-slot seqlock: even = stable, odd = being written.
-	// Writers and Snapshot both acquire via CAS(even → odd), so record
-	// copies are mutually excluded without a lock shared across slots.
-	seq atomic.Uint64
-	rec Record
-}
-
-// Tracer samples wide-event records into a fixed-size lock-free ring.
-// All methods are safe for concurrent use; all are no-ops on a nil
-// receiver.
+// Tracer samples wide-event records into a fixed-size ring. All methods
+// are safe for concurrent use; all are no-ops on a nil receiver.
 type Tracer struct {
 	every uint64
-	mask  uint64
 	ctr   atomic.Uint64 // samples offered via SampleBatch
 	ids   atomic.Uint64 // trace-ID allocator
-	wpos  atomic.Uint64 // next ring slot
-	drops atomic.Uint64 // records abandoned after slot contention
-	slots []slot
+
+	mu    sync.Mutex
+	next  int      // ring slot the next Add overwrites
+	slots []Record // zero TraceID = never written
 }
 
 // New builds a Tracer, or returns nil (tracing disabled) when
@@ -148,7 +139,7 @@ func New(cfg Config) *Tracer {
 	for n < depth {
 		n <<= 1
 	}
-	return &Tracer{every: uint64(cfg.SampleEvery), mask: uint64(n - 1), slots: make([]slot, n)}
+	return &Tracer{every: uint64(cfg.SampleEvery), slots: make([]Record, n)}
 }
 
 // SampleEvery reports the configured sampling period (0 when t is nil).
@@ -180,55 +171,28 @@ func (t *Tracer) SampleBatch(n int) (offset int, id uint64, ok bool) {
 }
 
 // Add publishes one record into the ring, overwriting the oldest entry.
-// If the slot is briefly held by a Snapshot copy the write is retried a
-// few times, then dropped (counted in Dropped) — tracing never blocks
-// the scoring path.
+// It may wait for one Snapshot copy of at most Depth records: Add runs at
+// most once per scored chunk, so the ring's one mutex is not contended.
 func (t *Tracer) Add(r Record) {
 	if t == nil {
 		return
 	}
-	i := t.wpos.Add(1) - 1
-	s := &t.slots[i&t.mask]
-	for tries := 0; ; tries++ {
-		v := s.seq.Load()
-		if v&1 == 0 && s.seq.CompareAndSwap(v, v+1) {
-			break
-		}
-		if tries == 8 {
-			t.drops.Add(1)
-			return
-		}
-		runtime.Gosched()
-	}
-	s.rec = r
-	s.seq.Add(1)
+	t.mu.Lock()
+	t.slots[t.next] = r
+	t.next = (t.next + 1) % len(t.slots)
+	t.mu.Unlock()
 }
 
-// Dropped reports how many records were abandoned due to slot
-// contention between a writer and a concurrent Snapshot.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.drops.Load()
-}
-
-// Snapshot copies the current ring contents (unordered; skip-on-contend,
-// so a slot mid-write is simply omitted). Safe to call while scoring
-// continues.
+// Snapshot copies the records in the ring (unordered). Safe to call while
+// scoring continues.
 func (t *Tracer) Snapshot() []Record {
 	if t == nil {
 		return nil
 	}
 	out := make([]Record, 0, len(t.slots))
-	for i := range t.slots {
-		s := &t.slots[i]
-		v := s.seq.Load()
-		if v&1 != 0 || !s.seq.CompareAndSwap(v, v+1) {
-			continue // writer owns it right now; skip this slot
-		}
-		r := s.rec
-		s.seq.Add(1)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, r := range t.slots {
 		if r.TraceID != 0 {
 			out = append(out, r)
 		}
@@ -240,7 +204,6 @@ func (t *Tracer) Snapshot() []Record {
 type Dump struct {
 	SampleEvery int      `json:"sample_every"`
 	Depth       int      `json:"depth"`
-	Dropped     uint64   `json:"dropped"`
 	HopNames    []string `json:"hop_names"`
 	Records     []Record `json:"records"`
 }
@@ -254,7 +217,6 @@ func (t *Tracer) DumpState() Dump {
 	}
 	d.SampleEvery = int(t.every)
 	d.Depth = len(t.slots)
-	d.Dropped = t.drops.Load()
 	if recs := t.Snapshot(); recs != nil {
 		d.Records = recs
 	}
