@@ -3,7 +3,8 @@
 // (exactly what a four-register machine can collect in one run), then
 // profiles a stream of previously unseen applications — one single run
 // each, no multiplexing — and prints the per-sample verdicts alongside the
-// measured per-app detection latency (min/mean/p99 of det.Detect).
+// measured per-app detection latency (min/mean/p99 of the compiled
+// detector's Detect).
 //
 // Usage:
 //
@@ -32,7 +33,6 @@ func main() {
 	apps := flag.Int("apps", 12, "number of unseen applications to stream")
 	seed := flag.Int64("seed", 42, "training seed")
 	boost := flag.Bool("boost", true, "boost the stage-2 detectors (the paper's run-time configuration)")
-	compiled := flag.Bool("compiled", true, "detect through the compiled allocation-free inference path (false = interpreted)")
 	modelIn := flag.String("model", "", "load a detector (JSON, from smartrain -model) instead of training; it must have been trained on the Common-4 feature space")
 	flag.Parse()
 	ctx := app.Start()
@@ -94,23 +94,10 @@ func main() {
 	// Unseen: a different corpus seed than training.
 	wopts := workload.Options{Seed: *seed + 1000}
 
-	// Select the inference path. The compiled detector is the interpreted
-	// one lowered into flat allocation-free evaluators (see
-	// internal/core.Detector.Compile); both paths are prediction-equivalent.
-	mode := "interpreted"
-	detect := det.Detect
-	if *compiled {
-		mode = "compiled"
-		detect = det.Compile().Detect
-	}
-	app.Log.Info("inference path", "mode", mode)
+	cd := det.Compile()
 
-	// Per-sample detection latency, overall and per app, labelled by
-	// inference mode so compiled and interpreted runs land in separate
-	// histograms on the debug endpoint.
-	overall := app.Telemetry.Histogram(
-		telemetry.Label("detect_latency_seconds", "mode", mode),
-		telemetry.LatencyBuckets)
+	// Per-sample detection latency, overall and per app.
+	overall := app.Telemetry.Histogram("detect_latency_seconds", telemetry.LatencyBuckets)
 
 	correct, total := 0, 0
 	fv := make([]float64, len(events)) // reused: Detect never retains it
@@ -128,9 +115,7 @@ func main() {
 			fatal(err)
 		}
 		appLat := app.Telemetry.Histogram(
-			telemetry.Label(
-				telemetry.Label("detect_app_latency_seconds", "app", prog.Name),
-				"mode", mode),
+			telemetry.Label("detect_app_latency_seconds", "app", prog.Name),
 			telemetry.LatencyBuckets)
 		// Majority vote across the application's samples.
 		malVotes := 0
@@ -140,7 +125,7 @@ func main() {
 				fv[j] = float64(c) * 1000 / instr
 			}
 			t0 := time.Now()
-			v, err := detect(fv)
+			v, err := cd.Detect(fv)
 			lat := time.Since(t0)
 			if err != nil {
 				fatal(err)

@@ -51,7 +51,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 4096, "per-connection ingress queue depth; beyond it the oldest samples are shed")
 	reportOut := flag.String("report", "", "write the machine-readable run report (JSON, includes the cluster_* counters) to this file (- for stdout)")
 	traceSample := flag.Int("trace-sample", 1024, "capture one gateway-tier trace per this many forwarded samples (0 = tracing off; served at /debug/traces with -telemetry-addr)")
-	traceDepth := flag.Int("trace-depth", 256, "trace ring capacity (rounded up to a power of two)")
+	traceDepth := flag.Int("trace-depth", 256, "trace ring capacity")
 	flag.Parse()
 	ctx := app.Start()
 	defer app.Close()

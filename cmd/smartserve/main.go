@@ -95,7 +95,7 @@ func main() {
 	raise := flag.Float64("raise", 0, "smoothed score above which the alarm raises (0 = monitor default)")
 	clear := flag.Float64("clear", 0, "smoothed score below which the alarm clears (0 = monitor default)")
 	traceSample := flag.Int("trace-sample", 1024, "capture one end-to-end trace per this many scored samples (0 = tracing off; served at /debug/traces with -telemetry-addr)")
-	traceDepth := flag.Int("trace-depth", 256, "trace ring capacity (rounded up to a power of two)")
+	traceDepth := flag.Int("trace-depth", 256, "trace ring capacity")
 	sampleLogDir := flag.String("samplelog", "", "record every scored sample (features, verdict, score, model version) to this durable log directory for smartctl backtest / smartload -replay; written off the hot path, a slow disk sheds records instead of stalling verdicts")
 	sampleLogSegment := flag.Int64("samplelog-segment", 8<<20, "with -samplelog: rotate segments at this many bytes")
 	sampleLogRetain := flag.Int("samplelog-retain", 64, "with -samplelog: keep at most this many segments, pruning oldest-first (-1 = unbounded)")

@@ -547,11 +547,13 @@ func (f *forwarder) shutdown() {
 
 // closeState is the relay-side bookkeeping for one CloseStream sent
 // upstream: either its summary is suppressed (the stream drained to
-// another shard mid-flight) or the gateway-side shed count to fold into
-// the shard's StreamSummary before forwarding it.
+// another shard mid-flight) or what to fold into the shard's
+// StreamSummary before forwarding it: the gateway-side shed, and the
+// samples forwarded to the stream's earlier placements.
 type closeState struct {
 	suppress bool
 	shed     uint64
+	prior    uint64
 }
 
 // upstream is one gateway→shard data connection shared by all streams of
@@ -641,6 +643,7 @@ func (up *upstream) relay() {
 			if cs.suppress {
 				continue
 			}
+			fr.Samples += cs.prior
 			fr.Shed += cs.shed
 			up.c.WriteFrame(fr)
 		case wire.Heartbeat:
@@ -679,6 +682,7 @@ type fwdStream struct {
 
 	opened bool   // placed at least once (first placement counts as routed)
 	sent   uint64 // samples forwarded, for summaries synthesized after shard death
+	prior  uint64 // of sent, those forwarded to placements before the current one
 }
 
 // ensureRoute returns the stream's live upstream, (re)placing it when the
@@ -702,7 +706,8 @@ func (st *fwdStream) ensureRoute() *upstream {
 				return st.up
 			}
 			// Moved: close out the old placement and suppress its summary —
-			// the agent gets exactly one summary, from the final shard.
+			// the agent gets exactly one summary, from the final shard,
+			// which counts this placement's samples in prior.
 			st.up.pushClose(st.id, closeState{suppress: true})
 			if err := st.up.cli.CloseStream(st.id); err != nil {
 				st.up.fail()
@@ -730,6 +735,7 @@ func (st *fwdStream) ensureRoute() *upstream {
 		}
 		up.met.routed.Inc()
 		st.up = up
+		st.prior = st.sent
 		st.epoch = cur.epoch
 		return up
 	}
@@ -798,13 +804,16 @@ func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart t
 }
 
 // Close ends the stream: when its upstream is alive the shard's
-// StreamSummary (with the gateway-side shed folded in) flows back through
-// the relay; when the shard is gone the gateway synthesizes a summary
-// from its own accounting so the agent still gets a closing record.
+// StreamSummary (with the gateway-side shed and the samples forwarded to
+// earlier placements folded in) flows back through the relay; when the
+// shard is gone the gateway synthesizes a summary from its own
+// accounting so the agent still gets a closing record. Either way the
+// summary's Samples + Shed is what the agent sent, less the samples
+// dropped for want of a shard.
 func (st *fwdStream) Close(shed uint64) error {
 	up := st.up
 	if up != nil && !up.dead.Load() {
-		up.pushClose(st.id, closeState{shed: shed})
+		up.pushClose(st.id, closeState{shed: shed, prior: st.prior})
 		if err := up.cli.CloseStream(st.id); err == nil {
 			return nil
 		}

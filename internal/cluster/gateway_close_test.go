@@ -140,7 +140,9 @@ func (fs *fakeShard) expect(t *testing.T, want ...string) {
 // one stream id can both be outstanding on one upstream. The stream's
 // move to shard b fails to dial and re-opens it on shard a, then the agent
 // closes it, all before a answers. The agent must get exactly one
-// summary, the final incarnation's, carrying the agent close's shed.
+// summary, the final incarnation's, counting every sample the stream
+// forwarded (2 to the first placement, 1 to the second) and carrying the
+// agent close's shed.
 func TestGatewayOneSummaryPerClose(t *testing.T) {
 	a, b := startFakeShard(t), startFakeShard(t)
 	b.refuse.Store(true)
@@ -214,10 +216,85 @@ func TestGatewayOneSummaryPerClose(t *testing.T) {
 	if len(summaries) != 1 {
 		t.Fatalf("agent got %d summaries %+v, want exactly 1", len(summaries), summaries)
 	}
-	if s := summaries[0]; s.Samples != 1 || s.Shed != 0 {
-		t.Fatalf("summary %+v, want the final incarnation's (1 sample) with the agent close's shed (0)", s)
+	if s := summaries[0]; s.Samples != 3 || s.Shed != 0 {
+		t.Fatalf("summary %+v, want all 3 samples the stream forwarded with the agent close's shed (0)", s)
 	}
 	if drained := tg.reg.Counter("cluster_streams_drained_total").Value(); drained != 1 {
 		t.Fatalf("cluster_streams_drained_total = %d, want 1 (the move)", drained)
+	}
+}
+
+// TestGatewaySummaryForDeadShard: when a stream's shard is gone by the
+// time the agent closes it, the gateway makes up the summary from its own
+// accounting. The agent must get exactly one, counting the samples the
+// stream forwarded.
+func TestGatewaySummaryForDeadShard(t *testing.T) {
+	a := startFakeShard(t)
+	tg := startGateway(t, []string{a.addr})
+	c := dialGateway(t, tg, testAgent)
+	fv := make([]float64, fakeWidth)
+	if err := c.OpenStream(0, testApp(0)); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint32(0); seq < 2; seq++ {
+		if err := c.Send(0, seq, fv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a.expect(t, "open", "sample", "sample")
+
+	// The shard dies: its connections close and it refuses new ones.
+	a.refuse.Store(true)
+	a.mu.Lock()
+	for _, nc := range a.conns {
+		nc.Close()
+	}
+	a.mu.Unlock()
+	up := tg.reg.Gauge(telemetry.Label("cluster_shard_up", "shard", a.addr))
+	for deadline := time.Now().Add(5 * time.Second); up.Value() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("shard never left the ring")
+		}
+	}
+
+	// Stream 1, opened and closed with no shard, is a barrier: the
+	// connection's streams close in order, so once its summary arrives
+	// every summary of stream 0 has been written.
+	if err := c.CloseStream(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.OpenStream(1, testApp(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseStream(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var summaries []wire.StreamSummary
+	for {
+		f, err := c.Next()
+		if err != nil {
+			t.Fatalf("client read (have %d summaries of stream 0): %v", len(summaries), err)
+		}
+		fr, ok := f.(wire.StreamSummary)
+		if !ok {
+			continue
+		}
+		if fr.Stream == 1 {
+			break
+		}
+		summaries = append(summaries, fr)
+	}
+	if len(summaries) != 1 {
+		t.Fatalf("agent got %d summaries of stream 0 %+v, want exactly 1", len(summaries), summaries)
+	}
+	if s := summaries[0]; s.Samples != 2 || s.Shed != 0 {
+		t.Fatalf("summary %+v, want the 2 samples forwarded with the agent close's shed (0)", s)
 	}
 }

@@ -22,7 +22,7 @@ type compiledStage2 struct {
 // classifier are compiled (see ml.Compile), the per-class dispatch table is
 // a dense array instead of a map, and all projection/score buffers are a
 // preallocated scratch arena. The steady-state Detect, MalwareScore and
-// batch paths perform zero heap allocations per sample.
+// DetectScoredBatch perform zero heap allocations per sample.
 //
 // A CompiledDetector owns scratch space and is therefore NOT safe for
 // concurrent use: compile one per goroutine (Detector.Compile is a cheap
@@ -44,8 +44,8 @@ type CompiledDetector struct {
 
 // Compile lowers the detector into its allocation-free run-time form. The
 // compiled detector is prediction-equivalent to the interpreted one (the
-// randomized property test in this package verifies Detect, MalwareScore
-// and the batch paths against their interpreted counterparts).
+// randomized property test in this package verifies Detect and
+// MalwareScore against their interpreted counterparts).
 func (det *Detector) Compile() *CompiledDetector {
 	cd := &CompiledDetector{
 		numFeatures: len(det.featureNames),
@@ -80,22 +80,43 @@ func projectInto(dst, features []float64, idx []int) {
 	}
 }
 
-// route runs stage 1 and the routed class's compiled stage-2 detector on
-// the sample, returning the routed malware class and leaving the stage-2
-// scores in cd.s2Scores.
-func (cd *CompiledDetector) route(features []float64) workload.Class {
+// score runs stage 1 and the routed class's compiled stage-2 detector on
+// the sample and derives both outputs from the stage-2 scores: it writes
+// into v the verdict Detector.Detect gives, and returns the ranking score
+// Detector.MalwareScore gives (the normalized positive-class score, 0.5
+// when the scores sum to zero). The verdict is written in place because
+// returning the five-field struct by value copies it through the stack on
+// every sample.
+func (cd *CompiledDetector) score(v *Verdict, features []float64) float64 {
 	projectInto(cd.s1In, features, cd.stage1Feats)
 	cd.stage1.ScoresInto(cd.s1Scores, cd.s1In)
-	best := cd.malware[0]
+	routed := cd.malware[0]
 	for _, c := range cd.malware {
-		if cd.s1Scores[c] > cd.s1Scores[best] {
-			best = c
+		if cd.s1Scores[c] > cd.s1Scores[routed] {
+			routed = c
 		}
 	}
-	s2 := &cd.stage2[best]
-	projectInto(cd.s2In[:len(s2.features)], features, s2.features)
-	s2.model.ScoresInto(cd.s2Scores, cd.s2In[:len(s2.features)])
-	return best
+	s2 := &cd.stage2[routed]
+	in := cd.s2In[:len(s2.features)]
+	projectInto(in, features, s2.features)
+	s2.model.ScoresInto(cd.s2Scores, in)
+
+	best := ml.Argmax(cd.s2Scores)
+	malware := best == ml.PositiveClass
+	predicted := workload.Benign
+	if malware {
+		predicted = routed
+	}
+	*v = Verdict{
+		PredictedClass: predicted,
+		Malware:        malware,
+		Stage2Kind:     s2.kind,
+		Confidence:     cd.s2Scores[best],
+	}
+	if total := cd.s2Scores[0] + cd.s2Scores[1]; total > 0 {
+		return cd.s2Scores[1] / total
+	}
+	return 0.5
 }
 
 // Detect classifies one sample exactly as Detector.Detect does, with zero
@@ -104,19 +125,9 @@ func (cd *CompiledDetector) Detect(features []float64) (Verdict, error) {
 	if len(features) != cd.numFeatures {
 		return Verdict{}, fmt.Errorf("core: sample has %d features, want %d", len(features), cd.numFeatures)
 	}
-	routed := cd.route(features)
-	best := ml.Argmax(cd.s2Scores)
-	malware := best == ml.PositiveClass
-	predicted := workload.Benign
-	if malware {
-		predicted = routed
-	}
-	return Verdict{
-		PredictedClass: predicted,
-		Malware:        malware,
-		Stage2Kind:     cd.stage2[routed].kind,
-		Confidence:     cd.s2Scores[best],
-	}, nil
+	var v Verdict
+	cd.score(&v, features)
+	return v, nil
 }
 
 // MalwareScore returns the same ranking score as Detector.MalwareScore with
@@ -125,44 +136,8 @@ func (cd *CompiledDetector) MalwareScore(features []float64) (float64, error) {
 	if len(features) != cd.numFeatures {
 		return 0, fmt.Errorf("core: sample has %d features, want %d", len(features), cd.numFeatures)
 	}
-	cd.route(features)
-	total := cd.s2Scores[0] + cd.s2Scores[1]
-	if total <= 0 {
-		return 0.5, nil
-	}
-	return cd.s2Scores[1] / total, nil
-}
-
-// DetectBatch classifies samples[i] into dst[i] for every sample. dst and
-// samples must have equal length. The call performs no heap allocations.
-func (cd *CompiledDetector) DetectBatch(dst []Verdict, samples [][]float64) error {
-	if len(dst) != len(samples) {
-		return fmt.Errorf("core: DetectBatch dst has %d slots, want %d", len(dst), len(samples))
-	}
-	for i, fv := range samples {
-		v, err := cd.Detect(fv)
-		if err != nil {
-			return fmt.Errorf("core: sample %d: %w", i, err)
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// MalwareScoreBatch scores samples[i] into dst[i] for every sample. dst and
-// samples must have equal length. The call performs no heap allocations.
-func (cd *CompiledDetector) MalwareScoreBatch(dst []float64, samples [][]float64) error {
-	if len(dst) != len(samples) {
-		return fmt.Errorf("core: MalwareScoreBatch dst has %d slots, want %d", len(dst), len(samples))
-	}
-	for i, fv := range samples {
-		s, err := cd.MalwareScore(fv)
-		if err != nil {
-			return fmt.Errorf("core: sample %d: %w", i, err)
-		}
-		dst[i] = s
-	}
-	return nil
+	var v Verdict
+	return cd.score(&v, features), nil
 }
 
 // DetectScoredBatch classifies samples[i] into dst[i] and writes the
@@ -180,24 +155,7 @@ func (cd *CompiledDetector) DetectScoredBatch(dst []Verdict, scores []float64, s
 		if len(fv) != cd.numFeatures {
 			return fmt.Errorf("core: sample %d has %d features, want %d", i, len(fv), cd.numFeatures)
 		}
-		routed := cd.route(fv)
-		best := ml.Argmax(cd.s2Scores)
-		malware := best == ml.PositiveClass
-		predicted := workload.Benign
-		if malware {
-			predicted = routed
-		}
-		dst[i] = Verdict{
-			PredictedClass: predicted,
-			Malware:        malware,
-			Stage2Kind:     cd.stage2[routed].kind,
-			Confidence:     cd.s2Scores[best],
-		}
-		if total := cd.s2Scores[0] + cd.s2Scores[1]; total > 0 {
-			scores[i] = cd.s2Scores[1] / total
-		} else {
-			scores[i] = 0.5
-		}
+		scores[i] = cd.score(&dst[i], fv)
 	}
 	return nil
 }

@@ -86,59 +86,10 @@ func TestCompiledDetectorEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompiledDetectorBatch checks the batch APIs against the per-sample
-// paths and their input validation.
-func TestCompiledDetectorBatch(t *testing.T) {
-	det, cd := compiledFixtures(t, false)
-	data, err := testData(t).SelectByName(CommonFeatures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 128
-	samples := make([][]float64, n)
-	for i := range samples {
-		samples[i] = data.Instances[i%data.Len()].Features
-	}
-	verdicts := make([]Verdict, n)
-	scores := make([]float64, n)
-	if err := cd.DetectBatch(verdicts, samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := cd.MalwareScoreBatch(scores, samples); err != nil {
-		t.Fatal(err)
-	}
-	for i, fv := range samples {
-		want, err := det.Detect(fv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameVerdict(verdicts[i], want) {
-			t.Fatalf("sample %d: batch verdict %+v, want %+v", i, verdicts[i], want)
-		}
-		wantScore, err := det.MalwareScore(fv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(scores[i]-wantScore) > 1e-9 {
-			t.Fatalf("sample %d: batch score %v, want %v", i, scores[i], wantScore)
-		}
-	}
-
-	if err := cd.DetectBatch(verdicts[:1], samples); err == nil {
-		t.Fatal("short dst accepted by DetectBatch")
-	}
-	if err := cd.MalwareScoreBatch(scores[:1], samples); err == nil {
-		t.Fatal("short dst accepted by MalwareScoreBatch")
-	}
-	bad := [][]float64{{1, 2}}
-	if err := cd.DetectBatch(verdicts[:1], bad); err == nil {
-		t.Fatal("wrong-width sample accepted")
-	}
-}
-
-// TestDetectScoredBatch pins the fused serving-path primitive against the
-// two calls it replaces: verdicts match DetectBatch and scores match
-// MalwareScoreBatch, from one evaluation per sample, with no allocations.
+// TestDetectScoredBatch pins the serving-path batch primitive against the
+// per-sample calls: verdicts match Detect and scores match MalwareScore,
+// bit for bit, from one evaluation per sample; mismatched lengths and a
+// wrong-width sample are errors.
 func TestDetectScoredBatch(t *testing.T) {
 	_, cd := compiledFixtures(t, false)
 	data, err := testData(t).SelectByName(CommonFeatures)
@@ -150,25 +101,25 @@ func TestDetectScoredBatch(t *testing.T) {
 	for i := range samples {
 		samples[i] = data.Instances[i%data.Len()].Features
 	}
-	wantVerdicts := make([]Verdict, n)
-	wantScores := make([]float64, n)
-	if err := cd.DetectBatch(wantVerdicts, samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := cd.MalwareScoreBatch(wantScores, samples); err != nil {
-		t.Fatal(err)
-	}
 	verdicts := make([]Verdict, n)
 	scores := make([]float64, n)
 	if err := cd.DetectScoredBatch(verdicts, scores, samples); err != nil {
 		t.Fatal(err)
 	}
-	for i := range samples {
-		if verdicts[i] != wantVerdicts[i] {
-			t.Fatalf("sample %d: verdict %+v, want %+v", i, verdicts[i], wantVerdicts[i])
+	for i, fv := range samples {
+		want, err := cd.Detect(fv)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if scores[i] != wantScores[i] {
-			t.Fatalf("sample %d: score %v, want %v", i, scores[i], wantScores[i])
+		wantScore, err := cd.MalwareScore(fv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if verdicts[i] != want {
+			t.Fatalf("sample %d: verdict %+v, want %+v", i, verdicts[i], want)
+		}
+		if math.Float64bits(scores[i]) != math.Float64bits(wantScore) {
+			t.Fatalf("sample %d: score %v, want %v", i, scores[i], wantScore)
 		}
 	}
 	if err := cd.DetectScoredBatch(verdicts[:1], scores, samples); err == nil {
@@ -179,13 +130,6 @@ func TestDetectScoredBatch(t *testing.T) {
 	}
 	if err := cd.DetectScoredBatch(verdicts[:1], scores[:1], [][]float64{{1}}); err == nil {
 		t.Fatal("wrong-width sample accepted")
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if err := cd.DetectScoredBatch(verdicts, scores, samples); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("DetectScoredBatch allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -240,7 +184,8 @@ func TestDetectAll(t *testing.T) {
 }
 
 // TestCompiledDetectorZeroAlloc pins the hot-path allocation contract: the
-// compiled Detect/MalwareScore and batch paths must not touch the heap.
+// compiled Detect, MalwareScore and DetectScoredBatch must not touch the
+// heap.
 func TestCompiledDetectorZeroAlloc(t *testing.T) {
 	for _, boost := range []bool{false, true} {
 		name := "plain"
@@ -275,14 +220,11 @@ func TestCompiledDetectorZeroAlloc(t *testing.T) {
 				t.Errorf("MalwareScore allocates %.1f objects/op, want 0", allocs)
 			}
 			if allocs := testing.AllocsPerRun(50, func() {
-				if err := cd.DetectBatch(verdicts, samples); err != nil {
-					t.Fatal(err)
-				}
-				if err := cd.MalwareScoreBatch(scores, samples); err != nil {
+				if err := cd.DetectScoredBatch(verdicts, scores, samples); err != nil {
 					t.Fatal(err)
 				}
 			}); allocs != 0 {
-				t.Errorf("batch paths allocate %.1f objects/op, want 0", allocs)
+				t.Errorf("DetectScoredBatch allocates %.1f objects/op, want 0", allocs)
 			}
 		})
 	}

@@ -49,7 +49,10 @@ func (det *Detector) Marshal() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
-// UnmarshalDetector reconstructs a detector serialised by Marshal.
+// UnmarshalDetector reconstructs a detector serialised by Marshal. It
+// rejects a blob whose models could not score: feature indices outside
+// the feature space, a stage 1 without one class per workload class, or a
+// stage-2 model that is not binary.
 func UnmarshalDetector(data []byte) (*Detector, error) {
 	var dto detectorDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -61,6 +64,9 @@ func UnmarshalDetector(data []byte) (*Detector, error) {
 	stage1, err := persist.UnmarshalClassifier(dto.Stage1)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring stage 1: %w", err)
+	}
+	if n := stage1.NumClasses(); n != workload.NumClasses {
+		return nil, fmt.Errorf("core: stage 1 has %d classes, want %d", n, workload.NumClasses)
 	}
 	if err := checkIndices(dto.Stage1Feats, len(dto.FeatureNames)); err != nil {
 		return nil, fmt.Errorf("core: stage-1 features: %w", err)
@@ -83,6 +89,9 @@ func UnmarshalDetector(data []byte) (*Detector, error) {
 		model, err := persist.UnmarshalClassifier(s2.Model)
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring stage 2 for %s: %w", name, err)
+		}
+		if n := model.NumClasses(); n != 2 {
+			return nil, fmt.Errorf("core: stage 2 for %s has %d classes, want 2", name, n)
 		}
 		if err := checkIndices(s2.Features, len(dto.FeatureNames)); err != nil {
 			return nil, fmt.Errorf("core: stage-2 features for %s: %w", name, err)

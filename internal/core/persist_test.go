@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"maps"
 	"testing"
 
 	"twosmart/internal/workload"
@@ -130,5 +131,39 @@ func TestUnmarshalDetectorRejectsCorruptInput(t *testing.T) {
 	corrupted, _ = json.Marshal(dto)
 	if _, err := UnmarshalDetector(corrupted); err == nil {
 		t.Fatal("out-of-range feature index accepted")
+	}
+}
+
+// TestUnmarshalDetectorRejectsWrongClassCount: a blob whose stage 1 is a
+// binary stage-2 model, or whose stage-2 model is the 5-class stage 1,
+// must not load; either would panic or mis-score on its first sample.
+func TestUnmarshalDetectorRejectsWrongClassCount(t *testing.T) {
+	det, err := Train(testData(t), TrainConfig{Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := det.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dto detectorDTO
+	if err := json.Unmarshal(data, &dto); err != nil {
+		t.Fatal(err)
+	}
+	virus := dto.Stage2["virus"]
+
+	binaryStage1 := dto
+	binaryStage1.Stage1, binaryStage1.Stage1Feats = virus.Model, virus.Features
+	blob, _ := json.Marshal(binaryStage1)
+	if _, err := UnmarshalDetector(blob); err == nil {
+		t.Error("binary stage 1 accepted")
+	}
+
+	multiStage2 := dto
+	multiStage2.Stage2 = maps.Clone(dto.Stage2)
+	multiStage2.Stage2["virus"] = stage2DTO{Kind: virus.Kind, Model: dto.Stage1, Features: dto.Stage1Feats}
+	blob, _ = json.Marshal(multiStage2)
+	if _, err := UnmarshalDetector(blob); err == nil {
+		t.Error("5-class stage-2 model accepted")
 	}
 }

@@ -185,52 +185,3 @@ func TestCompiledSingleLeaf(t *testing.T) {
 		t.Fatalf("single-leaf Predict = %d, want 0", c.Predict(fv))
 	}
 }
-
-// TestScoreBatch checks the batch API against per-sample evaluation and
-// its zero-allocation guarantee.
-func TestScoreBatch(t *testing.T) {
-	d := mltest.Gaussian2Class(300, 5, 1.5, 21)
-	model, err := (&tree.J48Trainer{}).Train(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ml.Compile(model)
-	k := c.NumClasses()
-	samples := randomVectors(d, 64, 22)
-	scores := make([]float64, len(samples)*k)
-	preds := make([]int, len(samples))
-	ml.ScoreBatch(c, scores, samples)
-	ml.PredictBatch(c, preds, samples)
-	single := make([]float64, k)
-	for i, fv := range samples {
-		c.ScoresInto(single, fv)
-		for cls := 0; cls < k; cls++ {
-			if scores[i*k+cls] != single[cls] {
-				t.Fatalf("sample %d: batch score %v, single %v", i, scores[i*k:(i+1)*k], single)
-			}
-		}
-		if preds[i] != c.Predict(fv) {
-			t.Fatalf("sample %d: batch predict %d, single %d", i, preds[i], c.Predict(fv))
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		ml.ScoreBatch(c, scores, samples)
-		ml.PredictBatch(c, preds, samples)
-	}); allocs != 0 {
-		t.Errorf("batch path allocates %.1f objects/op, want 0", allocs)
-	}
-
-	// Shape mismatches must panic loudly rather than scribble.
-	mustPanic(t, func() { ml.ScoreBatch(c, scores[:1], samples) })
-	mustPanic(t, func() { ml.PredictBatch(c, preds[:1], samples) })
-}
-
-func mustPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	f()
-}

@@ -83,31 +83,6 @@ func (a interpreted) ScoresInto(dst, features []float64) {
 }
 func (a interpreted) Predict(features []float64) int { return a.c.Predict(features) }
 
-// ScoreBatch evaluates samples through a compiled model, writing
-// samples[i]'s class scores into dst[i*k:(i+1)*k] where k = c.NumClasses().
-// dst must have length len(samples)*k. The call performs no heap
-// allocations.
-func ScoreBatch(c Compiled, dst []float64, samples [][]float64) {
-	k := c.NumClasses()
-	if len(dst) != len(samples)*k {
-		panic(fmt.Sprintf("ml: ScoreBatch dst has %d values, want %d samples x %d classes", len(dst), len(samples), k))
-	}
-	for i, s := range samples {
-		c.ScoresInto(dst[i*k:(i+1)*k:(i+1)*k], s)
-	}
-}
-
-// PredictBatch fills dst[i] with the predicted class of samples[i]. dst and
-// samples must have equal length. The call performs no heap allocations.
-func PredictBatch(c Compiled, dst []int, samples [][]float64) {
-	if len(dst) != len(samples) {
-		panic(fmt.Sprintf("ml: PredictBatch dst has %d slots, want %d", len(dst), len(samples)))
-	}
-	for i, s := range samples {
-		dst[i] = c.Predict(s)
-	}
-}
-
 // Argmax returns the index of the largest value, breaking ties toward the
 // lower index. It returns -1 for an empty slice.
 func Argmax(v []float64) int {

@@ -25,14 +25,6 @@ type Scorer interface {
 	MalwareScore(features []float64) (float64, error)
 }
 
-// BatchScorer is a Scorer with an allocation-free batch path: dst[i]
-// receives the score of samples[i]. *core.CompiledDetector implements it;
-// Monitor.ObserveBatch uses it when available.
-type BatchScorer interface {
-	Scorer
-	MalwareScoreBatch(dst []float64, samples [][]float64) error
-}
-
 // Config tunes the smoothing and alarm behaviour.
 type Config struct {
 	// Alpha is the EWMA coefficient in (0,1]; higher reacts faster
@@ -106,7 +98,6 @@ type Monitor struct {
 	samples int
 	ewma    float64
 	alarm   bool
-	scores  []float64 // ObserveBatch score buffer, grown to the batch size
 
 	// Telemetry instruments, populated only when cfg.Telemetry is set;
 	// timed guards every use so the disabled hot path costs one branch.
@@ -149,8 +140,8 @@ func newMonitor(s Scorer, filled Config) *Monitor {
 // buffer across the whole sample stream (the sampling interrupt path does
 // exactly that). With telemetry disabled (the default) and a compiled
 // scorer (see core.Detector.Compile), Observe performs zero heap
-// allocations per sample; BenchmarkObserve in this package and in
-// internal/telemetry pin that contract.
+// allocations per sample; TestObserveZeroAlloc in this package and
+// BenchmarkObserve in internal/telemetry pin that contract.
 func (m *Monitor) Observe(features []float64) (Event, error) {
 	var t0 time.Time
 	if m.timed {
@@ -189,7 +180,7 @@ func (m *Monitor) Observe(features []float64) (Event, error) {
 }
 
 // step advances the EWMA and alarm state machine by one scored sample; it
-// must mirror the inline copy in Observe exactly (TestObserveBatchMatchesObserve
+// must mirror the inline copy in Observe exactly (TestObserveScoredMatchesObserve
 // compares the two paths event by event).
 func (m *Monitor) step(score float64) Event {
 	if m.samples == 0 {
@@ -222,73 +213,15 @@ func (m *Monitor) countTransition(ev Event) {
 	}
 }
 
-// ObserveBatch feeds a burst of samples in order, writing the per-sample
-// events into dst; dst and samples must have equal length. When the scorer
-// implements BatchScorer (a compiled detector does) the scores are
-// produced through its allocation-free batch path, so the steady state
-// allocates nothing once the internal score buffer has grown to the batch
-// size. The same aliasing contract as Observe applies to every sample
-// buffer. With telemetry enabled the batch records one
-// monitor_observe_seconds observation for the whole burst.
-func (m *Monitor) ObserveBatch(dst []Event, samples [][]float64) error {
-	if len(dst) != len(samples) {
-		return fmt.Errorf("monitor: ObserveBatch dst has %d slots, want %d", len(dst), len(samples))
-	}
-	bs, ok := m.scorer.(BatchScorer)
-	if !ok {
-		for i, fv := range samples {
-			ev, err := m.Observe(fv)
-			if err != nil {
-				return err
-			}
-			dst[i] = ev
-		}
-		return nil
-	}
-	var t0 time.Time
-	if m.timed {
-		t0 = time.Now()
-	}
-	if cap(m.scores) < len(samples) {
-		m.scores = make([]float64, len(samples))
-	}
-	scores := m.scores[:len(samples)]
-	if err := bs.MalwareScoreBatch(scores, samples); err != nil {
-		return err
-	}
-	for i, score := range scores {
-		dst[i] = m.step(score)
-	}
-	if m.timed {
-		m.latency.ObserveDuration(time.Since(t0))
-		m.observed.Add(uint64(len(samples)))
-		for _, ev := range dst {
-			m.countTransition(ev)
-		}
-	}
-	return nil
-}
-
-// ObserveScored advances the smoothing and alarm state machine with a
-// score that was already computed elsewhere; the monitor's scorer is not
-// invoked. This is the serving-layer path: the server produces full
-// verdicts and malware scores in one fused batch evaluation
-// (core.CompiledDetector.DetectScoredBatch) and feeds the scores here so
-// each sample is scored exactly once. The same single-goroutine ownership
-// rules as Observe apply.
-func (m *Monitor) ObserveScored(score float64) Event {
-	ev := m.step(score)
-	if m.timed {
-		m.observed.Inc()
-		m.countTransition(ev)
-	}
-	return ev
-}
-
-// ObserveScoredBatch feeds a burst of pre-computed scores in order,
+// ObserveScoredBatch advances the smoothing and alarm state machine with
+// a burst of scores that were already computed elsewhere, in order,
 // writing the per-sample events into dst; dst and scores must have equal
-// length. Like ObserveScored it never invokes the scorer and performs no
-// heap allocations.
+// length. The monitor's scorer is not invoked. This is the serving-layer
+// path: the server produces full verdicts and malware scores in one
+// batch evaluation (core.CompiledDetector.DetectScoredBatch) and feeds
+// the scores here, so each sample is scored exactly once. The call
+// performs no heap allocations, and the same single-goroutine ownership
+// rules as Observe apply.
 func (m *Monitor) ObserveScoredBatch(dst []Event, scores []float64) error {
 	if len(dst) != len(scores) {
 		return fmt.Errorf("monitor: ObserveScoredBatch dst has %d slots, want %d", len(dst), len(scores))
@@ -346,11 +279,11 @@ func (s *Summary) Add(ev Event) {
 // mutex-guarded, so goroutines may call any method for *different*
 // application keys concurrently. But each application's Monitor (and the
 // scorer the factory created for it) is unsynchronized: concurrent
-// Observe/ObserveBatch/ObserveScored* calls for the *same* application
-// key race on the EWMA state and the scorer's scratch space. Every
-// application stream must therefore be owned by one goroutine at a
-// time; TestTrackerPerStreamIsolation pins the safe side of this
-// contract under the race detector.
+// Observe/ObserveScoredBatch calls for the *same* application key race
+// on the EWMA state and the scorer's scratch space. Every application
+// stream must therefore be owned by one goroutine at a time;
+// TestTrackerPerStreamIsolation pins the safe side of this contract
+// under the race detector.
 type Tracker struct {
 	factory func() Scorer
 	cfg     Config
@@ -359,17 +292,6 @@ type Tracker struct {
 	mu       sync.Mutex
 	monitors map[string]*Monitor
 	stats    map[string]*Summary
-}
-
-// NewTracker builds a multi-application tracker over a single shared
-// scorer. The scorer must be safe for concurrent use when different
-// applications are observed from different goroutines — a compiled
-// detector is not; use NewTrackerFactory for those.
-func NewTracker(s Scorer, cfg Config) (*Tracker, error) {
-	if s == nil {
-		return nil, errors.New("monitor: nil scorer")
-	}
-	return NewTrackerFactory(func() Scorer { return s }, cfg)
 }
 
 // NewTrackerFactory builds a tracker that calls factory once per tracked
@@ -426,23 +348,6 @@ func (t *Tracker) Observe(app string, features []float64) (Event, error) {
 	st.Add(ev)
 	t.mu.Unlock()
 	return ev, nil
-}
-
-// ObserveBatch feeds a burst of samples for one application, writing the
-// per-sample events into dst (dst and samples must have equal length).
-// Scoring goes through the monitor's batch path, so with a compiled
-// scorer the steady state allocates nothing.
-func (t *Tracker) ObserveBatch(app string, dst []Event, samples [][]float64) error {
-	m, st := t.monitorFor(app)
-	if err := m.ObserveBatch(dst, samples); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	for _, ev := range dst {
-		st.Add(ev)
-	}
-	t.mu.Unlock()
-	return nil
 }
 
 // ObserveScoredBatch feeds a burst of pre-computed scores for one

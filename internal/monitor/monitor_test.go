@@ -155,7 +155,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestTrackerPerAppIsolation(t *testing.T) {
-	tr, err := NewTracker(constScorer(0.9), Config{MinSamples: 2})
+	tr, err := NewTrackerFactory(func() Scorer { return constScorer(0.9) }, Config{MinSamples: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,109 +193,20 @@ func TestTrackerPerAppIsolation(t *testing.T) {
 }
 
 func TestTrackerValidation(t *testing.T) {
-	if _, err := NewTracker(nil, Config{}); err == nil {
-		t.Fatal("nil scorer accepted")
-	}
-	if _, err := NewTracker(constScorer(0), Config{Alpha: 5}); err == nil {
+	if _, err := NewTrackerFactory(func() Scorer { return constScorer(0) }, Config{Alpha: 5}); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
 
-// firstFeatureScorer scores each sample as its first feature value and
-// implements the allocation-free BatchScorer fast path.
-type firstFeatureScorer struct{ batchCalls int }
+// firstFeatureScorer scores each sample as its first feature value.
+type firstFeatureScorer struct{}
 
-func (s *firstFeatureScorer) MalwareScore(features []float64) (float64, error) {
-	if features[0] < 0 {
-		return 0, errors.New("scripted failure")
-	}
+func (firstFeatureScorer) MalwareScore(features []float64) (float64, error) {
 	return features[0], nil
 }
 
-func (s *firstFeatureScorer) MalwareScoreBatch(dst []float64, samples [][]float64) error {
-	s.batchCalls++
-	for i, fv := range samples {
-		if fv[0] < 0 {
-			return errors.New("scripted batch failure")
-		}
-		dst[i] = fv[0]
-	}
-	return nil
-}
-
-// batchSamples builds a deterministic score ramp crossing both hysteresis
-// thresholds so batch events exercise raise and clear transitions.
-func batchSamples(n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		v := 0.9
-		if i >= n/2 {
-			v = 0.05
-		}
-		out[i] = []float64{v}
-	}
-	return out
-}
-
-func TestObserveBatchMatchesObserve(t *testing.T) {
-	samples := batchSamples(20)
-	for _, tc := range []struct {
-		name   string
-		scorer func() Scorer
-	}{
-		{"batch-scorer", func() Scorer { return &firstFeatureScorer{} }},
-		{"fallback", func() Scorer { return constScorer(0.9) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			batched, err := New(tc.scorer(), Config{MinSamples: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sequential, err := New(tc.scorer(), Config{MinSamples: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := make([]Event, len(samples))
-			if err := batched.ObserveBatch(dst, samples); err != nil {
-				t.Fatal(err)
-			}
-			for i, fv := range samples {
-				want, err := sequential.Observe(fv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dst[i] != want {
-					t.Fatalf("sample %d: batch event %+v, sequential %+v", i, dst[i], want)
-				}
-			}
-			if batched.Samples() != sequential.Samples() || batched.Alarmed() != sequential.Alarmed() {
-				t.Fatal("batch and sequential monitors diverged")
-			}
-		})
-	}
-}
-
-func TestObserveBatchValidation(t *testing.T) {
-	scorer := &firstFeatureScorer{}
-	m, err := New(scorer, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := batchSamples(4)
-	if err := m.ObserveBatch(make([]Event, 2), samples); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	bad := [][]float64{{-1}}
-	if err := m.ObserveBatch(make([]Event, 1), bad); err == nil {
-		t.Fatal("batch scorer error swallowed")
-	}
-	if scorer.batchCalls == 0 {
-		t.Fatal("BatchScorer fast path never taken")
-	}
-}
-
 func TestObserveZeroAlloc(t *testing.T) {
-	m, err := New(&firstFeatureScorer{}, Config{MinSamples: 1})
+	m, err := New(firstFeatureScorer{}, Config{MinSamples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,19 +218,6 @@ func TestObserveZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Observe allocates %.1f objects/op, want 0", allocs)
 	}
-
-	samples := batchSamples(32)
-	dst := make([]Event, len(samples))
-	if err := m.ObserveBatch(dst, samples); err != nil { // grows the score buffer once
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := m.ObserveBatch(dst, samples); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("ObserveBatch allocates %.1f objects/op, want 0", allocs)
-	}
 }
 
 func TestTrackerFactoryPerApp(t *testing.T) {
@@ -329,7 +227,7 @@ func TestTrackerFactoryPerApp(t *testing.T) {
 	built := 0
 	tr, err := NewTrackerFactory(func() Scorer {
 		built++
-		return &firstFeatureScorer{}
+		return firstFeatureScorer{}
 	}, Config{MinSamples: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -348,66 +246,8 @@ func TestTrackerFactoryPerApp(t *testing.T) {
 	}
 }
 
-func TestTrackerObserveBatch(t *testing.T) {
-	tr, err := NewTrackerFactory(func() Scorer { return &firstFeatureScorer{} }, Config{MinSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := NewTrackerFactory(func() Scorer { return &firstFeatureScorer{} }, Config{MinSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := batchSamples(16)
-	dst := make([]Event, len(samples))
-	if err := tr.ObserveBatch("app", dst, samples); err != nil {
-		t.Fatal(err)
-	}
-	for i, fv := range samples {
-		want, err := seq.Observe("app", fv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dst[i] != want {
-			t.Fatalf("sample %d: batch event %+v, sequential %+v", i, dst[i], want)
-		}
-	}
-	if err := tr.ObserveBatch("app", dst[:1], samples); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	sum, ok := tr.Close("app")
-	if !ok || sum.Samples != len(samples) {
-		t.Fatalf("summary %+v, want %d samples", sum, len(samples))
-	}
-	wantSum, _ := seq.Close("app")
-	if sum.Alarms != wantSum.Alarms || sum.AlarmActive != wantSum.AlarmActive || sum.MaxSmoothed != wantSum.MaxSmoothed {
-		t.Fatalf("batch summary %+v, sequential %+v", sum, wantSum)
-	}
-}
-
-// BenchmarkObserveBatch measures the burst-observation path with an
-// allocation-free batch scorer; the CI benchmark gate watches its ns/op
-// and allocs/op.
-func BenchmarkObserveBatch(b *testing.B) {
-	m, err := New(&firstFeatureScorer{}, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := batchSamples(64)
-	dst := make([]Event, len(samples))
-	if err := m.ObserveBatch(dst, samples); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.ObserveBatch(dst, samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestTrackerConcurrentApps(t *testing.T) {
-	tr, err := NewTracker(constScorer(0.7), Config{MinSamples: 1})
+	tr, err := NewTrackerFactory(func() Scorer { return constScorer(0.7) }, Config{MinSamples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // TestObserveScoredMatchesObserve pins that feeding pre-computed scores
-// through ObserveScored/ObserveScoredBatch drives the smoothing and alarm
-// state machine exactly as Observe would with a scorer producing the same
-// scores.
+// through ObserveScoredBatch, one at a time or as one burst, drives the
+// smoothing and alarm state machine exactly as Observe would with a
+// scorer producing the same scores.
 func TestObserveScoredMatchesObserve(t *testing.T) {
 	scores := []float64{0.1, 0.9, 0.95, 0.8, 0.2, 0.1, 0.05, 0.99, 0.99, 0.3}
 	ref, err := New(&scriptScorer{scores: scores}, Config{MinSamples: 2})
@@ -27,17 +27,20 @@ func TestObserveScoredMatchesObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]Event, len(scores))
+	got := make([]Event, len(scores))
 	for i := range scores {
 		ev, err := ref.Observe([]float64{float64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = ev
-		if got := single.ObserveScored(scores[i]); got != ev {
-			t.Fatalf("sample %d: ObserveScored %+v, Observe %+v", i, got, ev)
+		if err := single.ObserveScoredBatch(got[:1], scores[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != ev {
+			t.Fatalf("sample %d: one-score ObserveScoredBatch %+v, Observe %+v", i, got[0], ev)
 		}
 	}
-	got := make([]Event, len(scores))
 	if err := batch.ObserveScoredBatch(got, scores); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,9 @@ func TestObserveScoredTelemetry(t *testing.T) {
 	if err := m.ObserveScoredBatch(dst, []float64{0.9, 0.9, 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	m.ObserveScored(0.95)
+	if err := m.ObserveScoredBatch(dst[:1], []float64{0.95}); err != nil {
+		t.Fatal(err)
+	}
 	if got := reg.Counter("monitor_samples_total").Value(); got != 4 {
 		t.Errorf("monitor_samples_total = %d, want 4", got)
 	}
@@ -83,12 +88,11 @@ func TestObserveScoredZeroAlloc(t *testing.T) {
 	dst := make([]Event, 32)
 	scores := make([]float64, 32)
 	if allocs := testing.AllocsPerRun(100, func() {
-		m.ObserveScored(0.5)
 		if err := m.ObserveScoredBatch(dst, scores); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("scored paths allocate %.1f objects/op, want 0", allocs)
+		t.Errorf("ObserveScoredBatch allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -130,18 +134,10 @@ func (s *statefulScorer) MalwareScore(features []float64) (float64, error) {
 	return s.last, nil
 }
 
-func (s *statefulScorer) MalwareScoreBatch(dst []float64, samples [][]float64) error {
-	for i := range samples {
-		v, _ := s.MalwareScore(samples[i])
-		dst[i] = v
-	}
-	return nil
-}
-
 // TestTrackerPerStreamIsolation pins the Tracker's concurrency contract:
 // many goroutines each own one application stream and concurrently drive
-// ObserveBatch (scorer-invoking) and ObserveScoredBatch against one
-// shared Tracker. Run under -race (CI does) this proves that per-app
+// Observe (scorer-invoking) and ObserveScoredBatch against one shared
+// Tracker. Run under -race (CI does) this proves that per-app
 // monitors and factory-built scorers are never shared across streams;
 // sharing one app between goroutines is the documented unsafe case. The
 // factory records every scorer it builds, so the test can check each one
@@ -178,25 +174,24 @@ func TestTrackerPerStreamIsolation(t *testing.T) {
 			events := make([]Event, burst)
 			scores := make([]float64, burst)
 			fv := make([]float64, 1)
-			samples := make([][]float64, burst)
-			for i := range samples {
-				samples[i] = fv
-			}
 			for r := 0; r < rounds; r++ {
 				// Half the rounds feed scores computed outside the
 				// tracker; half let the monitor invoke its scorer.
 				if r%2 == 0 {
-					if err := sc.MalwareScoreBatch(scores, samples); err != nil {
-						errs <- err
-						return
+					for i := range scores {
+						scores[i], _ = sc.MalwareScore(fv)
 					}
 					if err := tr.ObserveScoredBatch(app, events, scores); err != nil {
 						errs <- err
 						return
 					}
-				} else if err := tr.ObserveBatch(app, events, samples); err != nil {
-					errs <- err
-					return
+					continue
+				}
+				for i := 0; i < burst; i++ {
+					if _, err := tr.Observe(app, fv); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}
 		}(g)

@@ -53,7 +53,7 @@ func TestMonitorTelemetry(t *testing.T) {
 
 func TestTrackerActiveGauge(t *testing.T) {
 	reg := telemetry.New()
-	tr, err := NewTracker(constScorer(0.2), Config{Telemetry: reg})
+	tr, err := NewTrackerFactory(func() Scorer { return constScorer(0.2) }, Config{Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,8 +108,8 @@ type Config struct {
 	// scored (at most one per scored chunk). <= 0 disables tracing: New
 	// returns nil, which every method accepts.
 	SampleEvery int
-	// Depth is the trace ring capacity, rounded up to a power of two.
-	// Defaults to 256.
+	// Depth is the trace ring capacity: the ring keeps the newest Depth
+	// records. Defaults to 256.
 	Depth int
 }
 
@@ -135,11 +135,7 @@ func New(cfg Config) *Tracer {
 	if depth <= 0 {
 		depth = 256
 	}
-	n := 1
-	for n < depth {
-		n <<= 1
-	}
-	return &Tracer{every: uint64(cfg.SampleEvery), slots: make([]Record, n)}
+	return &Tracer{every: uint64(cfg.SampleEvery), slots: make([]Record, depth)}
 }
 
 // SampleEvery reports the configured sampling period (0 when t is nil).

@@ -97,8 +97,8 @@ func TestRingOverwrite(t *testing.T) {
 
 func TestDepthRounding(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, Depth: 5})
-	if got := len(tr.slots); got != 8 {
-		t.Fatalf("depth 5 should round to 8 slots, got %d", got)
+	if got := len(tr.slots); got != 5 {
+		t.Fatalf("depth 5 should keep 5 slots, got %d", got)
 	}
 	tr = New(Config{SampleEvery: 1}) // default
 	if got := len(tr.slots); got != 256 {

@@ -180,6 +180,8 @@ type CloseStream struct {
 // ModelVersion is the registry version of the detector that scored the
 // stream — a stream opened before a hot swap keeps reporting the version
 // it was opened with, so agents can attribute verdicts across a swap.
+// Behind a gateway that moved the stream between shards, Samples also
+// counts the samples forwarded to its earlier shards.
 type StreamSummary struct {
 	Stream       uint32
 	ModelVersion uint32

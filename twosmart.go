@@ -119,9 +119,9 @@ func TrainContext(ctx context.Context, d *Dataset, cfg TrainConfig) (*Detector, 
 
 // CompiledDetector is a trained detector lowered into flat allocation-free
 // evaluators for the run-time hot path (see Detector.Compile). It is
-// prediction-equivalent to the Detector it was compiled from, adds
-// DetectBatch/MalwareScoreBatch, and performs zero heap allocations per
-// sample — but owns scratch space, so compile one per goroutine.
+// prediction-equivalent to the Detector it was compiled from and performs
+// zero heap allocations per sample — but owns scratch space, so compile
+// one per goroutine.
 type CompiledDetector = core.CompiledDetector
 
 // LoadDetector reconstructs a detector serialised with Detector.Marshal,
