@@ -121,15 +121,21 @@ type routeState struct {
 	ring  *Ring
 }
 
-// shardMetrics caches one shard's labeled instruments so the data path
-// never formats label strings.
-type shardMetrics struct {
+// shard is one configured shard's record: its labeled instruments, built
+// once so the data path never formats label strings, and its health, live
+// model version and probe connection, guarded by Gateway.mu.
+type shard struct {
+	addr      string
 	routed    telemetry.Counter
 	forwarded telemetry.Counter
 	relayed   telemetry.Counter
 	up        telemetry.Gauge
 	probeRTT  telemetry.Gauge
 	version   telemetry.Gauge
+
+	healthy bool
+	live    uint32          // model version from heartbeat echoes; 0 until one reports
+	probe   *session.Client // health-probe connection; nil until dialed
 }
 
 // Gateway accepts agent connections and routes their streams across the
@@ -141,12 +147,12 @@ type Gateway struct {
 	routeP  atomic.Pointer[routeState]
 	welcome atomic.Pointer[wire.Welcome] // shard Welcome template for agent handshakes
 
-	mu       sync.Mutex
-	epoch    uint64
-	up       map[string]bool
-	probes   map[string]*session.Client
-	perSh    map[string]*shardMetrics
-	versions map[string]uint32 // live per-shard model version, fed by heartbeat echoes
+	// shards holds one record per configured shard, by address. New
+	// fills it and nothing adds to it afterwards, so lookups need no lock.
+	shards map[string]*shard
+
+	mu    sync.Mutex // guards epoch and each shard's healthy, live and probe
+	epoch uint64
 
 	rerouted       telemetry.Counter
 	drained        telemetry.Counter
@@ -166,16 +172,24 @@ func New(cfg Config) (*Gateway, error) {
 	reg := filled.Telemetry
 	g := &Gateway{
 		cfg:            filled,
-		up:             make(map[string]bool, len(filled.Shards)),
-		probes:         make(map[string]*session.Client, len(filled.Shards)),
-		perSh:          make(map[string]*shardMetrics, len(filled.Shards)),
-		versions:       make(map[string]uint32, len(filled.Shards)),
+		shards:         make(map[string]*shard, len(filled.Shards)),
 		rerouted:       reg.Counter("cluster_streams_rerouted_total"),
 		drained:        reg.Counter("cluster_streams_drained_total"),
 		dropped:        reg.Counter("cluster_samples_dropped_total"),
 		shardsHealthy:  reg.Gauge("cluster_shards_healthy"),
 		memberChanges:  reg.Counter("cluster_membership_changes_total"),
 		healthFailures: reg.Counter("cluster_health_check_failures_total"),
+	}
+	for _, addr := range filled.Shards {
+		g.shards[addr] = &shard{
+			addr:      addr,
+			routed:    reg.Counter(telemetry.Label("cluster_streams_routed_total", "shard", addr)),
+			forwarded: reg.Counter(telemetry.Label("cluster_samples_forwarded_total", "shard", addr)),
+			relayed:   reg.Counter(telemetry.Label("cluster_verdicts_relayed_total", "shard", addr)),
+			up:        reg.Gauge(telemetry.Label("cluster_shard_up", "shard", addr)),
+			probeRTT:  reg.Gauge(telemetry.Label("cluster_probe_rtt_seconds", "shard", addr)),
+			version:   reg.Gauge(telemetry.Label("cluster_shard_model_version", "shard", addr)),
+		}
 	}
 	g.fe = session.NewFrontend(session.Tier{
 		Welcome:    g.agentWelcome,
@@ -195,85 +209,59 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// metricsFor returns shard's cached labeled instruments.
-func (g *Gateway) metricsFor(shard string) *shardMetrics {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.metricsForLocked(shard)
-}
-
-func (g *Gateway) metricsForLocked(shard string) *shardMetrics {
-	m := g.perSh[shard]
-	if m == nil {
-		reg := g.cfg.Telemetry
-		m = &shardMetrics{
-			routed:    reg.Counter(telemetry.Label("cluster_streams_routed_total", "shard", shard)),
-			forwarded: reg.Counter(telemetry.Label("cluster_samples_forwarded_total", "shard", shard)),
-			relayed:   reg.Counter(telemetry.Label("cluster_verdicts_relayed_total", "shard", shard)),
-			up:        reg.Gauge(telemetry.Label("cluster_shard_up", "shard", shard)),
-			probeRTT:  reg.Gauge(telemetry.Label("cluster_probe_rtt_seconds", "shard", shard)),
-			version:   reg.Gauge(telemetry.Label("cluster_shard_model_version", "shard", shard)),
-		}
-		g.perSh[shard] = m
-	}
-	return m
-}
-
 // route returns the current routing generation.
 func (g *Gateway) route() *routeState { return g.routeP.Load() }
 
 // setHealth records one shard's probe outcome and rebuilds the ring when
 // the healthy set changed.
-func (g *Gateway) setHealth(shard string, healthy bool) {
+func (g *Gateway) setHealth(addr string, healthy bool) {
 	g.mu.Lock()
-	if g.up[shard] == healthy {
-		g.mu.Unlock()
-		return
+	defer g.mu.Unlock()
+	if sh := g.shards[addr]; sh.healthy != healthy {
+		sh.healthy = healthy
+		g.rebuildLocked(sh)
 	}
-	g.up[shard] = healthy
-	g.rebuildLocked(shard, healthy)
-	g.mu.Unlock()
 }
 
 // reportFailure marks a shard down from the data path (a failed dial,
 // send or relay read), without waiting for the next health pass. The
 // probe connection, if any, is torn down so the health loop re-dials.
-func (g *Gateway) reportFailure(shard string) {
+func (g *Gateway) reportFailure(addr string) {
 	g.mu.Lock()
-	if !g.up[shard] {
-		g.mu.Unlock()
+	defer g.mu.Unlock()
+	sh := g.shards[addr]
+	if !sh.healthy {
 		return
 	}
-	g.up[shard] = false
-	if p := g.probes[shard]; p != nil {
-		p.Close()
-		delete(g.probes, shard)
+	sh.healthy = false
+	if sh.probe != nil {
+		sh.probe.Close()
+		sh.probe = nil
 	}
-	g.rebuildLocked(shard, false)
-	g.mu.Unlock()
+	g.rebuildLocked(sh)
 }
 
-// rebuildLocked swaps in a new ring over the healthy set and bumps the
-// membership epoch. Caller holds g.mu.
-func (g *Gateway) rebuildLocked(shard string, healthy bool) {
-	members := make([]string, 0, len(g.up))
-	for s, ok := range g.up {
-		if ok {
-			members = append(members, s)
+// rebuildLocked swaps in a new ring over the healthy set after changed's
+// health flipped and bumps the membership epoch. Caller holds g.mu.
+func (g *Gateway) rebuildLocked(changed *shard) {
+	var members []string
+	for addr, sh := range g.shards {
+		if sh.healthy {
+			members = append(members, addr)
 		}
 	}
 	g.epoch++
 	g.routeP.Store(&routeState{epoch: g.epoch, ring: BuildRing(members, g.cfg.Replicas)})
 	g.memberChanges.Inc()
 	g.shardsHealthy.Set(float64(len(members)))
-	if m := g.metricsForLocked(shard); healthy {
-		m.up.Set(1)
-	} else {
-		m.up.Set(0)
+	up := 0.0
+	if changed.healthy {
+		up = 1
 	}
+	changed.up.Set(up)
 	g.refreshWelcomeLocked()
 	g.cfg.Log.Info("shard membership changed",
-		"shard", shard, "healthy", healthy,
+		"shard", changed.addr, "healthy", changed.healthy,
 		"fleet", len(members), "epoch", g.epoch)
 }
 
@@ -281,19 +269,20 @@ func (g *Gateway) rebuildLocked(shard string, healthy bool) {
 // heartbeat echo — the live feed that keeps per-shard version tracking
 // correct across hot swaps (the dial-time Welcome goes stale the moment
 // a swap lands).
-func (g *Gateway) observeVersion(shard string, v uint32) {
+func (g *Gateway) observeVersion(addr string, v uint32) {
 	if v == 0 {
 		return // pre-registry shard; nothing to track
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.versions[shard] == v {
+	sh := g.shards[addr]
+	if sh.live == v {
 		return
 	}
-	g.versions[shard] = v
-	g.metricsForLocked(shard).version.Set(float64(v))
+	sh.live = v
+	sh.version.Set(float64(v))
 	g.refreshWelcomeLocked()
-	g.cfg.Log.Info("shard model version observed", "shard", shard, "version", v)
+	g.cfg.Log.Info("shard model version observed", "shard", addr, "version", v)
 }
 
 // refreshWelcomeLocked points the agent-facing Welcome template at the
@@ -307,9 +296,9 @@ func (g *Gateway) refreshWelcomeLocked() {
 		return
 	}
 	counts := make(map[uint32]int)
-	for s, up := range g.up {
-		if v := g.versions[s]; up && v != 0 {
-			counts[v]++
+	for _, sh := range g.shards {
+		if sh.healthy && sh.live != 0 {
+			counts[sh.live]++
 		}
 	}
 	best := w.ModelVersion
@@ -327,13 +316,13 @@ func (g *Gateway) refreshWelcomeLocked() {
 
 // checkShard runs one health probe: ensure a probe connection exists
 // (dial + handshake), then round-trip a Heartbeat under a deadline.
-func (g *Gateway) checkShard(ctx context.Context, shard string) bool {
+func (g *Gateway) checkShard(ctx context.Context, sh *shard) bool {
 	g.mu.Lock()
-	cli := g.probes[shard]
+	cli := sh.probe
 	g.mu.Unlock()
 	if cli == nil {
 		dctx, cancel := context.WithTimeout(ctx, g.cfg.DialTimeout)
-		c, err := session.DialOnce(dctx, shard, "smartgw-health")
+		c, err := session.DialOnce(dctx, sh.addr, "smartgw-health")
 		cancel()
 		if err != nil {
 			g.healthFailures.Inc()
@@ -342,7 +331,7 @@ func (g *Gateway) checkShard(ctx context.Context, shard string) bool {
 		w := c.Welcome()
 		g.welcome.Store(&w)
 		g.mu.Lock()
-		g.probes[shard] = c
+		sh.probe = c
 		g.mu.Unlock()
 		cli = c
 	}
@@ -368,15 +357,15 @@ func (g *Gateway) checkShard(ctx context.Context, shard string) bool {
 		return isHB
 	}()
 	if ok {
-		g.metricsFor(shard).probeRTT.Set(time.Since(probeStart).Seconds())
-		g.observeVersion(shard, echoedVersion)
+		sh.probeRTT.Set(time.Since(probeStart).Seconds())
+		g.observeVersion(sh.addr, echoedVersion)
 	}
 	if !ok {
 		g.healthFailures.Inc()
 		cli.Close()
 		g.mu.Lock()
-		if g.probes[shard] == cli {
-			delete(g.probes, shard)
+		if sh.probe == cli {
+			sh.probe = nil
 		}
 		g.mu.Unlock()
 	}
@@ -385,11 +374,11 @@ func (g *Gateway) checkShard(ctx context.Context, shard string) bool {
 
 // checkAll probes every configured shard once and applies the outcomes.
 func (g *Gateway) checkAll(ctx context.Context) {
-	for _, shard := range g.cfg.Shards {
+	for _, addr := range g.cfg.Shards {
 		if ctx.Err() != nil {
 			return
 		}
-		g.setHealth(shard, g.checkShard(ctx, shard))
+		g.setHealth(addr, g.checkShard(ctx, g.shards[addr]))
 	}
 }
 
@@ -423,9 +412,11 @@ func (g *Gateway) Serve(ctx context.Context) error {
 	stopHealth()
 	<-healthDone
 	g.mu.Lock()
-	for s, p := range g.probes {
-		p.Close()
-		delete(g.probes, s)
+	for _, sh := range g.shards {
+		if sh.probe != nil {
+			sh.probe.Close()
+			sh.probe = nil
+		}
 	}
 	g.mu.Unlock()
 	if err != nil {
@@ -477,27 +468,30 @@ func (f *forwarder) OpenStream(id uint32, app string) (session.Stream, error) {
 // RoundEnd flushes every live upstream's buffered frames, then the agent
 // connection — one syscall per peer per round.
 func (f *forwarder) RoundEnd() error {
-	for shard, up := range f.ups {
+	for addr, up := range f.ups {
 		if up.dead.Load() {
 			continue
 		}
 		if err := up.cli.Flush(); err != nil {
 			up.fail()
-			f.g.cfg.Log.Warn("upstream flush", "shard", shard, "err", err)
+			f.g.cfg.Log.Warn("upstream flush", "shard", addr, "err", err)
 		}
 	}
 	return f.c.Flush()
 }
 
-// upstreamFor returns the live upstream connection to shard, dialing one
-// (plus its relay goroutine) on first use or after a failure.
-func (f *forwarder) upstreamFor(shard string) (*upstream, error) {
-	if up := f.ups[shard]; up != nil {
+// upstreamFor returns the live upstream connection to shard addr, dialing
+// one (plus its relay goroutine) on first use or after a failure. A dead
+// upstream's relay is waited for before it is replaced: the relay answers
+// the closes it holds as it ends, and shutdown waits only for the relays
+// still in ups, so the connection's teardown cannot outrun an answer.
+func (f *forwarder) upstreamFor(addr string) (*upstream, error) {
+	if up := f.ups[addr]; up != nil {
 		if !up.dead.Load() {
 			return up, nil
 		}
-		up.cli.Close()
-		delete(f.ups, shard)
+		<-up.done
+		delete(f.ups, addr)
 	}
 	g := f.g
 	// DialOnce, not Dial: a refused connection must fail the placement
@@ -505,29 +499,28 @@ func (f *forwarder) upstreamFor(shard string) (*upstream, error) {
 	// retry-on-refused loop would park the engine worker for DialTimeout
 	// behind a shard that is already gone.
 	dctx, cancel := context.WithTimeout(context.Background(), g.cfg.DialTimeout)
-	cli, err := session.DialOnce(dctx, shard, f.agent)
+	cli, err := session.DialOnce(dctx, addr, f.agent)
 	cancel()
 	if err != nil {
 		return nil, err
 	}
 	up := &upstream{
-		g:      g,
-		c:      f.c,
-		shard:  shard,
+		f:      f,
+		sh:     g.shards[addr],
 		cli:    cli,
-		met:    g.metricsFor(shard),
 		closes: make(map[uint32][]closeState),
 		done:   make(chan struct{}),
 	}
-	f.ups[shard] = up
+	f.ups[addr] = up
 	go up.relay()
 	return up, nil
 }
 
 // shutdown half-closes every upstream once the worker is done with them
 // and waits for the relays: each shard scores what it holds, flushes and
-// closes within DialTimeout, and its verdicts reach the agent before the
-// front end's final flush. The closing flag keeps the relays' EOF from
+// closes within DialTimeout, and its verdicts and summaries reach the
+// agent before the front end's final flush; a close it leaves unanswered
+// gets a made-up summary. The closing flag keeps the relays' EOF from
 // reading as a shard failure — an agent hanging up must not mark its
 // shards unhealthy.
 func (f *forwarder) shutdown() {
@@ -541,37 +534,57 @@ func (f *forwarder) shutdown() {
 	}
 	for _, up := range f.ups {
 		<-up.done
-		up.cli.Close()
 	}
 }
 
-// closeState is the relay-side bookkeeping for one CloseStream sent
-// upstream: either its summary is suppressed (the stream drained to
-// another shard mid-flight) or what to fold into the shard's
-// StreamSummary before forwarding it: the gateway-side shed, and the
-// samples forwarded to the stream's earlier placements.
+// summarize writes the agent's StreamSummary for one close of stream id;
+// no other code writes one. sum is the shard's answer, which gains the
+// samples forwarded to the stream's earlier placements, or nil when no
+// answer will come, and then the summary is made up from the samples the
+// gateway forwarded. Either way it carries the gateway-side shed. A
+// move's suppressed close writes nothing.
+func (f *forwarder) summarize(id uint32, cs closeState, sum *wire.StreamSummary) {
+	if cs.suppress {
+		return
+	}
+	if sum == nil {
+		sum = &wire.StreamSummary{Stream: id, Samples: cs.sent}
+		if w := f.g.welcome.Load(); w != nil {
+			sum.ModelVersion = w.ModelVersion
+		}
+	} else {
+		sum.Samples += cs.prior
+	}
+	sum.Shed += cs.shed
+	f.c.WriteFrame(*sum)
+}
+
+// closeState is what one close of a stream needs to be answered: either
+// its summary is suppressed (the stream drained to another shard
+// mid-flight), or the gateway-side shed, the samples forwarded to the
+// stream's earlier placements, and all the samples it forwarded.
 type closeState struct {
 	suppress bool
 	shed     uint64
 	prior    uint64
+	sent     uint64
 }
 
 // upstream is one gateway→shard data connection shared by all streams of
 // one agent connection that route to that shard, plus the relay goroutine
 // carrying shard frames back to the agent.
 type upstream struct {
-	g       *Gateway
-	c       *session.Conn
-	shard   string
+	f       *forwarder
+	sh      *shard
 	cli     *session.Client
-	met     *shardMetrics
 	dead    atomic.Bool
 	closing atomic.Bool // deliberate local teardown, not a shard failure
 
 	// closes queues, per stream id, the closes sent upstream and not yet
 	// answered, oldest first: a move's close and the agent's close of one
 	// id can both be outstanding, and the shard answers one connection's
-	// closes in the order they were sent.
+	// closes in the order they were sent. It is nil once the relay has
+	// ended and answered what it held.
 	mu     sync.Mutex
 	closes map[uint32][]closeState
 
@@ -592,14 +605,26 @@ func (up *upstream) retire() bool {
 // reroute on their next batch.
 func (up *upstream) fail() {
 	if up.retire() {
-		up.g.reportFailure(up.shard)
+		up.f.g.reportFailure(up.sh.addr)
 	}
 }
 
-func (up *upstream) pushClose(id uint32, cs closeState) {
+// close queues cs as stream id's newest outstanding close and sends the
+// CloseStream. The relay answers a queued close however the upstream
+// ends; once the relay has ended, close queues and sends nothing and
+// reports false.
+func (up *upstream) close(id uint32, cs closeState) bool {
 	up.mu.Lock()
+	if up.closes == nil {
+		up.mu.Unlock()
+		return false
+	}
 	up.closes[id] = append(up.closes[id], cs)
 	up.mu.Unlock()
+	if err := up.cli.CloseStream(id); err != nil {
+		up.fail()
+	}
+	return true
 }
 
 // popClose takes the oldest outstanding close of stream id; a summary no
@@ -619,53 +644,63 @@ func (up *upstream) popClose(id uint32) closeState {
 	return q[0]
 }
 
-// relay pumps shard frames back to the agent: verdicts pass through
-// (counted per shard), stream summaries get the gateway-side shed folded
-// in (or are suppressed for drained streams), shard errors terminate the
-// upstream. Flushes batch: the agent writer flushes only when no more
-// shard input is already buffered.
+// relay carries shard frames back to the agent until the upstream ends,
+// then retires it and answers every close still queued with a made-up
+// summary. Only after that does it mark a failed shard down, so once
+// cluster_shard_up reads 0 for a shard its relay's answers are written.
 func (up *upstream) relay() {
 	defer close(up.done)
+	failed := up.pump()
+	retired := up.retire()
+	up.mu.Lock()
+	unanswered := up.closes
+	up.closes = nil
+	up.mu.Unlock()
+	for id, q := range unanswered {
+		for _, cs := range q {
+			up.f.summarize(id, cs, nil)
+		}
+	}
+	up.f.c.Flush()
+	if failed && retired {
+		up.f.g.reportFailure(up.sh.addr)
+	}
+}
+
+// pump relays shard frames until the upstream ends and reports whether
+// it ended because the shard failed: a read error other than the agent
+// connection's own teardown (EOF or the read deadline), or a draining
+// shard. An idle reap ends only this connection, so the next batch
+// re-dials the same shard. Verdicts pass through (counted per shard) and
+// stream summaries are summarized. Flushes batch: the agent writer
+// flushes only when no more shard input is already buffered.
+func (up *upstream) pump() (failed bool) {
 	for {
 		f, err := up.cli.Next()
 		if err != nil {
-			if !up.closing.Load() {
-				up.fail()
-			}
-			return
+			return !up.closing.Load()
 		}
 		switch fr := f.(type) {
 		case wire.Verdict:
-			up.c.WriteFrame(fr)
-			up.met.relayed.Inc()
+			up.f.c.WriteFrame(fr)
+			up.sh.relayed.Inc()
 		case wire.StreamSummary:
-			cs := up.popClose(fr.Stream)
-			if cs.suppress {
-				continue
-			}
-			fr.Samples += cs.prior
-			fr.Shed += cs.shed
-			up.c.WriteFrame(fr)
+			up.f.summarize(fr.Stream, up.popClose(fr.Stream), &fr)
 		case wire.Heartbeat:
 			// Echo of a keepalive; nothing to relay.
 		case wire.Error:
 			// A shard-side error is a fleet-operations event, not an agent
-			// protocol event: log it and never forward it downstream. A
-			// draining shard is leaving, so streams reroute; an idle reap
-			// ends only this connection, so the next batch re-dials the
-			// same shard.
-			up.g.cfg.Log.Warn("upstream error frame", "shard", up.shard, "code", fr.Code, "msg", fr.Msg)
+			// protocol event: log it and never forward it downstream.
+			up.f.g.cfg.Log.Warn("upstream error frame", "shard", up.sh.addr, "code", fr.Code, "msg", fr.Msg)
 			switch fr.Code {
 			case wire.CodeDraining:
-				up.fail()
-				return
+				return true
 			case wire.CodeIdle:
-				up.retire()
-				return
+				return false
 			}
 		}
 		if up.cli.Buffered() == 0 {
-			up.c.Flush()
+			up.f.c.Flush()
 		}
 	}
 }
@@ -681,7 +716,7 @@ type fwdStream struct {
 	up    *upstream
 
 	opened bool   // placed at least once (first placement counts as routed)
-	sent   uint64 // samples forwarded, for summaries synthesized after shard death
+	sent   uint64 // samples forwarded, for summaries made up when no shard answers
 	prior  uint64 // of sent, those forwarded to placements before the current one
 }
 
@@ -699,29 +734,26 @@ func (st *fwdStream) ensureRoute() *upstream {
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		cur = g.route()
-		shard := cur.ring.Route(st.key)
+		addr := cur.ring.Route(st.key)
 		if st.up != nil && !st.up.dead.Load() {
-			if st.up.shard == shard {
+			if st.up.sh.addr == addr {
 				st.epoch = cur.epoch
 				return st.up
 			}
 			// Moved: close out the old placement and suppress its summary —
 			// the agent gets exactly one summary, from the final shard,
 			// which counts this placement's samples in prior.
-			st.up.pushClose(st.id, closeState{suppress: true})
-			if err := st.up.cli.CloseStream(st.id); err != nil {
-				st.up.fail()
-			}
+			st.up.close(st.id, closeState{suppress: true})
 			g.drained.Inc()
 		}
 		st.up = nil
-		if shard == "" {
+		if addr == "" {
 			st.epoch = cur.epoch
 			return nil
 		}
-		up, err := st.f.upstreamFor(shard)
+		up, err := st.f.upstreamFor(addr)
 		if err != nil {
-			g.reportFailure(shard) // refresh the ring, then retry once
+			g.reportFailure(addr) // refresh the ring, then retry once
 			continue
 		}
 		if err := up.cli.OpenStream(st.id, st.app); err != nil {
@@ -733,7 +765,7 @@ func (st *fwdStream) ensureRoute() *upstream {
 		} else {
 			st.opened = true
 		}
-		up.met.routed.Inc()
+		up.sh.routed.Inc()
 		st.up = up
 		st.prior = st.sent
 		st.epoch = cur.epoch
@@ -768,9 +800,9 @@ func (st *fwdStream) Process(b session.Batch) error {
 			continue
 		}
 		st.sent += uint64(b.Len())
-		up.met.forwarded.Add(uint64(b.Len()))
+		up.sh.forwarded.Add(uint64(b.Len()))
 		if traced {
-			st.capture(b, traceIdx, traceID, sendStart, up.shard)
+			st.capture(b, traceIdx, traceID, sendStart, up.sh.addr)
 		}
 		return nil
 	}
@@ -783,13 +815,13 @@ func (st *fwdStream) Process(b session.Batch) error {
 // drain→send grouping and routing, HopEmit the upstream write(s)
 // (including any failover re-send). HopGateway, HopStage0 and HopScore
 // stay zero — the matching shard-tier record owns those.
-func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart time.Time, shard string) {
+func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart time.Time, addr string) {
 	sendEnd := time.Now()
 	rec := trace.Record{
 		TraceID: traceID,
 		Tier:    trace.TierGateway,
 		App:     st.app,
-		Shard:   shard,
+		Shard:   addr,
 		Stream:  st.id,
 		Seq:     b.Seqs[i],
 	}
@@ -803,31 +835,16 @@ func (st *fwdStream) capture(b session.Batch, i int, traceID uint64, sendStart t
 	st.f.g.cfg.Tracer.Add(rec)
 }
 
-// Close ends the stream: when its upstream is alive the shard's
-// StreamSummary (with the gateway-side shed and the samples forwarded to
-// earlier placements folded in) flows back through the relay; when the
-// shard is gone the gateway synthesizes a summary from its own
-// accounting so the agent still gets a closing record. Either way the
-// summary's Samples + Shed is what the agent sent, less the samples
-// dropped for want of a shard.
+// Close ends the stream. The close queue of the stream's upstream answers
+// it with the shard's summary, or with one made up from the gateway's own
+// accounting when the shard will not answer; an unplaced stream, or one
+// whose upstream's relay has ended, gets the made-up summary here. Either
+// way the summary's Samples + Shed is what the agent sent, less the
+// samples dropped for want of a shard.
 func (st *fwdStream) Close(shed uint64) error {
-	up := st.up
-	if up != nil && !up.dead.Load() {
-		up.pushClose(st.id, closeState{shed: shed, prior: st.prior})
-		if err := up.cli.CloseStream(st.id); err == nil {
-			return nil
-		}
-		up.fail()
+	cs := closeState{shed: shed, prior: st.prior, sent: st.sent}
+	if st.up == nil || !st.up.close(st.id, cs) {
+		st.f.summarize(st.id, cs, nil)
 	}
-	var version uint32
-	if w := st.f.g.welcome.Load(); w != nil {
-		version = w.ModelVersion
-	}
-	st.f.c.WriteFrame(wire.StreamSummary{
-		Stream:       st.id,
-		ModelVersion: version,
-		Samples:      st.sent,
-		Shed:         shed,
-	})
 	return nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"io"
 	"math"
 	"net"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/wire"
 )
@@ -17,7 +19,8 @@ const fakeWidth = 4
 // fakeShard speaks the shard side of the wire protocol under the test's
 // control: it refuses every new connection while refuse is set, echoes
 // heartbeats, reports each stream event on events, and holds the
-// StreamSummary owed for every CloseStream until release.
+// StreamSummary owed for every CloseStream until release, or for good
+// once fail took it away.
 type fakeShard struct {
 	addr   string
 	refuse atomic.Bool
@@ -25,7 +28,8 @@ type fakeShard struct {
 
 	mu    sync.Mutex
 	conns []net.Conn
-	w     *wire.Writer // the data connection: the one that opened a stream
+	data  net.Conn     // the data connection: the one that opened a stream
+	w     *wire.Writer // data's writer
 	held  []wire.StreamSummary
 }
 
@@ -89,7 +93,7 @@ func (fs *fakeShard) serve(nc net.Conn) {
 			fs.mu.Unlock()
 		case wire.OpenStream:
 			fs.mu.Lock()
-			fs.w = w
+			fs.data, fs.w = nc, w
 			fs.mu.Unlock()
 			samples[fr.Stream] = 0
 			fs.events <- "open"
@@ -117,6 +121,22 @@ func (fs *fakeShard) release(barrier wire.Verdict) error {
 	}
 	fs.held = nil
 	fs.w.Write(barrier)
+	return fs.w.Flush()
+}
+
+// fail takes the shard away from the gateway's data connection without
+// answering the closes it holds: the shard refuses new connections, then
+// sends e on the data connection, or drops that connection when e is nil.
+// The probe connection keeps answering heartbeats, so only the data
+// connection's relay can take the shard out of the ring.
+func (fs *fakeShard) fail(e *wire.Error) error {
+	fs.refuse.Store(true)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if e == nil {
+		return fs.data.Close()
+	}
+	fs.w.Write(*e)
 	return fs.w.Flush()
 }
 
@@ -297,4 +317,142 @@ func TestGatewaySummaryForDeadShard(t *testing.T) {
 	if s := summaries[0]; s.Samples != 2 || s.Shed != 0 {
 		t.Fatalf("summary %+v, want the 2 samples forwarded with the agent close's shed (0)", s)
 	}
+}
+
+// sendAndClose opens stream 0 for app, sends it n samples and closes it.
+func sendAndClose(t *testing.T, c *session.Client, app string, n int) {
+	t.Helper()
+	if err := c.OpenStream(0, app); err != nil {
+		t.Fatal(err)
+	}
+	fv := make([]float64, fakeWidth)
+	for seq := 0; seq < n; seq++ {
+		if err := c.Send(0, uint32(seq), fv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CloseStream(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitShardDown waits until the gateway reads shard addr as down.
+func awaitShardDown(t *testing.T, tg *testGateway, addr string) {
+	t.Helper()
+	up := tg.reg.Gauge(telemetry.Label("cluster_shard_up", "shard", addr))
+	for deadline := time.Now().Add(5 * time.Second); up.Value() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("shard never left the ring")
+		}
+	}
+}
+
+// summariesOfStream0 reads the agent's frames until stream barrier's
+// summary arrives or the gateway ends the connection, and returns the
+// summaries of stream 0 read before that.
+func summariesOfStream0(t *testing.T, c *session.Client, barrier uint32) []wire.StreamSummary {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var got []wire.StreamSummary
+	for {
+		f, err := c.Next()
+		if err == io.EOF {
+			return got
+		}
+		if err != nil {
+			t.Fatalf("client read (have %d summaries of stream 0): %v", len(got), err)
+		}
+		s, ok := f.(wire.StreamSummary)
+		if ok && s.Stream == barrier {
+			return got
+		}
+		if ok && s.Stream == 0 {
+			got = append(got, s)
+		}
+	}
+}
+
+// wantOneSummary requires exactly one summary, counting the samples the
+// gateway forwarded and the agent close's shed (0).
+func wantOneSummary(t *testing.T, got []wire.StreamSummary, forwarded uint64) {
+	t.Helper()
+	if len(got) != 1 {
+		t.Fatalf("agent got %d summaries of stream 0 %+v, want exactly 1", len(got), got)
+	}
+	if s := got[0]; s.Samples != forwarded || s.Shed != 0 {
+		t.Fatalf("summary %+v, want the %d samples forwarded with the agent close's shed (0)", s, forwarded)
+	}
+}
+
+// closeBarrier opens and closes stream 1 with no shard to place it on.
+// The worker writes its made-up summary in order, so once it arrives
+// every summary the gateway wrote for stream 0 before it has arrived.
+func closeBarrier(t *testing.T, c *session.Client) {
+	t.Helper()
+	if err := c.OpenStream(1, testApp(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseStream(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatewaySummaryWhenShardDiesAfterClose: the agent's close reached
+// the shard, and the shard drops the connection before it answers. The
+// relay ends on the read error; it must answer the close it still holds
+// before it marks the shard down.
+func TestGatewaySummaryWhenShardDiesAfterClose(t *testing.T) {
+	a := startFakeShard(t)
+	tg := startGateway(t, []string{a.addr})
+	c := dialGateway(t, tg, testAgent)
+	sendAndClose(t, c, testApp(0), 1)
+	a.expect(t, "open", "sample", "close")
+
+	if err := a.fail(nil); err != nil {
+		t.Fatal(err)
+	}
+	awaitShardDown(t, tg, a.addr)
+	closeBarrier(t, c)
+	wantOneSummary(t, summariesOfStream0(t, c, 1), 1)
+}
+
+// TestGatewaySummaryWhenShardDrains: the shard holds the summary of the
+// agent's close and sends CodeDraining. The relay ends on the notice; it
+// must answer the close it still holds.
+func TestGatewaySummaryWhenShardDrains(t *testing.T) {
+	a := startFakeShard(t)
+	tg := startGateway(t, []string{a.addr})
+	c := dialGateway(t, tg, testAgent)
+	sendAndClose(t, c, testApp(0), 2)
+	a.expect(t, "open", "sample", "sample", "close")
+
+	if err := a.fail(&wire.Error{Code: wire.CodeDraining, Msg: "draining"}); err != nil {
+		t.Fatal(err)
+	}
+	awaitShardDown(t, tg, a.addr)
+	closeBarrier(t, c)
+	wantOneSummary(t, summariesOfStream0(t, c, 1), 2)
+}
+
+// TestGatewaySummaryWhenAgentHangsUp: the agent closes its stream and
+// half-closes its connection, and the shard closes the gateway's
+// upstream without answering. The relay ends on EOF during the
+// connection's teardown; the agent must still get its summary before the
+// gateway closes the connection.
+func TestGatewaySummaryWhenAgentHangsUp(t *testing.T) {
+	a := startFakeShard(t)
+	tg := startGatewayWith(t, []string{a.addr}, func(cfg *Config) { cfg.DialTimeout = 500 * time.Millisecond })
+	c := dialGateway(t, tg, testAgent)
+	sendAndClose(t, c, testApp(0), 3)
+	if err := c.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	wantOneSummary(t, summariesOfStream0(t, c, math.MaxUint32), 3)
+	a.expect(t, "open", "sample", "sample", "sample", "close")
 }

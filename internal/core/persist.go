@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"twosmart/internal/ml"
 	"twosmart/internal/persist"
 	"twosmart/internal/workload"
 )
@@ -68,7 +69,7 @@ func UnmarshalDetector(data []byte) (*Detector, error) {
 	if n := stage1.NumClasses(); n != workload.NumClasses {
 		return nil, fmt.Errorf("core: stage 1 has %d classes, want %d", n, workload.NumClasses)
 	}
-	if err := checkIndices(dto.Stage1Feats, len(dto.FeatureNames)); err != nil {
+	if err := checkFeatures(dto.Stage1Feats, len(dto.FeatureNames), stage1); err != nil {
 		return nil, fmt.Errorf("core: stage-1 features: %w", err)
 	}
 	det := &Detector{
@@ -93,7 +94,7 @@ func UnmarshalDetector(data []byte) (*Detector, error) {
 		if n := model.NumClasses(); n != 2 {
 			return nil, fmt.Errorf("core: stage 2 for %s has %d classes, want 2", name, n)
 		}
-		if err := checkIndices(s2.Features, len(dto.FeatureNames)); err != nil {
+		if err := checkFeatures(s2.Features, len(dto.FeatureNames), model); err != nil {
 			return nil, fmt.Errorf("core: stage-2 features for %s: %w", name, err)
 		}
 		det.stage2[class] = stage2Model{kind: kind, model: model, features: s2.Features}
@@ -106,14 +107,20 @@ func UnmarshalDetector(data []byte) (*Detector, error) {
 	return det, nil
 }
 
-func checkIndices(idx []int, width int) error {
+// checkFeatures requires a stage's feature list to index the detector's
+// feature space of width space, and to be at least as wide as the input
+// its model reads.
+func checkFeatures(idx []int, space int, model ml.Classifier) error {
 	if len(idx) == 0 {
 		return fmt.Errorf("no feature indices")
 	}
 	for _, j := range idx {
-		if j < 0 || j >= width {
-			return fmt.Errorf("index %d outside feature space of %d", j, width)
+		if j < 0 || j >= space {
+			return fmt.Errorf("index %d outside feature space of %d", j, space)
 		}
+	}
+	if w := model.InputWidth(); len(idx) < w {
+		return fmt.Errorf("%d features listed, the model reads %d", len(idx), w)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"maps"
+	"strings"
 	"testing"
 
 	"twosmart/internal/workload"
@@ -165,5 +166,45 @@ func TestUnmarshalDetectorRejectsWrongClassCount(t *testing.T) {
 	blob, _ = json.Marshal(multiStage2)
 	if _, err := UnmarshalDetector(blob); err == nil {
 		t.Error("5-class stage-2 model accepted")
+	}
+}
+
+// TestUnmarshalDetectorRejectsNarrowFeatures: a blob whose stage lists
+// fewer features than its model reads must not load, and the error names
+// the stage; either blob would load and then panic on its first sample.
+// The trained detector's own blob still loads.
+func TestUnmarshalDetectorRejectsNarrowFeatures(t *testing.T) {
+	det, err := Train(testData(t), TrainConfig{Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := det.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalDetector(data); err != nil {
+		t.Fatalf("trained detector's blob: %v", err)
+	}
+	var dto detectorDTO
+	if err := json.Unmarshal(data, &dto); err != nil {
+		t.Fatal(err)
+	}
+
+	narrowStage1 := dto
+	narrowStage1.Stage1Feats = []int{0}
+	blob, _ := json.Marshal(narrowStage1)
+	if _, err := UnmarshalDetector(blob); err == nil || !strings.Contains(err.Error(), "stage-1") {
+		t.Errorf("stage 1 with one listed feature: err = %v, want a stage-1 error", err)
+	}
+
+	narrowStage2 := dto
+	narrowStage2.Stage2 = maps.Clone(dto.Stage2)
+	for name, s2 := range narrowStage2.Stage2 {
+		s2.Features = []int{0}
+		narrowStage2.Stage2[name] = s2
+	}
+	blob, _ = json.Marshal(narrowStage2)
+	if _, err := UnmarshalDetector(blob); err == nil || !strings.Contains(err.Error(), "stage-2") {
+		t.Errorf("stage 2 with one listed feature: err = %v, want a stage-2 error", err)
 	}
 }

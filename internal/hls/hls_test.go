@@ -143,6 +143,7 @@ func TestEstimateUnsupported(t *testing.T) {
 type fakeClassifier struct{}
 
 func (fakeClassifier) NumClasses() int            { return 2 }
+func (fakeClassifier) InputWidth() int            { return 0 }
 func (fakeClassifier) Scores([]float64) []float64 { return []float64{1, 0} }
 func (fakeClassifier) Predict([]float64) int      { return 0 }
 

@@ -121,13 +121,17 @@ func alloc2(rows, cols int) [][]float64 {
 // NumClasses implements ml.Classifier.
 func (m *naiveBayes) NumClasses() int { return m.numClasses }
 
+// InputWidth implements ml.Classifier: the width of the per-feature
+// tables.
+func (m *naiveBayes) InputWidth() int { return len(m.means[0]) }
+
 // Scores implements ml.Classifier: normalised posteriors.
 func (m *naiveBayes) Scores(features []float64) []float64 {
 	logPost := make([]float64, m.numClasses)
 	maxLog := math.Inf(-1)
 	for c := 0; c < m.numClasses; c++ {
 		lp := m.logPriors[c]
-		for j, v := range features {
+		for j, v := range features[:m.InputWidth()] {
 			mu := m.means[c][j]
 			va := m.variances[c][j]
 			dlt := v - mu

@@ -110,6 +110,46 @@ func TestCompiledEquivalence(t *testing.T) {
 	}
 }
 
+// TestInputWidth: every learner reads only its leading InputWidth
+// features, interpreted and compiled alike, so a feature vector cut to
+// that width (with no spare capacity to read past) scores exactly as the
+// full one.
+func TestInputWidth(t *testing.T) {
+	cases := compileCases()
+	cases = append(cases, struct {
+		name    string
+		trainer ml.Trainer
+		data    *dataset.Dataset
+		exact   bool
+	}{"NaiveBayes", &bayes.NBTrainer{}, mltest.Gaussian2Class(400, 6, 1.5, 11), true})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			model, err := tc.trainer.Train(tc.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := model.InputWidth()
+			if w < 1 || w > tc.data.NumFeatures() {
+				t.Fatalf("InputWidth = %d, want 1..%d", w, tc.data.NumFeatures())
+			}
+			c := ml.Compile(model)
+			full, cut := make([]float64, c.NumClasses()), make([]float64, c.NumClasses())
+			for i, fv := range randomVectors(tc.data, 200, 101) {
+				narrow := fv[:w:w]
+				want, got := model.Scores(fv), model.Scores(narrow)
+				c.ScoresInto(full, fv)
+				c.ScoresInto(cut, narrow)
+				for cls := range want {
+					if got[cls] != want[cls] || cut[cls] != full[cls] {
+						t.Fatalf("vector %d class %d: cut to %d features scores %v (compiled %v), full %v (compiled %v)",
+							i, cls, w, got[cls], cut[cls], want[cls], full[cls])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCompiledZeroAlloc pins the compiled layer's allocation contract: the
 // steady-state ScoresInto/Predict paths of every lowered kind must not
 // touch the heap. This is the per-model half of the contract the CI

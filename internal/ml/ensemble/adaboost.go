@@ -146,6 +146,15 @@ func resample(d *dataset.Dataset, weights []float64, rng *rand.Rand) *dataset.Da
 // NumClasses implements ml.Classifier.
 func (m *adaboost) NumClasses() int { return m.numClasses }
 
+// InputWidth implements ml.Classifier: the widest input of its members.
+func (m *adaboost) InputWidth() int {
+	w := 0
+	for _, member := range m.members {
+		w = max(w, member.InputWidth())
+	}
+	return w
+}
+
 // Scores implements ml.Classifier: the alpha-weighted vote mass per class,
 // normalised to sum to one.
 func (m *adaboost) Scores(features []float64) []float64 {

@@ -125,9 +125,12 @@ func (m *mlr) softmax(stdFeatures []float64, probs []float64) {
 // NumClasses implements ml.Classifier.
 func (m *mlr) NumClasses() int { return m.numClasses }
 
+// InputWidth implements ml.Classifier: the input layer's width.
+func (m *mlr) InputWidth() int { return len(m.w[0]) - 1 }
+
 // Scores implements ml.Classifier: calibrated class probabilities.
 func (m *mlr) Scores(features []float64) []float64 {
-	std := append([]float64(nil), features...)
+	std := append([]float64(nil), features[:m.InputWidth()]...)
 	m.scaler.Transform(std)
 	probs := make([]float64, m.numClasses)
 	m.softmax(std, probs)

@@ -18,6 +18,10 @@ type Classifier interface {
 	// NumClasses returns the size of the label space the model was
 	// trained on.
 	NumClasses() int
+	// InputWidth returns how many leading features Scores and Predict
+	// read: a feature vector narrower than this is out of range for the
+	// model.
+	InputWidth() int
 	// Scores returns one non-negative confidence per class; higher means
 	// more likely. Scores need not be calibrated probabilities but must
 	// be usable for ranking (ROC/AUC).

@@ -12,6 +12,7 @@ import (
 type thresholdClassifier struct{ t float64 }
 
 func (c thresholdClassifier) NumClasses() int { return 2 }
+func (c thresholdClassifier) InputWidth() int { return 1 }
 func (c thresholdClassifier) Scores(x []float64) []float64 {
 	// Smooth score so ROC has many thresholds.
 	s := 1 / (1 + math.Exp(-(x[0] - c.t)))

@@ -240,9 +240,12 @@ func (m *mlp) outputSoftmax(hiddenOut []float64, probs []float64) {
 // NumClasses implements ml.Classifier.
 func (m *mlp) NumClasses() int { return m.numClasses }
 
+// InputWidth implements ml.Classifier: the input layer's width.
+func (m *mlp) InputWidth() int { return len(m.w1[0]) - 1 }
+
 // Scores implements ml.Classifier.
 func (m *mlp) Scores(features []float64) []float64 {
-	std := append([]float64(nil), features...)
+	std := append([]float64(nil), features[:m.InputWidth()]...)
 	m.scaler.Transform(std)
 	hiddenOut := make([]float64, len(m.w1)+1)
 	return m.forward(std, hiddenOut)

@@ -314,6 +314,18 @@ func pruneValue(d *dataset.Dataset, prune []int, r rule) float64 {
 // NumClasses implements ml.Classifier.
 func (m *jrip) NumClasses() int { return m.numClasses }
 
+// InputWidth implements ml.Classifier: the highest feature index a
+// condition tests, plus one.
+func (m *jrip) InputWidth() int {
+	w := 0
+	for _, r := range m.rules {
+		for _, c := range r.conds {
+			w = max(w, c.feat+1)
+		}
+	}
+	return w
+}
+
 // Scores implements ml.Classifier: the first matching rule wins with its
 // Laplace confidence; otherwise the default distribution applies.
 func (m *jrip) Scores(features []float64) []float64 {

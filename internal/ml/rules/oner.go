@@ -158,6 +158,9 @@ func argmaxF(v []float64) int {
 // NumClasses implements ml.Classifier.
 func (m *oneR) NumClasses() int { return m.numClasses }
 
+// InputWidth implements ml.Classifier: the one feature tested, plus one.
+func (m *oneR) InputWidth() int { return m.feature + 1 }
+
 // Scores implements ml.Classifier.
 func (m *oneR) Scores(features []float64) []float64 {
 	v := features[m.feature]

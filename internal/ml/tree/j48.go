@@ -289,6 +289,19 @@ func leafStats(counts []float64) (total, errs float64) {
 // NumClasses implements ml.Classifier.
 func (m *j48) NumClasses() int { return m.numClasses }
 
+// InputWidth implements ml.Classifier: the highest feature index a node
+// tests, plus one.
+func (m *j48) InputWidth() int {
+	var width func(n *node) int
+	width = func(n *node) int {
+		if n.leaf {
+			return 0
+		}
+		return max(n.feat+1, width(n.left), width(n.right))
+	}
+	return width(m.root)
+}
+
 // Scores implements ml.Classifier: the Laplace-smoothed distribution of the
 // reached leaf.
 func (m *j48) Scores(features []float64) []float64 {

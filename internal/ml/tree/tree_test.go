@@ -220,5 +220,6 @@ func TestJ48PersistInPackage(t *testing.T) {
 type notATree struct{}
 
 func (notATree) NumClasses() int            { return 2 }
+func (notATree) InputWidth() int            { return 0 }
 func (notATree) Scores([]float64) []float64 { return []float64{1, 0} }
 func (notATree) Predict([]float64) int      { return 0 }

@@ -299,6 +299,7 @@ func TestMarshalUnsupported(t *testing.T) {
 type fake struct{}
 
 func (fake) NumClasses() int            { return 2 }
+func (fake) InputWidth() int            { return 0 }
 func (fake) Scores([]float64) []float64 { return []float64{1, 0} }
 func (fake) Predict([]float64) int      { return 0 }
 

@@ -19,6 +19,9 @@ import (
 	"twosmart/internal/dataset"
 )
 
+// appendOne offers one record through the writer's one append path.
+func appendOne(w *Writer, rec Record) bool { return w.AppendBatch([]Record{rec}) == 1 }
+
 func testRecord(i int) Record {
 	return Record{
 		Nanos:        1_700_000_000_000_000_000 + int64(i)*1_000_000,
@@ -184,7 +187,7 @@ func TestWriterRoundTrip(t *testing.T) {
 	}
 	const n = 200
 	for i := 0; i < n; i++ {
-		if !w.Append(testRecord(i)) {
+		if !appendOne(w, testRecord(i)) {
 			t.Fatalf("append %d rejected", i)
 		}
 	}
@@ -222,7 +225,7 @@ func TestWriterRotationAndRetention(t *testing.T) {
 	// Slow-feed the ring in waves so the writer drains many small batches
 	// and crosses the 512-byte segment bound over and over.
 	for i := 0; i < 200; i++ {
-		w.Append(testRecord(i))
+		appendOne(w, testRecord(i))
 		if i%5 == 4 {
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -257,7 +260,7 @@ func TestWriterRecoversTornTail(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		w.Append(testRecord(i))
+		appendOne(w, testRecord(i))
 	}
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -289,7 +292,7 @@ func TestWriterRecoversTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(testRecord(n))
+	appendOne(w, testRecord(n))
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +315,7 @@ func TestRecoverKeepsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		w.Append(testRecord(i))
+		appendOne(w, testRecord(i))
 	}
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -353,7 +356,7 @@ func TestAppendAfterClose(t *testing.T) {
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Append(testRecord(0)) {
+	if appendOne(w, testRecord(0)) {
 		t.Fatal("append after close accepted")
 	}
 	if w.AppendBatch([]Record{testRecord(0), testRecord(1)}) != 0 {
@@ -491,7 +494,7 @@ func TestWriterConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				w.Append(testRecord(g*per + i))
+				appendOne(w, testRecord(g*per+i))
 			}
 		}(g)
 	}
@@ -519,15 +522,15 @@ func TestWriterSurvivesDiskLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(testRecord(0))
+	appendOne(w, testRecord(0))
 	time.Sleep(10 * time.Millisecond)
 	// Take the directory away: the next rotation fails, the failure goes
-	// sticky, and Append keeps returning without ever blocking.
+	// sticky, and AppendBatch keeps returning without ever blocking.
 	if err := os.RemoveAll(logDir); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 100; i++ {
-		w.Append(testRecord(i))
+		appendOne(w, testRecord(i))
 		time.Sleep(time.Millisecond)
 	}
 	st, err := w.Close()
@@ -600,7 +603,7 @@ func writeScoredLog(t *testing.T, dir string, live *core.Detector, data *dataset
 		if v.Malware {
 			flags |= FlagMalware
 		}
-		w.Append(Record{
+		appendOne(w, Record{
 			Nanos:        1_700_000_000_000_000_000 + int64(i),
 			Stream:       uint32(i),
 			App:          "backtest-app",
@@ -668,7 +671,7 @@ func TestBacktestFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(Record{Nanos: 5, App: "gw", Features: data.Instances[0].Features})
+	appendOne(w, Record{Nanos: 5, App: "gw", Features: data.Instances[0].Features})
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +712,7 @@ func TestBacktestMixedWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < narrow; i++ {
-			w.Append(Record{Nanos: int64(i + 1), App: "narrow", Flags: FlagScored, Score: 0.5,
+			appendOne(w, Record{Nanos: int64(i + 1), App: "narrow", Flags: FlagScored, Score: 0.5,
 				Features: data.Instances[i].Features[:2]})
 		}
 		if _, err := w.Close(); err != nil {

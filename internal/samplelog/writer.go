@@ -116,21 +116,15 @@ type Stats struct {
 	Pruned uint64 `json:"pruned"`
 }
 
-// pending is one queued record: the fixed fields plus a ring-owned
-// feature buffer recycled through the free list after encoding.
-type pending struct {
-	rec Record // rec.Features points into the free-list buffer
-}
-
-// Writer is the durable sample log's producer half. Append is safe for
-// concurrent use from any number of scoring goroutines and never blocks
-// on the disk: records flow through a bounded drop-oldest ring to one
-// background goroutine that encodes, writes, rotates and prunes.
+// Writer is the durable sample log's producer half. AppendBatch is safe
+// for concurrent use from any number of scoring goroutines and never
+// blocks on the disk: records flow through a bounded drop-oldest ring to
+// one background goroutine that encodes, writes, rotates and prunes.
 type Writer struct {
 	cfg WriterConfig
 
 	mu     sync.Mutex
-	buf    []pending // circular pending queue
+	buf    []Record // circular pending queue; Features point into free-list buffers
 	head   int
 	n      int
 	free   [][]float64
@@ -143,11 +137,10 @@ type Writer struct {
 	f        *os.File
 	segIndex uint64
 	segBytes int64
-	enc      []byte    // reusable encode buffer
-	drain    []pending // reusable drain buffer
-	err      error     // sticky disk failure
+	enc      []byte // reusable encode buffer
+	err      error  // sticky disk failure
 
-	// stats fields are atomic: Append's drop accounting runs under w.mu
+	// stats fields are atomic: AppendBatch's drop accounting runs under w.mu
 	// while the writer goroutine's batch accounting does not.
 	stats struct {
 		appended, dropped, bytes, segments, pruned atomic.Uint64
@@ -179,7 +172,7 @@ func OpenWriter(cfg WriterConfig) (*Writer, error) {
 	reg := filled.Telemetry
 	w := &Writer{
 		cfg:       filled,
-		buf:       make([]pending, filled.QueueDepth),
+		buf:       make([]Record, filled.QueueDepth),
 		free:      make([][]float64, 0, filled.QueueDepth+1),
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
@@ -238,31 +231,14 @@ func Recover(path string) (SegmentStats, error) {
 	return st, nil
 }
 
-// Append offers one record to the log. The feature vector is copied into
-// a recycled ring buffer, so the caller may reuse its slice immediately.
-// It never blocks: when the ring is full the oldest pending record is
-// shed (the drop-not-block contract), and after Close or a disk failure
-// the record is dropped outright. Reports whether the record was queued.
-func (w *Writer) Append(rec Record) bool {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return false
-	}
-	w.enqueueLocked(rec)
-	w.mu.Unlock()
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// AppendBatch offers a chunk of records under one lock acquisition — the
+// AppendBatch offers records to the log under one lock acquisition — the
 // scoring tap logs whole verdict chunks, and per-record locking there
-// serializes the serving workers behind the log at full load. Same
-// semantics as Append per record (copied features, drop-oldest, drop
-// after Close or disk failure); reports how many records were queued.
+// serializes the serving workers behind the log at full load. Each
+// record's feature vector is copied into a recycled ring buffer, so the
+// caller may reuse recs and its slices immediately. It never blocks: when
+// the ring is full the oldest pending record is shed (the drop-not-block
+// contract), and after Close or a disk failure the records are dropped
+// outright. Reports how many records were queued.
 func (w *Writer) AppendBatch(recs []Record) int {
 	if len(recs) == 0 {
 		return 0
@@ -288,8 +264,8 @@ func (w *Writer) AppendBatch(recs []Record) int {
 func (w *Writer) enqueueLocked(rec Record) {
 	if w.n == len(w.buf) {
 		oldest := &w.buf[w.head]
-		w.free = append(w.free, oldest.rec.Features)
-		oldest.rec = Record{}
+		w.free = append(w.free, oldest.Features)
+		*oldest = Record{}
 		w.head = (w.head + 1) % len(w.buf)
 		w.n--
 		w.stats.dropped.Add(1)
@@ -298,7 +274,7 @@ func (w *Writer) enqueueLocked(rec Record) {
 	buf := w.grab(len(rec.Features))
 	copy(buf, rec.Features)
 	rec.Features = buf
-	w.buf[(w.head+w.n)%len(w.buf)].rec = rec
+	w.buf[(w.head+w.n)%len(w.buf)] = rec
 	w.n++
 }
 
@@ -317,64 +293,59 @@ func (w *Writer) grab(n int) []float64 {
 
 // run is the background writer loop: every wake-up it takes ownership of
 // the full ring by swapping in a spare buffer — an O(1) critical section,
-// so a large drain never stalls Append — then compacts, writes the batch,
-// and hands the feature buffers back to the free list; Close's final
-// wake-up drains the rest and returns.
+// so a large drain never stalls AppendBatch — then writes the records
+// straight from the ring it took and hands their feature buffers back to
+// the free list; Close's final wake-up drains the rest and returns.
 func (w *Writer) run() {
 	defer close(w.done)
-	spare := make([]pending, len(w.buf))
+	spare := make([]Record, len(w.buf))
 	for {
 		<-w.kick
 		w.mu.Lock()
 		closed := w.closed
-		buf, head, n := w.buf, w.head, w.n
+		ring, head, n := w.buf, w.head, w.n
 		w.buf = spare
 		w.head, w.n = 0, 0
 		w.mu.Unlock()
 
-		w.drain = w.drain[:0]
-		for i := 0; i < n; i++ {
-			w.drain = append(w.drain, buf[(head+i)%len(buf)])
-			buf[(head+i)%len(buf)].rec = Record{}
-		}
-		spare = buf
-
-		w.writeBatch(w.drain)
+		w.writeBatch(ring, head, n)
 
 		w.mu.Lock()
-		for i := range w.drain {
-			w.free = append(w.free, w.drain[i].rec.Features)
-			w.drain[i].rec = Record{}
+		for i := 0; i < n; i++ {
+			rec := &ring[(head+i)%len(ring)]
+			w.free = append(w.free, rec.Features)
+			*rec = Record{}
 		}
 		w.mu.Unlock()
+		spare = ring
 		if closed {
 			return
 		}
 	}
 }
 
-// writeBatch encodes and writes one drained batch, rotating first when
-// the current segment is over the size bound. After a sticky disk
-// failure batches are discarded and counted as dropped.
-func (w *Writer) writeBatch(batch []pending) {
-	if len(batch) == 0 {
+// writeBatch encodes and writes the n records of ring starting at head,
+// rotating first when the current segment is over the size bound. After
+// a sticky disk failure batches are discarded and counted as dropped.
+func (w *Writer) writeBatch(ring []Record, head, n int) {
+	if n == 0 {
 		return
 	}
 	if w.err != nil {
-		w.countDropped(len(batch))
+		w.countDropped(n)
 		return
 	}
 	if w.segBytes >= w.cfg.SegmentBytes {
 		if err := w.rotate(); err != nil {
-			w.fail(err, len(batch))
+			w.fail(err, n)
 			return
 		}
 	}
 	w.enc = w.enc[:0]
 	encoded := 0
-	for i := range batch {
+	for i := 0; i < n; i++ {
 		var err error
-		w.enc, err = AppendRecord(w.enc, batch[i].rec)
+		w.enc, err = AppendRecord(w.enc, ring[(head+i)%len(ring)])
 		if err != nil {
 			// An oversized record is a caller bug; skip it, keep the log.
 			w.countDropped(1)
@@ -464,7 +435,7 @@ func (w *Writer) prune() {
 
 // Close stops accepting records, drains what is queued to disk, syncs
 // and closes the segment, and returns the lifetime stats plus any sticky
-// disk error. Safe to call once; Append after Close drops.
+// disk error. Safe to call once; AppendBatch after Close drops.
 func (w *Writer) Close() (Stats, error) {
 	w.mu.Lock()
 	if w.closed {

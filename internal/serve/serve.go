@@ -342,8 +342,8 @@ func (s *Server) newHandler(c *session.Conn, _ string) (session.Handler, func(),
 
 // tap feeds every scored chunk to the active generation's drift monitor
 // and offers it to the shadow scorer and the durable sample log,
-// if configured — the last two off the hot path: each takes the whole
-// chunk in one call, copies what it keeps and never blocks.
+// if configured — the last two off the hot path: each copies what it
+// keeps and never blocks.
 func (s *Server) tap(ch session.TapChunk) {
 	if dm := s.active.Load().Drift; dm != nil {
 		// ObserveBatch fails only on a sample of another width, which
@@ -355,12 +355,21 @@ func (s *Server) tap(ch session.TapChunk) {
 		sh.Offer(ch.Samples, ch.Verdicts, ch.Scores)
 	}
 	if sl := s.cfg.SampleLog; sl != nil {
-		// One AppendBatch per chunk: per-record locking here serializes
-		// the connection workers behind the log's mutex at full load. The
-		// chunk slice is per-call — taps run concurrently across
-		// connections.
-		recs := make([]samplelog.Record, len(ch.Samples))
-		for i := range ch.Samples {
+		logChunk(sl, ch)
+	}
+}
+
+// logChunk appends a scored chunk to the sample log. The records are
+// built in a fixed-size array on the worker's stack and appended a piece
+// at a time: one lock per piece instead of per record (per-record locking
+// serializes the connection workers behind the log's mutex at full
+// load), and no allocation per chunk.
+func logChunk(sl *samplelog.Writer, ch session.TapChunk) {
+	var recs [64]samplelog.Record
+	for off := 0; off < len(ch.Samples); off += len(recs) {
+		piece := recs[:min(len(recs), len(ch.Samples)-off)]
+		for j := range piece {
+			i := off + j
 			flags := samplelog.FlagScored
 			if ch.Verdicts[i].Malware {
 				flags |= samplelog.FlagMalware
@@ -371,7 +380,7 @@ func (s *Server) tap(ch session.TapChunk) {
 			if ch.Verdicts[i].Stage == core.StageShortCircuit {
 				flags |= samplelog.FlagShortCircuit
 			}
-			recs[i] = samplelog.Record{
+			piece[j] = samplelog.Record{
 				Nanos:        ch.Ats[i].UnixNano(),
 				Stream:       ch.Stream,
 				App:          ch.App,
@@ -382,7 +391,7 @@ func (s *Server) tap(ch session.TapChunk) {
 				Features:     ch.Samples[i],
 			}
 		}
-		sl.AppendBatch(recs)
+		sl.AppendBatch(piece)
 	}
 }
 

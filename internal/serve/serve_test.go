@@ -15,6 +15,7 @@ import (
 	"twosmart/internal/dataset"
 	"twosmart/internal/monitor"
 	"twosmart/internal/samplelog"
+	"twosmart/internal/session"
 	"twosmart/internal/telemetry"
 	"twosmart/internal/wire"
 )
@@ -659,6 +660,47 @@ func TestServeConcurrentConnections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTapSampleLogZeroAlloc: with a sample log attached, tapping a scored
+// chunk allocates nothing. The tap builds the chunk's records on the
+// stack, and the log copies the features it keeps into recycled buffers.
+// The chunk spans two of the tap's pieces. The log's ring is small so the
+// warm-up creates every feature buffer it can hold at once (the ring
+// being filled plus the one being written), however far the log's writer
+// lags.
+func TestTapSampleLogZeroAlloc(t *testing.T) {
+	det, data := fixtures(t)
+	sl, err := samplelog.OpenWriter(samplelog.WriterConfig{Dir: t.TempDir(), SegmentBytes: 1 << 30, QueueDepth: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Close()
+	srv, err := New(Config{Model: Model{Detector: det}, SampleLog: sl, Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	ch := session.TapChunk{
+		App:      "tapped",
+		Stream:   1,
+		Ats:      make([]time.Time, n),
+		Samples:  samplesFrom(data, n),
+		Verdicts: make([]core.Verdict, n),
+		Scores:   make([]float64, n),
+		Events:   make([]monitor.Event, n),
+	}
+	// Warm up: cycle enough records through the log's ring that its free
+	// list and encode buffer have reached steady-state size.
+	for i := 0; i < 100; i++ {
+		srv.tap(ch)
+	}
+	time.Sleep(50 * time.Millisecond)
+	// The log's writer goroutine runs concurrently and is allocation-free
+	// at steady state too; allow scheduling noise a hair of slack.
+	if allocs := testing.AllocsPerRun(200, func() { srv.tap(ch) }); allocs > 0.01 {
+		t.Fatalf("tapping a chunk into the sample log allocates %.3f allocs/op, want 0", allocs)
 	}
 }
 

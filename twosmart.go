@@ -149,7 +149,8 @@ func TrainBaseline(d *Dataset, cfg BaselineConfig) (*BaselineDetector, error) {
 	return baseline.Train(d, cfg)
 }
 
-// Classifier is a trained model (scores per class plus argmax prediction).
+// Classifier is a trained model (scores per class plus argmax prediction,
+// and the width of the input it reads).
 type Classifier = ml.Classifier
 
 // HardwareCost is the estimated FPGA implementation cost of a trained
