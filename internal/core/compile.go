@@ -26,9 +26,11 @@ type compiledStage2 struct {
 //
 // A CompiledDetector owns scratch space and is therefore NOT safe for
 // concurrent use: compile one per goroutine (Detector.Compile is a cheap
-// flattening pass; the monitor layer does this per tracked application).
-// Input feature slices are only read during a call and never retained, so
-// callers may reuse their buffers.
+// flattening pass). monitor.Tracker compiles one per tracked application;
+// a shard compiles one per connection worker and detector, shared by the
+// connection's streams. No state outlives a call, so callers on one
+// goroutine may share an instance. Input feature slices are only read
+// during a call and never retained, so callers may reuse their buffers.
 type CompiledDetector struct {
 	numFeatures int
 	stage1      ml.Compiled

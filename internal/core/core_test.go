@@ -19,7 +19,7 @@ var (
 	corpusErr  error
 )
 
-func testData(t *testing.T) *dataset.Dataset {
+func testData(t testing.TB) *dataset.Dataset {
 	t.Helper()
 	corpusOnce.Do(func() {
 		corpusData, corpusErr = corpus.Collect(corpus.Config{

@@ -208,3 +208,50 @@ func TestUnmarshalDetectorRejectsNarrowFeatures(t *testing.T) {
 		t.Errorf("stage 2 with one listed feature: err = %v, want a stage-2 error", err)
 	}
 }
+
+// TestUnmarshalDetectorRejectsNegativeTreeIndex: a trained detector whose
+// J48 stage-2 root tests feature -1 must not load; it would load and then
+// panic on its first sample. The trained detector's own blob still loads.
+func TestUnmarshalDetectorRejectsNegativeTreeIndex(t *testing.T) {
+	det, err := Train(testData(t), TrainConfig{Seed: 23, Stage2Kinds: map[workload.Class]Kind{workload.Virus: J48}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := det.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalDetector(data); err != nil {
+		t.Fatalf("trained detector's blob: %v", err)
+	}
+	var dto detectorDTO
+	if err := json.Unmarshal(data, &dto); err != nil {
+		t.Fatal(err)
+	}
+	virus := dto.Stage2["virus"]
+	var env struct {
+		V    int    `json:"v"`
+		Type string `json:"type"`
+		Data struct {
+			Nodes      []map[string]any `json:"nodes"`
+			NumClasses int              `json:"num_classes"`
+			FeatNames  []string         `json:"feature_names"`
+		} `json:"data"`
+	}
+	if err := json.Unmarshal(virus.Model, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Type != "j48" || len(env.Data.Nodes) < 3 || env.Data.Nodes[0]["leaf"] == true {
+		t.Fatalf("virus stage is a %s of %d nodes, want a J48 with an internal root", env.Type, len(env.Data.Nodes))
+	}
+	env.Data.Nodes[0]["feat"] = -1
+	if virus.Model, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	dto.Stage2 = maps.Clone(dto.Stage2)
+	dto.Stage2["virus"] = virus
+	blob, _ := json.Marshal(dto)
+	if _, err := UnmarshalDetector(blob); err == nil {
+		t.Fatal("J48 root testing feature -1 accepted")
+	}
+}

@@ -37,6 +37,9 @@ func UnmarshalOneR(data []byte) (ml.Classifier, error) {
 	if err := json.Unmarshal(data, &dto); err != nil {
 		return nil, err
 	}
+	if dto.Feature < 0 {
+		return nil, errors.New("rules: OneR negative feature index")
+	}
 	if len(dto.Dists) != len(dto.Thresholds)+1 {
 		return nil, errors.New("rules: OneR bins and thresholds inconsistent")
 	}
@@ -110,6 +113,9 @@ func UnmarshalJRip(data []byte) (ml.Classifier, error) {
 		}
 		r := rule{class: rd.Class, laplace: rd.Laplace}
 		for _, cd := range rd.Conds {
+			if cd.Feat < 0 {
+				return nil, errors.New("rules: JRip condition with a negative feature index")
+			}
 			r.conds = append(r.conds, condition{feat: cd.Feat, threshold: cd.Threshold, le: cd.LE})
 		}
 		m.rules = append(m.rules, r)

@@ -303,3 +303,37 @@ func TestRulesPersistInPackage(t *testing.T) {
 		t.Fatal("out-of-range rule class accepted")
 	}
 }
+
+// TestUnmarshalRefusesUnscorableRules: each blob is a valid OneR or JRip
+// model with a negative feature index, which would panic on the first
+// sample, and its decoder must refuse it. The same models with index 0
+// load and score through both paths.
+func TestUnmarshalRefusesUnscorableRules(t *testing.T) {
+	oneR := func(feat string) []byte {
+		return []byte(`{"feature":` + feat + `,"thresholds":[1],"dists":[[0.8,0.2],[0.2,0.8]],"num_classes":2}`)
+	}
+	jrip := func(feat string) []byte {
+		return []byte(`{"rules":[{"conds":[{"feat":0,"threshold":5,"le":true},{"feat":` + feat +
+			`,"threshold":1,"le":false}],"class":1,"laplace":0.9}],"default_dist":[0.5,0.5],"num_classes":2}`)
+	}
+	cases := []struct {
+		name   string
+		decode func([]byte) (ml.Classifier, error)
+		blob   func(feat string) []byte
+	}{
+		{"OneR feature below 0", UnmarshalOneR, oneR},
+		{"JRip condition with a negative index", UnmarshalJRip, jrip},
+	}
+	for _, tc := range cases {
+		m, err := tc.decode(tc.blob("0"))
+		if err != nil {
+			t.Fatalf("%s: the valid model: %v", tc.name, err)
+		}
+		x := []float64{2}
+		m.Scores(x)
+		ml.Compile(m).ScoresInto(make([]float64, 2), x)
+		if _, err := tc.decode(tc.blob("-1")); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

@@ -52,7 +52,9 @@ func Marshal(c ml.Classifier) ([]byte, bool, error) {
 	return data, true, err
 }
 
-// Unmarshal reconstructs a J48 model serialised by Marshal.
+// Unmarshal reconstructs a J48 model serialised by Marshal. It rejects a
+// tree that could not score: an internal node testing a negative feature
+// index, or a leaf without one count per class.
 func Unmarshal(data []byte) (ml.Classifier, error) {
 	var dto modelDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -78,7 +80,13 @@ func Unmarshal(data []byte) (ml.Classifier, error) {
 			counts: nd.Counts, leaf: nd.Leaf,
 		}
 		if nd.Leaf {
+			if len(nd.Counts) != dto.NumClasses {
+				return nil, errors.New("tree: leaf class counts do not match the class count")
+			}
 			continue
+		}
+		if nd.Feat < 0 {
+			return nil, errors.New("tree: negative feature index")
 		}
 		if nd.Left <= i || nd.Left >= len(dto.Nodes) || nd.Right <= i || nd.Right >= len(dto.Nodes) ||
 			nd.Left == nd.Right {

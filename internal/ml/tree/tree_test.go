@@ -217,6 +217,38 @@ func TestJ48PersistInPackage(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRefusesUnscorableTrees: each blob is the two-leaf tree
+// below with one part broken so that its first sample would panic, and
+// Unmarshal must refuse it. The unbroken tree loads and scores through
+// both paths.
+func TestUnmarshalRefusesUnscorableTrees(t *testing.T) {
+	tree := func(feat, leftCounts string) []byte {
+		return []byte(`{"nodes":[{"feat":` + feat + `,"threshold":1,"left":1,"right":2},` +
+			`{"leaf":true` + leftCounts + `},{"leaf":true,"counts":[1,3]}],"num_classes":2}`)
+	}
+	m, err := Unmarshal(tree("0", `,"counts":[3,1]`))
+	if err != nil {
+		t.Fatalf("valid tree: %v", err)
+	}
+	x := []float64{0}
+	m.Scores(x)
+	ml.Compile(m).ScoresInto(make([]float64, 2), x)
+
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"negative feature index", tree("-1", `,"counts":[3,1]`)},
+		{"leaf without counts", tree("0", ``)},
+		{"leaf with fewer counts than classes", tree("0", `,"counts":[3]`)},
+		{"leaf with more counts than classes", tree("0", `,"counts":[3,1,1]`)},
+	} {
+		if _, err := Unmarshal(tc.blob); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 type notATree struct{}
 
 func (notATree) NumClasses() int            { return 2 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"twosmart/internal/anomaly"
+	"twosmart/internal/ml"
 	"twosmart/internal/ml/ensemble"
 	"twosmart/internal/ml/mltest"
 	"twosmart/internal/ml/tree"
@@ -13,7 +14,8 @@ import (
 // server loads from disk and whose format version travels in the wire
 // handshake — can never panic the decoder, however malformed. A blob that
 // does decode must survive re-marshalling (it is a real classifier, not a
-// half-initialised one).
+// half-initialised one), and must score: a zero vector as wide as the
+// input it reads goes through both Scores and the compiled ScoresInto.
 func FuzzUnmarshalClassifier(f *testing.F) {
 	d := mltest.Gaussian2Class(120, 3, 2.0, 11)
 	j48, err := (&tree.J48Trainer{MaxDepth: 3}).Train(d)
@@ -51,6 +53,13 @@ func FuzzUnmarshalClassifier(f *testing.F) {
 		if _, err := MarshalClassifier(c); err != nil {
 			t.Fatalf("decoded classifier does not re-marshal: %v", err)
 		}
+		w := c.InputWidth()
+		if w > 4096 {
+			return
+		}
+		x := make([]float64, w)
+		c.Scores(x)
+		ml.Compile(c).ScoresInto(make([]float64, c.NumClasses()), x)
 	})
 }
 

@@ -16,8 +16,9 @@
 // atomic pointer. New and Swap admit a Model only through one bind,
 // which validates it against the served width and builds, once, the
 // generation streams capture. Each stream binds the generation that was
-// active when it opened — it compiles that generation's detector and
-// reports that generation's version in its StreamSummary — so Swap never
+// active when it opened — it scores on its connection's compiled
+// instance of that generation's detector and reports that generation's
+// version in its StreamSummary — so Swap never
 // touches a stream in flight; only streams opened after the swap score
 // with the new model. Drift monitoring is the exception: the active
 // generation's monitor observes every scored sample, whichever
@@ -113,8 +114,10 @@ func (c Config) fill() (Config, error) {
 // server swaps generations atomically; streams bind the generation active
 // at open time.
 type Model struct {
-	// Detector is the trained model; every stream compiles its own
-	// instance. Required.
+	// Detector is the trained model. A connection compiles it when a
+	// stream opens under it, and the connection's next streams opened
+	// under it share that instance; a swap back to it from another
+	// detector compiles it again. Required.
 	Detector *core.Detector
 	// Version is the registry version (0 outside a registry), echoed in
 	// Welcome and StreamSummary frames.
@@ -245,9 +248,10 @@ func (s *Server) NumFeatures() int { return s.numFeatures }
 func (s *Server) ActiveModel() Model { return *s.active.Load() }
 
 // Swap atomically promotes a new model generation: streams opened from
-// now on compile m.Detector and report m.Version, while streams already
+// now on score on m.Detector and report m.Version, while streams already
 // in flight — including samples still queued for them — finish on the
-// generation they opened with. The replacement must keep the feature
+// generation they opened with. Its cost beyond the pointer store is one
+// compile of m.Detector per connection that opens a stream under it. The replacement must keep the feature
 // width: connected agents were told the width in their Welcome and the
 // read loop enforces it per sample, so changing it would invalidate
 // every live connection.

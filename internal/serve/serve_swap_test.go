@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"sync"
@@ -208,6 +209,129 @@ func TestHotSwapEpochs(t *testing.T) {
 		t.Fatalf("model info gauges old=%v new=%v, want 0/1",
 			reg.Gauge(oldInfo).Value(), reg.Gauge(newInfo).Value())
 	}
+}
+
+// TestHotSwapWithinConnection pins epoch capture for streams that share
+// one connection, and so share its compiled detector. Stream 1 opens
+// under v1; after a swap to v2, stream 2 opens on the same connection and
+// both send in the same flushes: each must score on its own epoch. A swap
+// to v3, which carries v1's detector, must compile it again: stream 3,
+// sending beside stream 2, scores as v1 and reports v3.
+func TestHotSwapWithinConnection(t *testing.T) {
+	det1, data := fixtures(t)
+	det2 := candidate(t)
+	const n = 64
+	samples := samplesFrom(data, n)
+	want1 := referenceScores(t, det1, samples)
+	want2 := referenceScores(t, det2, samples)
+	requireDistinct(t, want1, want2)
+
+	ts := start(t, Config{Model: Model{Detector: det1, Version: 1}}, nil)
+	c := dial(t, ts)
+	// openBeside opens stream id, sends every sample on streams a and id
+	// alike, eight of each per flush, and closes stream a.
+	openBeside := func(a, id uint32) {
+		t.Helper()
+		if err := c.OpenStream(id, fmt.Sprintf("app-%d", id)); err != nil {
+			t.Fatal(err)
+		}
+		for i, fv := range samples {
+			for _, st := range []uint32{a, id} {
+				if err := c.Send(st, uint32(i), fv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%8 == 7 {
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.CloseStream(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// collect reads frames, keeping every stream's verdicts, until
+	// stream id's summary.
+	verdicts := make(map[uint32][]wire.Verdict)
+	collect := func(id uint32) wire.StreamSummary {
+		t.Helper()
+		for {
+			f, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch fr := f.(type) {
+			case wire.Verdict:
+				verdicts[fr.Stream] = append(verdicts[fr.Stream], fr)
+			case wire.StreamSummary:
+				if fr.Stream != id {
+					t.Fatalf("unexpected summary %+v", fr)
+				}
+				return fr
+			default:
+				t.Fatalf("unexpected frame %#v", f)
+			}
+		}
+	}
+	// check requires stream id's count verdicts to carry want's scores
+	// and its summary to report version.
+	check := func(id uint32, want []float64, count int, sum wire.StreamSummary, version uint32) {
+		t.Helper()
+		got := verdicts[id]
+		if len(got) != count {
+			t.Fatalf("stream %d got %d verdicts, want %d", id, len(got), count)
+		}
+		for _, v := range got {
+			if v.Score != want[v.Seq] {
+				t.Fatalf("stream %d verdict %d scored %v, want v%d's detector's %v", id, v.Seq, v.Score, version, want[v.Seq])
+			}
+		}
+		if sum.ModelVersion != version || sum.Samples != uint64(count) {
+			t.Fatalf("stream %d summary %+v, want v%d with %d samples", id, sum, version, count)
+		}
+	}
+
+	// Stream 1 opens under v1; its first verdict proves the open landed
+	// before the swap.
+	if err := c.OpenStream(1, "app-1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(1, 0, samples[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := c.Next(); err != nil {
+		t.Fatal(err)
+	} else if v, ok := f.(wire.Verdict); !ok || v.Stream != 1 {
+		t.Fatalf("first frame %#v, want a stream 1 verdict", f)
+	} else {
+		verdicts[1] = append(verdicts[1], v)
+	}
+
+	if err := ts.srv.Swap(Model{Detector: det2, Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	openBeside(1, 2)
+	check(1, want1, n+1, collect(1), 1)
+
+	if err := ts.srv.Swap(Model{Detector: det1, Version: 3}); err != nil {
+		t.Fatal(err)
+	}
+	openBeside(2, 3)
+	check(2, want2, 2*n, collect(2), 2)
+	if err := c.CloseStream(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(3, want1, n, collect(3), 3)
 }
 
 // TestDrainWithSwapMidStream pins graceful drain while a hot swap lands

@@ -89,3 +89,44 @@ func BenchmarkEngineRound(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineOpenClose times one stream open and close on a warm
+// engine through the real Scoring handler, with 16 or 512 other streams
+// open: the engine's table checks and the handler's per-stream set-up,
+// as a round applies an Open and a Close. The generation's detector is
+// compiled before the timer starts, so an op compiles nothing, and its
+// cost must not grow with the number of open streams.
+func BenchmarkEngineOpenClose(b *testing.B) {
+	det, _ := testDetector(b)
+	for _, open := range []int{16, 512} {
+		b.Run(fmt.Sprintf("streams=%d", open), func(b *testing.B) {
+			h, err := NewScoring(ScoringConfig{
+				Source: func() Generation { return Generation{Detector: det} },
+				Emit:   discardEmitter{},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := New(Config{Handler: h})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for s := 0; s < open; s++ {
+				if err := e.openStream(uint32(s), fmt.Sprintf("app-%d", s)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			id, app := uint32(open), fmt.Sprintf("app-%d", open)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.openStream(id, app); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.closeStream(id, 0, time.Time{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -104,10 +104,15 @@ type ScoringConfig struct {
 }
 
 // Scoring is the shard-role Handler: it captures each stream's model
-// epoch at open time (compiling that generation's detector and building
-// the stream's own monitor), and scores every micro-batch through the
-// fused allocation-free path — one evaluation per sample for both its
-// verdict and its smoothed-alarm update.
+// epoch at open time (the generation's compiled detector and the
+// stream's own monitor over it), and scores every micro-batch through
+// the fused allocation-free path — one evaluation per sample for both
+// its verdict and its smoothed-alarm update.
+//
+// Every method runs on the connection's one worker goroutine, so the
+// compiled detector and the scoring arenas belong to the connection, not
+// the stream: streams that open under the same detector share one
+// compiled instance, and one set of chunk-sized arenas serves them all.
 type Scoring struct {
 	cfg ScoringConfig
 
@@ -120,6 +125,29 @@ type Scoring struct {
 	// carries a cascade — a server that never runs one exposes no
 	// cascade_* families at all.
 	cm *cascadeMetrics
+
+	// src is the detector of the last generation a stream opened under
+	// and det its compiled instance. OpenStream compiles only when the
+	// generation's detector is another one; streams opened before keep
+	// the instance they captured.
+	src *core.Detector
+	det *core.CompiledDetector
+
+	// scoring arenas, grown to the largest chunk seen (at most
+	// scoreChunk). Process is never re-entered and every consumer copies
+	// a chunk within its call, so one set serves every stream.
+	verdicts []core.Verdict
+	scores   []float64
+	events   []monitor.Event
+
+	// cascade pass-through scatter/gather arenas: indices of samples the
+	// envelope passed onward, their gathered feature rows, and the
+	// verdict/score slots the full detector writes before the scatter
+	// back into the chunk arenas.
+	passIdx      []int
+	passSamples  [][]float64
+	passVerdicts []core.Verdict
+	passScores   []float64
 }
 
 // cascadeInstruments returns the shared cascade_* instruments, creating
@@ -173,18 +201,21 @@ func NewScoring(cfg ScoringConfig) (*Scoring, error) {
 	return &Scoring{cfg: cfg, active: cfg.Monitor.Telemetry.Gauge("monitor_active_apps")}, nil
 }
 
-// OpenStream captures the stream's model epoch: it compiles the
-// generation that is active right now and builds the stream's monitor
-// over that same instance. A swap after this point only affects streams
+// OpenStream captures the stream's model epoch: the compiled detector of
+// the generation that is active right now, compiled only if the last
+// stream opened under another detector, and the stream's monitor over
+// that same instance. A swap after this point only affects streams
 // opened later.
 func (s *Scoring) OpenStream(id uint32, app string) (Stream, error) {
 	g := s.cfg.Source()
-	det := g.Detector.Compile()
-	mon, err := monitor.New(det, s.cfg.Monitor)
+	if g.Detector != s.src {
+		s.src, s.det = g.Detector, g.Detector.Compile()
+	}
+	mon, err := monitor.New(s.det, s.cfg.Monitor)
 	if err != nil {
 		return nil, err
 	}
-	st := &scoredStream{s: s, id: id, app: app, det: det, mon: mon,
+	st := &scoredStream{s: s, id: id, app: app, det: s.det, mon: mon,
 		sum: monitor.Summary{App: app}, version: g.Version}
 	if g.Cascade != nil {
 		st.env = g.Cascade
@@ -208,15 +239,16 @@ func (s *Scoring) Teardown() {
 	s.open = 0
 }
 
-// scoredStream is one (connection, app) stream: its compiled detector,
-// its smoothing monitor and session summary, plus the reusable scoring
-// arenas. A stream is only ever touched by its engine's worker goroutine.
+// scoredStream is one (connection, app) stream: its smoothing monitor
+// and session summary, and its model epoch. A stream is only ever
+// touched by its engine's worker goroutine.
 //
 // det and version are the stream's model epoch, captured from the
-// active generation in OpenStream. A hot swap that lands mid-stream does
-// not change them: samples already queued and samples still arriving on
-// this stream score on the epoch's detector, and the Summary reports the
-// epoch's version.
+// active generation in OpenStream; det is the connection's compiled
+// instance, shared with the other streams that opened under the same
+// detector. A hot swap that lands mid-stream does not change them:
+// samples already queued and samples still arriving on this stream score
+// on the epoch's detector, and the Summary reports the epoch's version.
 type scoredStream struct {
 	s       *Scoring
 	id      uint32
@@ -231,20 +263,6 @@ type scoredStream struct {
 	env       *anomaly.Compiled
 	threshold float64
 	cm        *cascadeMetrics
-
-	// reusable scoring arenas, grown to the largest micro-batch seen
-	verdicts []core.Verdict
-	scores   []float64
-	events   []monitor.Event
-
-	// cascade pass-through scatter/gather arenas: indices of samples the
-	// envelope passed onward, their gathered feature rows, and the
-	// verdict/score slots the full detector writes before the scatter
-	// back into the chunk arenas.
-	passIdx      []int
-	passSamples  [][]float64
-	passVerdicts []core.Verdict
-	passScores   []float64
 }
 
 // Process scores one pending micro-batch in chunks of at most
@@ -256,10 +274,10 @@ func (st *scoredStream) Process(b Batch) error {
 		s.cfg.Hook()
 	}
 	pending := b.Len()
-	if cap(st.verdicts) < pending {
-		st.verdicts = make([]core.Verdict, pending)
-		st.scores = make([]float64, pending)
-		st.events = make([]monitor.Event, pending)
+	if chunk := min(pending, scoreChunk); cap(s.verdicts) < chunk {
+		s.verdicts = make([]core.Verdict, chunk)
+		s.scores = make([]float64, chunk)
+		s.events = make([]monitor.Event, chunk)
 	}
 	for off := 0; off < pending; off += scoreChunk {
 		end := min(off+scoreChunk, pending)
@@ -270,9 +288,9 @@ func (st *scoredStream) Process(b Batch) error {
 		// the feature — at two extra time.Now calls amortized over the chunk.
 		traceIdx, traceID, traced := s.cfg.Tracer.SampleBatch(n)
 		var scoreStart, stage0End time.Time
-		verdicts := st.verdicts[:n]
-		scores := st.scores[:n]
-		events := st.events[:n]
+		verdicts := s.verdicts[:n]
+		scores := s.scores[:n]
+		events := s.events[:n]
 		if st.env != nil {
 			scoreStart = time.Now()
 			var err error
@@ -329,8 +347,9 @@ func (st *scoredStream) Process(b Batch) error {
 // decided "clear benign", and the stream's EWMA smoothing should see
 // exactly that evidence).
 func (st *scoredStream) cascadeChunk(verdicts []core.Verdict, scores []float64, samples [][]float64, stage0Start time.Time) (time.Time, error) {
-	st.passIdx = st.passIdx[:0]
-	st.passSamples = st.passSamples[:0]
+	s := st.s
+	s.passIdx = s.passIdx[:0]
+	s.passSamples = s.passSamples[:0]
 	for i, fv := range samples {
 		if st.env.Score(fv) <= st.threshold {
 			verdicts[i] = core.Verdict{
@@ -340,23 +359,23 @@ func (st *scoredStream) cascadeChunk(verdicts []core.Verdict, scores []float64, 
 			}
 			scores[i] = 0
 		} else {
-			st.passIdx = append(st.passIdx, i)
-			st.passSamples = append(st.passSamples, fv)
+			s.passIdx = append(s.passIdx, i)
+			s.passSamples = append(s.passSamples, fv)
 		}
 	}
 	stage0End := time.Now()
-	p := len(st.passIdx)
+	p := len(s.passIdx)
 	if p > 0 {
-		if cap(st.passVerdicts) < p {
-			st.passVerdicts = make([]core.Verdict, len(samples))
-			st.passScores = make([]float64, len(samples))
+		if cap(s.passVerdicts) < p {
+			s.passVerdicts = make([]core.Verdict, len(samples))
+			s.passScores = make([]float64, len(samples))
 		}
-		pv := st.passVerdicts[:p]
-		ps := st.passScores[:p]
-		if err := st.det.DetectScoredBatch(pv, ps, st.passSamples); err != nil {
+		pv := s.passVerdicts[:p]
+		ps := s.passScores[:p]
+		if err := st.det.DetectScoredBatch(pv, ps, s.passSamples); err != nil {
 			return stage0End, err
 		}
-		for j, i := range st.passIdx {
+		for j, i := range s.passIdx {
 			verdicts[i] = pv[j]
 			scores[i] = ps[j]
 		}

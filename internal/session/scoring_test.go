@@ -25,6 +25,76 @@ func TestNewScoringRejectsBadMonitorConfig(t *testing.T) {
 	}
 }
 
+// TestOpenStreamCompilesOncePerDetector pins that a connection compiles
+// a detector once, not once per stream. After the first open under a
+// generation, opening and closing a stream allocates only the stream's
+// own state (its record and its monitor, not a compiled copy), and every
+// stream opened under one detector holds the same compiled instance. A
+// generation with another detector compiles its own; streams opened
+// before keep theirs, and a swap back to the first detector compiles it
+// again.
+func TestOpenStreamCompilesOncePerDetector(t *testing.T) {
+	det, _ := testDetector(t)
+	blob, err := det.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := core.UnmarshalDetector(blob) // same model, another detector
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := Generation{Detector: det, Version: 1}
+	h, err := NewScoring(ScoringConfig{
+		Source: func() Generation { return gen },
+		Emit:   discardEmitter{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(id uint32) *scoredStream {
+		t.Helper()
+		st, err := h.OpenStream(id, fmt.Sprintf("app-%d", id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.(*scoredStream)
+	}
+
+	first := open(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		st, err := h.OpenStream(2, "app-2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("OpenStream + Close under an already compiled detector: %v allocs, want at most 4", allocs)
+	}
+	if second := open(3); second.det != first.det {
+		t.Fatal("two streams opened under one detector hold different compiled instances")
+	}
+
+	gen = Generation{Detector: other, Version: 2}
+	swapped := open(4)
+	if swapped.det == first.det {
+		t.Fatal("a stream opened under another detector shares the first detector's compiled instance")
+	}
+	if open(5).det != swapped.det {
+		t.Fatal("two streams opened under the second detector hold different compiled instances")
+	}
+	if swapped.version != 2 || first.version != 1 {
+		t.Fatalf("epoch versions %d and %d, want 1 and 2", first.version, swapped.version)
+	}
+	gen = Generation{Detector: det, Version: 3}
+	back := open(6)
+	if back.det == swapped.det || back.det == first.det {
+		t.Fatal("a swap back to the first detector did not compile it again")
+	}
+}
+
 // TestScoringCascadeSeriesBounded checks that the cascade's telemetry
 // does not grow with the number of distinct apps a connection streams:
 // after 1,000 apps opened, scored and closed, the registry exposes the

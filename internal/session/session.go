@@ -181,6 +181,7 @@ type Engine struct {
 	kick chan struct{} // worker wake-up, capacity 1
 
 	streams map[uint32]*entry // worker-owned after construction
+	apps    map[string]uint32 // app → id of each open stream, worker-owned
 	drain   []item            // reusable drain buffer
 	touched []*entry          // reusable per-round stream list
 }
@@ -196,6 +197,7 @@ func New(cfg Config) (*Engine, error) {
 		q:       newRing(filled.QueueDepth),
 		kick:    make(chan struct{}, 1),
 		streams: make(map[uint32]*entry),
+		apps:    make(map[string]uint32),
 	}, nil
 }
 
@@ -346,17 +348,16 @@ func (e *Engine) openStream(id uint32, app string) error {
 		e.reject(id, app, RejectDupStream)
 		return nil
 	}
-	for _, st := range e.streams {
-		if st.app == app {
-			e.reject(id, app, RejectDupApp)
-			return nil
-		}
+	if _, dup := e.apps[app]; dup {
+		e.reject(id, app, RejectDupApp)
+		return nil
 	}
 	h, err := e.cfg.Handler.OpenStream(id, app)
 	if err != nil {
 		return err
 	}
 	e.streams[id] = &entry{id: id, app: app, h: h}
+	e.apps[app] = id
 	return nil
 }
 
@@ -370,5 +371,6 @@ func (e *Engine) closeStream(id uint32, shed uint64, drainedAt time.Time) error 
 		return err
 	}
 	delete(e.streams, id)
+	delete(e.apps, st.app)
 	return st.h.Close(shed)
 }

@@ -407,6 +407,44 @@ func TestEngineSameRoundCloseReopen(t *testing.T) {
 	}
 }
 
+// TestEngineCloseFreesApp pins the engine's app index across rounds:
+// while app X is open a second open of X is refused, and once X's stream
+// closes, X opens again under a new id in a later round.
+func TestEngineCloseFreesApp(t *testing.T) {
+	onReject, rejects := recordRejects()
+	h := newFakeHandler()
+	e, err := New(Config{Handler: h, OnReject: onReject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Open(1, "appX")
+	e.Open(2, "appY")
+	if err := e.round(); err != nil {
+		t.Fatal(err)
+	}
+	e.Open(3, "appX") // X is still open on stream 1
+	e.Close(1)
+	if err := e.round(); err != nil {
+		t.Fatal(err)
+	}
+	e.Open(4, "appX")
+	e.Push(4, 0, 0, time.Now(), []float64{4})
+	run(t, e)
+
+	if want := []string{"3/appX/duplicate app"}; len(*rejects) != 1 || (*rejects)[0] != want[0] {
+		t.Fatalf("rejects = %v, want %v", *rejects, want)
+	}
+	if st := h.stream(1); !st.closed {
+		t.Fatal("stream 1 not closed")
+	}
+	if h.stream(3) != nil {
+		t.Fatal("stream 3 opened while appX was open on stream 1")
+	}
+	if st := h.stream(4); st == nil || st.app != "appX" || len(st.seqs) != 1 {
+		t.Fatalf("stream 4: %+v, want appX reopened with its sample", st)
+	}
+}
+
 // TestEngineSampleAfterClose pins that a sample queued behind its
 // stream's Close in the same round is rejected, not processed.
 func TestEngineSampleAfterClose(t *testing.T) {
