@@ -668,35 +668,44 @@ func (up *upstream) relay() {
 }
 
 // pump relays shard frames until the upstream ends and reports whether
-// it ended because the shard failed: a read error other than the agent
-// connection's own teardown (EOF or the read deadline), or a draining
-// shard. An idle reap ends only this connection, so the next batch
-// re-dials the same shard. Verdicts pass through (counted per shard) and
-// stream summaries are summarized. Flushes batch: the agent writer
-// flushes only when no more shard input is already buffered.
+// it ended because the shard failed: a read error (a malformed frame
+// among them) other than the agent connection's own teardown (EOF or the
+// read deadline), or a draining shard. An idle reap ends only this
+// connection, so the next batch re-dials the same shard. Verdicts pass
+// through as the bytes the shard sent, a run at a time (counted per
+// shard); every other frame is decoded, and stream summaries are
+// summarized. Flushes batch: the agent writer flushes only when no more
+// shard input is already buffered.
 func (up *upstream) pump() (failed bool) {
 	for {
-		f, err := up.cli.Next()
+		run, n, err := up.cli.VerdictRun()
 		if err != nil {
 			return !up.closing.Load()
 		}
-		switch fr := f.(type) {
-		case wire.Verdict:
-			up.f.c.WriteFrame(fr)
-			up.sh.relayed.Inc()
-		case wire.StreamSummary:
-			up.f.summarize(fr.Stream, up.popClose(fr.Stream), &fr)
-		case wire.Heartbeat:
-			// Echo of a keepalive; nothing to relay.
-		case wire.Error:
-			// A shard-side error is a fleet-operations event, not an agent
-			// protocol event: log it and never forward it downstream.
-			up.f.g.cfg.Log.Warn("upstream error frame", "shard", up.sh.addr, "code", fr.Code, "msg", fr.Msg)
-			switch fr.Code {
-			case wire.CodeDraining:
-				return true
-			case wire.CodeIdle:
-				return false
+		if n > 0 {
+			up.f.c.WriteRaw(run)
+			up.cli.Discard(len(run))
+			up.sh.relayed.Add(uint64(n))
+		} else {
+			f, err := up.cli.Next()
+			if err != nil {
+				return !up.closing.Load()
+			}
+			switch fr := f.(type) {
+			case wire.StreamSummary:
+				up.f.summarize(fr.Stream, up.popClose(fr.Stream), &fr)
+			case wire.Heartbeat:
+				// Echo of a keepalive; nothing to relay.
+			case wire.Error:
+				// A shard-side error is a fleet-operations event, not an agent
+				// protocol event: log it and never forward it downstream.
+				up.f.g.cfg.Log.Warn("upstream error frame", "shard", up.sh.addr, "code", fr.Code, "msg", fr.Msg)
+				switch fr.Code {
+				case wire.CodeDraining:
+					return true
+				case wire.CodeIdle:
+					return false
+				}
 			}
 		}
 		if up.cli.Buffered() == 0 {

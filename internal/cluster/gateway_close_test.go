@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"net"
@@ -137,6 +139,18 @@ func (fs *fakeShard) fail(e *wire.Error) error {
 		return fs.data.Close()
 	}
 	fs.w.Write(*e)
+	return fs.w.Flush()
+}
+
+// sendRaw refuses new connections, as fail does, then writes b, encoded
+// frames, on the data connection.
+func (fs *fakeShard) sendRaw(b []byte) error {
+	fs.refuse.Store(true)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.w.WriteRaw(b); err != nil {
+		return err
+	}
 	return fs.w.Flush()
 }
 
@@ -455,4 +469,77 @@ func TestGatewaySummaryWhenAgentHangsUp(t *testing.T) {
 	}
 	wantOneSummary(t, summariesOfStream0(t, c, math.MaxUint32), 3)
 	a.expect(t, "open", "sample", "sample", "sample", "close")
+}
+
+// TestGatewayRelayStopsAtMalformedVerdict: the relay copies Verdicts as
+// bytes, so it must forward exactly the frames the decoder accepts. The
+// shard holds the summary of the agent's close and sends three Verdicts,
+// a Verdict-typed frame one byte too long, and one more Verdict in one
+// write. The agent must get the three, byte for byte, and nothing after
+// them; the malformed frame ends the relay as a shard failure, so the
+// shard is marked down, and the queued close still gets its one summary.
+func TestGatewayRelayStopsAtMalformedVerdict(t *testing.T) {
+	a := startFakeShard(t)
+	tg := startGateway(t, []string{a.addr})
+	c := dialGateway(t, tg, testAgent)
+	sendAndClose(t, c, testApp(0), 1)
+	a.expect(t, "open", "sample", "close")
+
+	var good []byte
+	for seq := uint32(0); seq < 3; seq++ {
+		var err error
+		if good, err = wire.Append(good, wire.Verdict{Stream: 0, Seq: seq, Flags: wire.FlagMalware, Class: 1, Score: 0.75, Smoothed: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad, err := wire.Append(nil, wire.Verdict{Stream: 0, Seq: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = append(bad, 0)
+	binary.BigEndian.PutUint32(bad, uint32(len(bad)-4))
+	after, err := wire.Append(nil, wire.Verdict{Stream: 0, Seq: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.sendRaw(append(append(append([]byte(nil), good...), bad...), after...)); err != nil {
+		t.Fatal(err)
+	}
+	awaitShardDown(t, tg, a.addr)
+	closeBarrier(t, c)
+
+	// Read the relayed Verdicts as bytes, and every other frame decoded,
+	// until the barrier's summary.
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var relayed []byte
+	var summaries []wire.StreamSummary
+	for {
+		run, _, err := c.VerdictRun()
+		if err != nil {
+			t.Fatalf("client read (relayed %d bytes): %v", len(relayed), err)
+		}
+		if len(run) > 0 {
+			relayed = append(relayed, run...)
+			c.Discard(len(run))
+			continue
+		}
+		f, err := c.Next()
+		if err != nil {
+			t.Fatalf("client read (relayed %d bytes): %v", len(relayed), err)
+		}
+		s, ok := f.(wire.StreamSummary)
+		if ok && s.Stream == 1 {
+			break
+		}
+		if ok && s.Stream == 0 {
+			summaries = append(summaries, s)
+		}
+	}
+	if !bytes.Equal(relayed, good) {
+		t.Fatalf("agent got Verdict bytes\n%x\nwant the shard's valid ones\n%x", relayed, good)
+	}
+	wantOneSummary(t, summaries, 1)
+	if n := tg.reg.Counter(telemetry.Label("cluster_verdicts_relayed_total", "shard", a.addr)).Value(); n != 3 {
+		t.Fatalf("cluster_verdicts_relayed_total = %d, want 3", n)
+	}
 }

@@ -299,6 +299,17 @@ func TestGatewayRoutesAcrossShards(t *testing.T) {
 			t.Fatalf("stream %d: %d verdicts relayed, summary says %d scored", s, verdicts[uint32(s)], sum.Samples)
 		}
 	}
+	// The relay counts every Verdict it passes through, run by run.
+	received, relayed := 0, uint64(0)
+	for _, n := range verdicts {
+		received += n
+	}
+	for _, sh := range []*testShard{sh1, sh2} {
+		relayed += tg.reg.Counter(telemetry.Label("cluster_verdicts_relayed_total", "shard", sh.addr)).Value()
+	}
+	if relayed != uint64(received) {
+		t.Fatalf("cluster_verdicts_relayed_total sums to %d over the shards, the agent received %d verdicts", relayed, received)
+	}
 
 	// Placement matches the ring the load generator would predict with,
 	// and with 16 streams both shards all but surely carry traffic.

@@ -213,8 +213,10 @@ func TestHotSwapEpochs(t *testing.T) {
 
 // TestHotSwapWithinConnection pins epoch capture for streams that share
 // one connection, and so share its compiled detector. Stream 1 opens
-// under v1; after a swap to v2, stream 2 opens on the same connection and
-// both send in the same flushes: each must score on its own epoch. A swap
+// under v1, and stream 0 opens and closes under v1, leaving its record
+// free for reuse; after a swap to v2, stream 2 opens on the same
+// connection and both send in the same flushes: each must score on its
+// own epoch, and stream 2 must not take v1's freed record as v1's. A swap
 // to v3, which carries v1's detector, must compile it again: stream 3,
 // sending beside stream 2, scores as v1 and reports v3.
 func TestHotSwapWithinConnection(t *testing.T) {
@@ -313,6 +315,20 @@ func TestHotSwapWithinConnection(t *testing.T) {
 	} else {
 		verdicts[1] = append(verdicts[1], v)
 	}
+	// Stream 0 lives and ends under v1 before the swap.
+	if err := c.OpenStream(0, "app-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(0, 0, samples[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseStream(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check(0, want1, 1, collect(0), 1)
 
 	if err := ts.srv.Swap(Model{Detector: det2, Version: 2}); err != nil {
 		t.Fatal(err)

@@ -158,6 +158,15 @@ func (c *Client) Next() (wire.Frame, error) {
 	return c.r.Next()
 }
 
+// VerdictRun returns the run of whole Verdict frames at the head of the
+// inbound stream as bytes, and how many frames it holds, as
+// wire.Reader.VerdictRun does: empty when the next frame is of another
+// type, for Next. Discard consumes the run once it is used.
+func (c *Client) VerdictRun() ([]byte, int, error) { return c.r.VerdictRun() }
+
+// Discard consumes n inbound bytes: a run VerdictRun returned.
+func (c *Client) Discard(n int) { c.r.Discard(n) }
+
 // Buffered reports how many inbound bytes are already read and waiting to
 // be decoded — nonzero means the next Next will not block.
 func (c *Client) Buffered() int { return c.r.Buffered() }

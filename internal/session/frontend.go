@@ -456,6 +456,15 @@ func (c *Conn) WriteFrame(f wire.Frame) {
 	c.wmu.Unlock()
 }
 
+// WriteRaw buffers already-encoded frames under the writer mutex in one
+// call: a relay's run of Verdicts passes through whole. I/O errors
+// surface on the next Flush.
+func (c *Conn) WriteRaw(frames []byte) {
+	c.wmu.Lock()
+	c.w.WriteRaw(frames)
+	c.wmu.Unlock()
+}
+
 // Flush implements Emitter: it pushes buffered frames to the agent.
 func (c *Conn) Flush() error {
 	c.wmu.Lock()

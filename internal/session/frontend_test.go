@@ -102,6 +102,24 @@ func TestFrontendBurstOrder(t *testing.T) {
 	}
 }
 
+// TestConnWriteRawAllocs pins the relay's write half: a run of 64
+// encoded Verdicts goes into a Conn's writer in one call without
+// allocating.
+func TestConnWriteRawAllocs(t *testing.T) {
+	var run []byte
+	for seq := uint32(0); seq < 64; seq++ {
+		var err error
+		if run, err = wire.Append(run, wire.Verdict{Stream: 3, Seq: seq, Flags: wire.FlagMalware, Score: 0.9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &Conn{w: wire.NewWriter(io.Discard)}
+	c.WriteRaw(run)
+	if n := testing.AllocsPerRun(100, func() { c.WriteRaw(run) }); n != 0 {
+		t.Errorf("Conn.WriteRaw of 64 Verdicts allocates %.1f times, want 0", n)
+	}
+}
+
 // discardHandler processes nothing, so a benchmark times the transport.
 type discardHandler struct{}
 

@@ -7,13 +7,15 @@ import (
 	"twosmart/internal/wire"
 )
 
-// item is one queued ingress sample or stream control: which stream it
+// item is one drained ingress sample or stream control: which stream it
 // belongs to, the client's sequence number, the upstream-tier ingress
 // stamp (unix nanos from the gateway, 0 when the agent sent directly),
 // the local ingress timestamp (for the end-to-end verdict latency
 // histogram) and the feature vector, copied into a ring-owned buffer that
 // is recycled once the sample is scored or shed. A control carries only
-// its stream and ctl.
+// its stream and ctl, which points into the ring's array of the round's
+// controls. item is the slot of the ring and of the drain buffer, so a
+// control is not held here by value.
 type item struct {
 	stream   uint32
 	seq      uint32
@@ -26,8 +28,9 @@ type item struct {
 // ctrl is a stream open or close. Controls are ordered with the samples
 // around them but are never shed.
 type ctrl struct {
-	open bool
-	app  string
+	stream uint32
+	open   bool
+	app    string
 	// pos is how many samples had been pushed when the control arrived:
 	// it precedes the sample numbered pos.
 	pos uint64
@@ -44,15 +47,20 @@ type ctrl struct {
 // transport can export shed counters and report per-stream shed counts
 // in StreamSummary frames. Stream controls queue under the same mutex
 // and drain interleaved with the samples in arrival order. Feature
-// buffers cycle through an internal free list, so the steady state
-// allocates nothing.
+// buffers cycle through an internal free list, and queued controls are
+// held by value in two arrays that trade places at each drain, so the
+// steady state allocates nothing.
 type ring struct {
-	mu      sync.Mutex
-	buf     []item // fixed capacity, used as a circular queue
-	head    int
-	n       int
-	pushed  uint64 // samples ever pushed: the number of the next one
-	ctrls   []item // queued controls, in arrival order
+	mu     sync.Mutex
+	buf    []item // fixed capacity, used as a circular queue
+	head   int
+	n      int
+	pushed uint64 // samples ever pushed: the number of the next one
+	ctrls  []ctrl // queued controls, in arrival order
+	// round holds the controls of the last drain, which its items point
+	// into. Only the worker drains, so they stay put for its round; the
+	// next drain reuses the array for the controls queued after it.
+	round   []ctrl
 	free    [][]float64
 	shedAll uint64
 	shedBy  map[uint32]uint64 // sheds of each stream's live incarnation
@@ -118,45 +126,49 @@ func (r *ring) pushBurst(at time.Time, burst []wire.Sample) (shed int) {
 // queued close of that stream that arrived after the sample, else to the
 // stream's live incarnation. Caller must hold r.mu.
 func (r *ring) countShed(stream uint32, pos uint64) {
-	for _, c := range r.ctrls {
-		if c.stream == stream && !c.ctl.open && c.ctl.pos > pos {
-			c.ctl.shed++
+	for i := range r.ctrls {
+		if c := &r.ctrls[i]; c.stream == stream && !c.open && c.pos > pos {
+			c.shed++
 			return
 		}
 	}
 	r.shedBy[stream]++
 }
 
-// control queues a stream open or close behind every sample pushed so
-// far. A close takes over its incarnation's shed count.
-func (r *ring) control(stream uint32, c *ctrl) {
+// control queues a stream open or close of c.stream behind every sample
+// pushed so far. A close takes over its incarnation's shed count.
+func (r *ring) control(c ctrl) {
 	r.mu.Lock()
 	c.pos = r.pushed
 	if !c.open {
-		c.shed = r.shedBy[stream]
-		delete(r.shedBy, stream)
+		c.shed = r.shedBy[c.stream]
+		delete(r.shedBy, c.stream)
 	}
-	r.ctrls = append(r.ctrls, item{stream: stream, ctl: c})
+	r.ctrls = append(r.ctrls, c)
 	r.mu.Unlock()
 }
 
 // drainInto appends every queued sample and control to dst in arrival
 // order and empties the ring. The samples' feature buffers are owned by
-// the caller until handed back via recycle.
+// the caller until handed back via recycle; the controls stay valid
+// until the next drainInto.
 func (r *ring) drainInto(dst []item) []item {
 	r.mu.Lock()
+	ctrls := r.ctrls
+	r.ctrls, r.round = r.round[:0], ctrls
 	first := r.pushed - uint64(r.n) // number of the oldest queued sample
 	c := 0
 	for i := 0; i < r.n; i++ {
-		for ; c < len(r.ctrls) && r.ctrls[c].ctl.pos <= first+uint64(i); c++ {
-			dst = append(dst, r.ctrls[c])
+		for ; c < len(ctrls) && ctrls[c].pos <= first+uint64(i); c++ {
+			dst = append(dst, item{stream: ctrls[c].stream, ctl: &ctrls[c]})
 		}
 		slot := &r.buf[(r.head+i)%len(r.buf)]
 		dst = append(dst, *slot)
 		slot.features = nil
 	}
-	dst = append(dst, r.ctrls[c:]...)
-	r.ctrls = r.ctrls[:0]
+	for ; c < len(ctrls); c++ {
+		dst = append(dst, item{stream: ctrls[c].stream, ctl: &ctrls[c]})
+	}
 	r.head, r.n = 0, 0
 	r.mu.Unlock()
 	return dst

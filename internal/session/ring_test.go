@@ -191,9 +191,10 @@ func TestRingBurstMatchesSinglePushes(t *testing.T) {
 			var shedBursty, shedSingle int
 			for _, st := range tc.steps {
 				if st.ctl != nil {
-					c1, c2 := *st.ctl, *st.ctl
-					bursty.control(st.stream, &c1)
-					single.control(st.stream, &c2)
+					c := *st.ctl
+					c.stream = st.stream
+					bursty.control(c)
+					single.control(c)
 					continue
 				}
 				samples := make([]wire.Sample, len(st.samples))

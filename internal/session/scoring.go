@@ -133,6 +133,12 @@ type Scoring struct {
 	src *core.Detector
 	det *core.CompiledDetector
 
+	// free holds closed streams' records, each with its monitor over det,
+	// for the next opens to reuse. It never holds more records than the
+	// connection had open at once, and it is dropped when OpenStream
+	// compiles another detector, so no record outlives its detector.
+	free []*scoredStream
+
 	// scoring arenas, grown to the largest chunk seen (at most
 	// scoreChunk). Process is never re-entered and every consumer copies
 	// a chunk within its call, so one set serves every stream.
@@ -204,18 +210,28 @@ func NewScoring(cfg ScoringConfig) (*Scoring, error) {
 // OpenStream captures the stream's model epoch: the compiled detector of
 // the generation that is active right now, compiled only if the last
 // stream opened under another detector, and the stream's monitor over
-// that same instance. A swap after this point only affects streams
-// opened later.
+// that same instance. A closed stream's record and monitor, reset, serve
+// when one is free. A swap after this point only affects streams opened
+// later.
 func (s *Scoring) OpenStream(id uint32, app string) (Stream, error) {
 	g := s.cfg.Source()
 	if g.Detector != s.src {
 		s.src, s.det = g.Detector, g.Detector.Compile()
+		s.free = nil
 	}
-	mon, err := monitor.New(s.det, s.cfg.Monitor)
-	if err != nil {
-		return nil, err
+	var st *scoredStream
+	if k := len(s.free); k > 0 {
+		st = s.free[k-1]
+		s.free = s.free[:k-1]
+		st.mon.Reset()
+	} else {
+		mon, err := monitor.New(s.det, s.cfg.Monitor)
+		if err != nil {
+			return nil, err
+		}
+		st = &scoredStream{mon: mon}
 	}
-	st := &scoredStream{s: s, id: id, app: app, det: s.det, mon: mon,
+	*st = scoredStream{s: s, id: id, app: app, det: s.det, mon: st.mon,
 		sum: monitor.Summary{App: app}, version: g.Version}
 	if g.Cascade != nil {
 		st.env = g.Cascade
@@ -438,9 +454,15 @@ func (st *scoredStream) capture(b Batch, i int, traceID uint64, scoreStart, stag
 	s.cfg.Latency.Exemplar(float64(rec.TotalNanos)/1e9, traceID)
 }
 
-// Close emits the stream's session summary.
+// Close emits the stream's session summary and frees its record for the
+// next open, unless another detector has been compiled since it opened.
 func (st *scoredStream) Close(shed uint64) error {
-	st.s.open--
-	st.s.active.Add(-1)
-	return st.s.cfg.Emit.Summary(st.id, st.version, st.sum, shed)
+	s := st.s
+	s.open--
+	s.active.Add(-1)
+	err := s.cfg.Emit.Summary(st.id, st.version, st.sum, shed)
+	if st.det == s.det {
+		s.free = append(s.free, st)
+	}
+	return err
 }

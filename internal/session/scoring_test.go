@@ -27,9 +27,10 @@ func TestNewScoringRejectsBadMonitorConfig(t *testing.T) {
 
 // TestOpenStreamCompilesOncePerDetector pins that a connection compiles
 // a detector once, not once per stream. After the first open under a
-// generation, opening and closing a stream allocates only the stream's
-// own state (its record and its monitor, not a compiled copy), and every
-// stream opened under one detector holds the same compiled instance. A
+// generation, opening and closing a stream allocates nothing (no compiled
+// copy, and a closed stream's record and monitor serve the next open),
+// and every stream opened under one detector holds the same compiled
+// instance. A
 // generation with another detector compiles its own; streams opened
 // before keep theirs, and a swap back to the first detector compiles it
 // again.
@@ -70,8 +71,8 @@ func TestOpenStreamCompilesOncePerDetector(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Fatalf("OpenStream + Close under an already compiled detector: %v allocs, want at most 4", allocs)
+	if allocs != 0 {
+		t.Fatalf("OpenStream + Close under an already compiled detector: %v allocs, want 0", allocs)
 	}
 	if second := open(3); second.det != first.det {
 		t.Fatal("two streams opened under one detector hold different compiled instances")

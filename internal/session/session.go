@@ -158,7 +158,9 @@ func (c Config) fill() (Config, error) {
 }
 
 // entry is the engine's bookkeeping for one open stream: the handler's
-// state plus the reusable per-round micro-batch slices.
+// state plus the reusable per-round micro-batch slices. A closed
+// stream's entry goes on the engine's free list with its slices' capacity
+// and serves the next open.
 type entry struct {
 	id  uint32
 	app string
@@ -182,6 +184,7 @@ type Engine struct {
 
 	streams map[uint32]*entry // worker-owned after construction
 	apps    map[string]uint32 // app → id of each open stream, worker-owned
+	free    []*entry          // closed streams' entries, worker-owned
 	drain   []item            // reusable drain buffer
 	touched []*entry          // reusable per-round stream list
 }
@@ -227,13 +230,13 @@ func (e *Engine) PushBurst(at time.Time, burst []wire.Sample) (shed int) {
 // Open queues a stream open behind the samples pushed so far. Unlike
 // samples, controls are never shed.
 func (e *Engine) Open(stream uint32, app string) {
-	e.q.control(stream, &ctrl{open: true, app: app})
+	e.q.control(ctrl{stream: stream, open: true, app: app})
 	e.wake()
 }
 
 // Close queues a stream close behind the samples pushed so far.
 func (e *Engine) Close(stream uint32) {
-	e.q.control(stream, &ctrl{})
+	e.q.control(ctrl{stream: stream})
 	e.wake()
 }
 
@@ -297,6 +300,9 @@ func (e *Engine) round() error {
 	if samples > 0 {
 		e.cfg.BatchSize.Observe(float64(samples))
 	}
+	// An entry closed and reopened within the round is in touched twice,
+	// once per stream it served: the first visit processes the new
+	// stream's batch and the second finds it empty, which process skips.
 	for _, st := range e.touched {
 		if err := e.process(st, drainedAt); err != nil {
 			return err
@@ -356,7 +362,15 @@ func (e *Engine) openStream(id uint32, app string) error {
 	if err != nil {
 		return err
 	}
-	e.streams[id] = &entry{id: id, app: app, h: h}
+	var st *entry
+	if k := len(e.free); k > 0 {
+		st = e.free[k-1]
+		e.free = e.free[:k-1]
+	} else {
+		st = new(entry)
+	}
+	st.id, st.app, st.h = id, app, h
+	e.streams[id] = st
 	e.apps[app] = id
 	return nil
 }
@@ -372,5 +386,9 @@ func (e *Engine) closeStream(id uint32, shed uint64, drainedAt time.Time) error 
 	}
 	delete(e.streams, id)
 	delete(e.apps, st.app)
-	return st.h.Close(shed)
+	err := st.h.Close(shed)
+	// process emptied the batch; the slices keep their capacity.
+	st.app, st.h = "", nil
+	e.free = append(e.free, st)
+	return err
 }

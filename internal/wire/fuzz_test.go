@@ -83,16 +83,20 @@ func FuzzDecodePayload(f *testing.F) {
 	})
 }
 
-// FuzzReaderBurst walks one arbitrary byte stream twice: once the way the
-// front end's read loop does (Ready, then ReadSample, then Next for any
-// other frame type), once with repeated Decode. The walks must agree
-// frame by frame (type, every field, bytes consumed) and stop at the same
-// place for the same reason: where Decode reports ErrIncomplete the Reader
+// FuzzReaderBurst walks one arbitrary byte stream three times: the way
+// the front end's read loop does (Ready, then ReadSample, then Next for
+// any other frame type), the way the gateway's relay does (VerdictRun,
+// then Next when the run is empty), and with repeated Decode. The Reader
+// walks must agree with Decode frame by frame (every field, or every byte
+// of a relayed Verdict, and the bytes consumed) and stop where it stops
+// for the same reason: where Decode reports ErrIncomplete the Reader
 // reports the end of the stream, and where Decode reports a malformed
-// frame so does the Reader. A frame Ready calls buffered must be read
-// without touching the stream. Neither walk may panic.
+// frame, a Verdict of the wrong length among them, so does the Reader. A
+// frame Ready calls buffered must be read without touching the stream.
+// No walk may panic.
 func FuzzReaderBurst(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		walkRelay(t, data)
 		src := bytes.NewReader(data)
 		r := NewReader(src)
 		var s Sample
@@ -108,22 +112,7 @@ func FuzzReaderBurst(f *testing.F) {
 				t.Fatalf("at byte %d: Ready, yet reading the frame read the stream", off)
 			}
 			if derr != nil {
-				switch {
-				case errors.Is(derr, ErrIncomplete):
-					end := io.ErrUnexpectedEOF
-					if off == len(data) {
-						end = io.EOF
-					}
-					if err != end {
-						t.Fatalf("at byte %d: Decode: %v; Reader: %v, want %v", off, derr, err, end)
-					}
-				case errors.Is(derr, ErrMalformed):
-					if !errors.Is(err, ErrMalformed) {
-						t.Fatalf("at byte %d: Decode: %v; Reader: %v, want ErrMalformed", off, derr, err)
-					}
-				default:
-					t.Fatalf("at byte %d: Decode error %v wraps neither ErrIncomplete nor ErrMalformed", off, derr)
-				}
+				sameEnd(t, data, off, derr, err)
 				return
 			}
 			if err != nil {
@@ -147,4 +136,79 @@ func FuzzReaderBurst(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walkRelay walks data as the gateway's relay does: each run VerdictRun
+// returns must be, frame by frame, the bytes of the Verdicts Decode reads
+// at those offsets, an empty run must stand before a frame of another
+// type, which Next reads, and the walk must end where Decode's does, for
+// the same reason.
+func walkRelay(t *testing.T, data []byte) {
+	src := bytes.NewReader(data)
+	r := NewReader(src)
+	for off := 0; ; {
+		if consumed := len(data) - src.Len() - r.Buffered(); consumed != off {
+			t.Fatalf("relay walk consumed %d bytes, Decode %d", consumed, off)
+		}
+		run, frames, err := r.VerdictRun()
+		if err == nil && frames == 0 {
+			var got Frame
+			if got, err = r.Next(); err == nil {
+				if got.Type() == TypeVerdict {
+					t.Fatalf("at byte %d: VerdictRun returned an empty run before a Verdict", off)
+				}
+				want, n, derr := Decode(data[off:])
+				if derr != nil || want.Type() != got.Type() {
+					t.Fatalf("at byte %d: Next read a %T, Decode %T (%v)", off, got, want, derr)
+				}
+				off += n
+				continue
+			}
+		}
+		if err != nil {
+			_, _, derr := Decode(data[off:])
+			if derr == nil {
+				t.Fatalf("at byte %d: Decode read a frame, the relay walk failed: %v", off, err)
+			}
+			sameEnd(t, data, off, derr, err)
+			return
+		}
+		if len(run) != frames*(4+verdictBody) {
+			t.Fatalf("at byte %d: a run of %d frames in %d bytes", off, frames, len(run))
+		}
+		for i := 0; i < frames; i++ {
+			want, n, derr := Decode(data[off:])
+			if derr != nil || want.Type() != TypeVerdict {
+				t.Fatalf("at byte %d: frame %d of a run, Decode read %T (%v)", off, i, want, derr)
+			}
+			if frame := run[i*(4+verdictBody) : (i+1)*(4+verdictBody)]; !bytes.Equal(frame, data[off:off+n]) {
+				t.Fatalf("at byte %d: frame %d of a run is %x, Decode read %x", off, i, frame, data[off:off+n])
+			}
+			off += n
+		}
+		r.Discard(len(run))
+	}
+}
+
+// sameEnd requires a Reader walk to stop at byte off of data with err
+// for the reason Decode stopped there with derr: the end of the stream
+// where Decode wants more input, a malformed frame where it found one.
+func sameEnd(t *testing.T, data []byte, off int, derr, err error) {
+	t.Helper()
+	switch {
+	case errors.Is(derr, ErrIncomplete):
+		end := io.ErrUnexpectedEOF
+		if off == len(data) {
+			end = io.EOF
+		}
+		if err != end {
+			t.Fatalf("at byte %d: Decode: %v; Reader: %v, want %v", off, derr, err, end)
+		}
+	case errors.Is(derr, ErrMalformed):
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("at byte %d: Decode: %v; Reader: %v, want ErrMalformed", off, derr, err)
+		}
+	default:
+		t.Fatalf("at byte %d: Decode error %v wraps neither ErrIncomplete nor ErrMalformed", off, derr)
+	}
 }

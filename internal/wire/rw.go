@@ -14,7 +14,8 @@ import (
 // stream. A read loop takes what one buffered read delivered, the read
 // burst, without blocking: while Ready reports the next frame whole,
 // ReadSample decodes Samples into a caller-owned Sample (no allocation)
-// and Next decodes every other frame.
+// and Next decodes every other frame. A relay takes Verdicts undecoded:
+// VerdictRun returns a run of them as bytes and Discard consumes it.
 type Reader struct {
 	br *bufio.Reader
 }
@@ -49,6 +50,36 @@ func (r *Reader) ReadSample(s *Sample) (bool, error) {
 	r.br.Discard(len(frame))
 	return err == nil, err
 }
+
+// VerdictRun blocks until the next frame is buffered whole, then returns
+// the run of whole Verdict frames at the head of the buffer, length
+// headers included, and how many frames the run holds, without consuming
+// them: Discard(len(run)) does, once the bytes are used. The bytes are
+// the Reader's own and valid only until its next read. The run is empty
+// when the next frame is of another type, for ReadSample or Next. A
+// Verdict's decode refuses only a body of another length than
+// verdictBody, so the run holds exactly the frames Next would decode, and
+// a Verdict-typed frame of another length at the head returns an error
+// wrapping ErrMalformed. Other errors are those of Next.
+func (r *Reader) VerdictRun() (run []byte, frames int, err error) {
+	frame, err := r.fill()
+	if err != nil || frame[4] != TypeVerdict {
+		return nil, 0, err
+	}
+	if len(frame) != 4+verdictBody {
+		return nil, 0, malformed("verdict body of %d bytes, want %d", len(frame)-4, verdictBody)
+	}
+	buf, _ := r.br.Peek(r.br.Buffered())
+	n := 0
+	for len(buf)-n >= 4+verdictBody && buf[n+4] == TypeVerdict &&
+		binary.BigEndian.Uint32(buf[n:]) == verdictBody {
+		n += 4 + verdictBody
+	}
+	return buf[:n], n / (4 + verdictBody), nil
+}
+
+// Discard consumes the next n buffered bytes: a run VerdictRun returned.
+func (r *Reader) Discard(n int) { r.br.Discard(n) }
 
 // Next reads and decodes the next frame. A clean end of stream returns
 // io.EOF; a stream truncated mid-frame returns io.ErrUnexpectedEOF; an
@@ -119,6 +150,13 @@ func (w *Writer) Write(f Frame) error {
 	}
 	w.scratch = b[:0]
 	_, err = w.bw.Write(b)
+	return err
+}
+
+// WriteRaw buffers frames that are already encoded, such as a run
+// Reader.VerdictRun returned, byte for byte.
+func (w *Writer) WriteRaw(frames []byte) error {
+	_, err := w.bw.Write(frames)
 	return err
 }
 

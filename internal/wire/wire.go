@@ -58,6 +58,11 @@ const (
 	MaxFeatures = 1 << 12
 )
 
+// verdictBody is the length of every Verdict frame's body, the type byte
+// plus its fixed-size payload, and so the one valid value of its length
+// header.
+const verdictBody = 1 + 4 + 4 + 1 + 1 + 8 + 8
+
 // Frame type bytes.
 const (
 	TypeHello         = 0x01

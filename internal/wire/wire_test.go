@@ -323,8 +323,9 @@ func TestWriterWriteAllocs(t *testing.T) {
 
 // TestReaderReadAllocs is the decode half of TestWriterWriteAllocs:
 // reading a buffered burst of Sample frames into a caller-owned Sample
-// allocates nothing, and Next of a Verdict allocates only the box that
-// carries it as a Frame.
+// allocates nothing, Next of a Verdict allocates only the box that
+// carries it as a Frame, and reading and consuming a buffered run of 64
+// Verdicts as bytes, as the gateway's relay does, allocates nothing.
 func TestReaderReadAllocs(t *testing.T) {
 	var burst []byte
 	for seq := uint32(0); seq < 64; seq++ {
@@ -362,6 +363,46 @@ func TestReaderReadAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, next); n != 1 {
 		t.Errorf("Reader.Next of a Verdict allocates %.1f times per call, want 1 (the Frame box)", n)
 	}
+
+	rr := NewReader(&rounds{block: verdictRun(t, 64)})
+	readRun := func() {
+		run, frames, err := rr.VerdictRun()
+		if err != nil || frames != 64 || len(run) != 64*(4+verdictBody) {
+			t.Fatalf("VerdictRun = %d bytes, %d frames, %v; want the 64 Verdicts of one read", len(run), frames, err)
+		}
+		rr.Discard(len(run))
+	}
+	readRun()
+	if n := testing.AllocsPerRun(100, readRun); n != 0 {
+		t.Errorf("reading and consuming a run of 64 Verdicts allocates %.1f times, want 0", n)
+	}
+}
+
+// verdictRun encodes n Verdicts of one stream back to back.
+func verdictRun(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var run []byte
+	for seq := 0; seq < n; seq++ {
+		var err error
+		run, err = Append(run, Verdict{Stream: 3, Seq: uint32(seq), Flags: FlagMalware | FlagAlarm, Class: 2, Score: 0.9, Smoothed: 0.4})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return run
+}
+
+// rounds is an endless stream that delivers at most one block per read,
+// as a shard's flush of one round reaches the gateway's relay.
+type rounds struct {
+	block []byte
+	off   int
+}
+
+func (p *rounds) Read(b []byte) (int, error) {
+	n := copy(b, p.block[p.off:])
+	p.off = (p.off + n) % len(p.block)
+	return n, nil
 }
 
 // replay is an endless stream repeating frames, as a busy connection
@@ -401,4 +442,27 @@ func BenchmarkWireSample(b *testing.B) {
 			b.Fatalf("ReadSample = %v, %v", ok, err)
 		}
 	}
+}
+
+// BenchmarkWireVerdictRun measures the gateway's Verdict relay over one
+// shard round of 64 Verdicts: the run read in place (Reader.VerdictRun),
+// copied whole into a Writer over io.Discard (WriteRaw) and consumed.
+// It reports ns per Verdict relayed.
+func BenchmarkWireVerdictRun(b *testing.B) {
+	const perRound = 64
+	r := NewReader(&rounds{block: verdictRun(b, perRound)})
+	w := NewWriter(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run, frames, err := r.VerdictRun()
+		if err != nil || frames != perRound {
+			b.Fatalf("VerdictRun = %d frames, %v", frames, err)
+		}
+		if err := w.WriteRaw(run); err != nil {
+			b.Fatal(err)
+		}
+		r.Discard(len(run))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perRound), "ns/verdict")
 }
