@@ -53,11 +53,10 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1024, "capture one gateway-tier trace per this many forwarded samples (0 = tracing off; served at /debug/traces with -telemetry-addr)")
 	traceDepth := flag.Int("trace-depth", 256, "trace ring capacity")
 	flag.Parse()
-	ctx := app.Start()
-	defer app.Close()
-
 	tracer := trace.New(trace.Config{SampleEvery: *traceSample, Depth: *traceDepth})
 	app.DebugHandle("/debug/traces", tracer.Handler())
+	ctx := app.Start()
+	defer app.Close()
 
 	if *shards == "" {
 		app.Fatal(fmt.Errorf("-shards is required (comma-separated smartserve addresses)"))

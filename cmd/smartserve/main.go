@@ -101,11 +101,10 @@ func main() {
 	sampleLogRetain := flag.Int("samplelog-retain", 64, "with -samplelog: keep at most this many segments, pruning oldest-first (-1 = unbounded)")
 	envelopeIn := flag.String("envelope", "", "with -model: stage-0 anomaly envelope (JSON, from smartrain -envelope) enabling the detection cascade; with -registry the active entry's published envelope is used instead")
 	flag.Parse()
-	ctx := app.Start()
-	defer app.Close()
-
 	tracer := trace.New(trace.Config{SampleEvery: *traceSample, Depth: *traceDepth})
 	app.DebugHandle("/debug/traces", tracer.Handler())
+	ctx := app.Start()
+	defer app.Close()
 
 	if *shardID != "" {
 		*shard = true

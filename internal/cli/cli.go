@@ -11,7 +11,6 @@ import (
 	"errors"
 	"flag"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -42,6 +41,13 @@ type App struct {
 
 	stop   context.CancelFunc
 	server *telemetry.Server
+	mounts []mount // DebugHandle calls made before Start
+}
+
+// mount is one extra debug endpoint.
+type mount struct {
+	path string
+	h    telemetry.Handler
 }
 
 // New builds the app and registers the shared flags (-log-json, -quiet,
@@ -51,7 +57,7 @@ func New(tool string) *App {
 	flag.BoolVar(&a.logJSON, "log-json", false, "emit JSON logs instead of text")
 	flag.BoolVar(&a.quiet, "quiet", false, "suppress progress and informational logs (warnings still print)")
 	flag.StringVar(&a.telemetryAddr, "telemetry-addr", "",
-		"serve /metrics (Prometheus), /debug/vars and /debug/pprof on this address (e.g. :8080, :0 for a random port; empty = disabled)")
+		"serve /metrics (Prometheus), /healthz, /debug/vars, /debug/pprof/ and, on smartserve and smartgw, /debug/traces on this address (e.g. :8080, :0 for a random port; empty = disabled)")
 	return a
 }
 
@@ -91,19 +97,26 @@ func (a *App) Start() context.Context {
 			<-ctx.Done()
 			srv.SetDraining()
 		}()
-		a.Log.Info("telemetry server listening",
-			"addr", srv.Addr(),
-			"endpoints", "/metrics /healthz /debug/vars /debug/pprof/")
+		endpoints := "/metrics /healthz /debug/vars /debug/pprof/"
+		for _, m := range a.mounts {
+			srv.Handle(m.path, m.h)
+			endpoints += " " + m.path
+		}
+		a.Log.Info("telemetry server listening", "addr", srv.Addr(), "endpoints", endpoints)
 	}
+	a.mounts = nil
 	return ctx
 }
 
 // DebugHandle mounts an extra handler (e.g. /debug/traces) on the debug
-// server. A no-op when -telemetry-addr is unset; call after Start.
-func (a *App) DebugHandle(pattern string, h http.Handler) {
+// server. Called before Start, the endpoint is listed in the start-up
+// log. A no-op when -telemetry-addr is unset.
+func (a *App) DebugHandle(path string, h telemetry.Handler) {
 	if a.server != nil {
-		a.server.Handle(pattern, h)
+		a.server.Handle(path, h)
+		return
 	}
+	a.mounts = append(a.mounts, mount{path, h})
 }
 
 // Quiet reports whether -quiet was set.

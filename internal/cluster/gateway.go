@@ -154,12 +154,13 @@ type Gateway struct {
 	mu    sync.Mutex // guards epoch and each shard's healthy, live and probe
 	epoch uint64
 
-	rerouted       telemetry.Counter
-	drained        telemetry.Counter
-	dropped        telemetry.Counter
-	shardsHealthy  telemetry.Gauge
-	memberChanges  telemetry.Counter
-	healthFailures telemetry.Counter
+	rerouted        telemetry.Counter
+	drained         telemetry.Counter
+	dropped         telemetry.Counter
+	shardsHealthy   telemetry.Gauge
+	memberChanges   telemetry.Counter
+	healthFailures  telemetry.Counter
+	upstreamFlushes telemetry.Counter
 }
 
 // New validates the configuration and builds a gateway. Call Listen then
@@ -171,14 +172,15 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	reg := filled.Telemetry
 	g := &Gateway{
-		cfg:            filled,
-		shards:         make(map[string]*shard, len(filled.Shards)),
-		rerouted:       reg.Counter("cluster_streams_rerouted_total"),
-		drained:        reg.Counter("cluster_streams_drained_total"),
-		dropped:        reg.Counter("cluster_samples_dropped_total"),
-		shardsHealthy:  reg.Gauge("cluster_shards_healthy"),
-		memberChanges:  reg.Counter("cluster_membership_changes_total"),
-		healthFailures: reg.Counter("cluster_health_check_failures_total"),
+		cfg:             filled,
+		shards:          make(map[string]*shard, len(filled.Shards)),
+		rerouted:        reg.Counter("cluster_streams_rerouted_total"),
+		drained:         reg.Counter("cluster_streams_drained_total"),
+		dropped:         reg.Counter("cluster_samples_dropped_total"),
+		shardsHealthy:   reg.Gauge("cluster_shards_healthy"),
+		memberChanges:   reg.Counter("cluster_membership_changes_total"),
+		healthFailures:  reg.Counter("cluster_health_check_failures_total"),
+		upstreamFlushes: reg.Counter("cluster_upstream_flushes_total"),
 	}
 	for _, addr := range filled.Shards {
 		g.shards[addr] = &shard{
@@ -202,6 +204,7 @@ func New(cfg Config) (*Gateway, error) {
 			Shed:        reg.Counter("cluster_shed_total"),
 			ProtoErrs:   reg.Counter("cluster_protocol_errors_total"),
 			BatchSize:   reg.Histogram("cluster_batch_size", session.BatchSizeBuckets),
+			Flushes:     reg.Counter("cluster_flushes_total"),
 		},
 		Log: filled.Log,
 	})
@@ -466,11 +469,15 @@ func (f *forwarder) OpenStream(id uint32, app string) (session.Stream, error) {
 }
 
 // RoundEnd flushes every live upstream's buffered frames, then the agent
-// connection — one syscall per peer per round.
+// connection — one syscall per peer per round. An upstream flush that
+// writes counts in cluster_upstream_flushes_total.
 func (f *forwarder) RoundEnd() error {
 	for addr, up := range f.ups {
 		if up.dead.Load() {
 			continue
+		}
+		if up.cli.Pending() > 0 {
+			f.g.upstreamFlushes.Inc()
 		}
 		if err := up.cli.Flush(); err != nil {
 			up.fail()

@@ -3,7 +3,6 @@ package registry
 import (
 	"encoding/json"
 	"fmt"
-	"regexp"
 	"time"
 
 	"twosmart/internal/anomaly"
@@ -15,9 +14,19 @@ import (
 // with a clear error instead of silently dropping fields.
 const ManifestVersion = 1
 
-// shaPattern is the only blob digest form the registry accepts:
-// lowercase hex SHA-256.
-var shaPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
+// isDigest reports whether s is the only blob digest form the registry
+// accepts: lowercase hex SHA-256.
+func isDigest(s string) bool {
+	if len(s) != 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // Entry describes one published model version.
 type Entry struct {
@@ -145,7 +154,7 @@ func validateManifest(m *Manifest) error {
 				i, e.Version, prev)
 		}
 		prev = e.Version
-		if !shaPattern.MatchString(e.SHA256) {
+		if !isDigest(e.SHA256) {
 			return fmt.Errorf("registry: v%d has malformed sha256 %q", e.Version, e.SHA256)
 		}
 		if e.Size <= 0 {

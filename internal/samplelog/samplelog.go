@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 )
 
 // FormatVersion is the segment format generation, written into every
@@ -61,8 +62,9 @@ const headerLen = 4 + 2 + 2 + 8
 // magic opens every segment file.
 var magic = [4]byte{'2', 'S', 'L', 'G'}
 
-// castagnoli is the CRC32C table used for record checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli returns the CRC32C table used for record checksums. It is
+// built on first use, so a process that never touches a log skips it.
+var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // Record flag bits.
 const (
@@ -161,7 +163,7 @@ func AppendRecord(buf []byte, r Record) ([]byte, error) {
 	for _, f := range r.Features {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	sum := crc32.Checksum(buf[start:], castagnoli)
+	sum := crc32.Checksum(buf[start:], castagnoli())
 	return binary.BigEndian.AppendUint32(buf, sum), nil
 }
 
@@ -183,7 +185,7 @@ func DecodeRecord(data []byte) (Record, int, error) {
 	}
 	payload := data[4 : 4+n]
 	want := binary.BigEndian.Uint32(data[4+n:])
-	if crc32.Checksum(payload, castagnoli) != want {
+	if crc32.Checksum(payload, castagnoli()) != want {
 		return Record{}, 0, ErrCorrupt
 	}
 	r, err := decodePayload(payload)

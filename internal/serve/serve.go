@@ -232,6 +232,7 @@ func New(cfg Config) (*Server, error) {
 			BatchSize:   reg.Histogram("serve_batch_size", session.BatchSizeBuckets),
 			Verdicts:    reg.Counter("serve_verdicts_total"),
 			Latency:     s.latency,
+			Flushes:     reg.Counter("serve_flushes_total"),
 		},
 		Log: filled.Log,
 	})

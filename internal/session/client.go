@@ -145,6 +145,13 @@ func (c *Client) Heartbeat(nanos uint64) error {
 	return c.write(wire.Heartbeat{Nanos: nanos})
 }
 
+// Pending reports how many outbound bytes wait for the next Flush.
+func (c *Client) Pending() int {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.w.Buffered()
+}
+
 // Flush pushes buffered frames to the server.
 func (c *Client) Flush() error {
 	c.wmu.Lock()

@@ -38,10 +38,12 @@ type Metrics struct {
 	// Verdicts and Latency observe the frames the Conn's Emitter writes.
 	Verdicts telemetry.Counter
 	Latency  telemetry.Histogram
+	// Flushes counts the Conn flushes that wrote bytes to the agent.
+	Flushes telemetry.Counter
 }
 
 func (m *Metrics) fill() {
-	for _, c := range []*telemetry.Counter{&m.ConnsTotal, &m.ConnsReaped, &m.Samples, &m.Shed, &m.ProtoErrs, &m.Verdicts} {
+	for _, c := range []*telemetry.Counter{&m.ConnsTotal, &m.ConnsReaped, &m.Samples, &m.Shed, &m.ProtoErrs, &m.Verdicts, &m.Flushes} {
 		if *c == nil {
 			*c = telemetry.NopCounter
 		}
@@ -465,9 +467,13 @@ func (c *Conn) WriteRaw(frames []byte) {
 	c.wmu.Unlock()
 }
 
-// Flush implements Emitter: it pushes buffered frames to the agent.
+// Flush implements Emitter: it pushes buffered frames to the agent, and
+// counts the flush in Metrics.Flushes when there were any.
 func (c *Conn) Flush() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.w.Buffered() > 0 {
+		c.fe.tier.Metrics.Flushes.Inc()
+	}
 	return c.w.Flush()
 }

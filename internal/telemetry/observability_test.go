@@ -158,9 +158,9 @@ func TestServerHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.Handle("/debug/extra", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	srv.Handle("/debug/extra", func(w *Response, _ *Request) {
 		io.WriteString(w, "extra")
-	}))
+	})
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -179,6 +179,14 @@ func TestServerHealthz(t *testing.T) {
 	}
 	if code, body := get("/debug/extra"); code != http.StatusOK || body != "extra" {
 		t.Fatalf("/debug/extra = %d %q, want the mounted handler", code, body)
+	}
+	// A handler that panics ends its own request, not the server.
+	srv.Handle("/debug/panic", func(*Response, *Request) { panic("boom") })
+	if code, _ := get("/debug/panic"); code != http.StatusInternalServerError {
+		t.Fatalf("panicking handler answered %d, want 500", code)
+	}
+	if code, body := get("/"); code != http.StatusOK || !strings.Contains(body, "/debug/extra") {
+		t.Fatalf("/ = %d %q, want an index naming the mounted path", code, body)
 	}
 	srv.SetDraining()
 	if !srv.Draining() {

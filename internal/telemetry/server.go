@@ -1,15 +1,33 @@
 package telemetry
 
 import (
-	"context"
-	"expvar"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
-	"net/http"
-	"net/http/pprof"
+	"os"
+	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
+	"runtime/trace"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+)
+
+const (
+	// headTimeout bounds how long a connection may take to send its head.
+	headTimeout = 10 * time.Second
+	// closeGrace bounds how long Close waits for requests in flight.
+	closeGrace = 5 * time.Second
+
+	pprofPrefix = "/debug/pprof/"
+	symbolPath  = pprofPrefix + "symbol"
 )
 
 // Server is the opt-in debug HTTP endpoint behind -telemetry-addr. It
@@ -17,27 +35,25 @@ import (
 //
 //	/metrics       Prometheus text exposition of the registry
 //	/healthz       drain-aware readiness (200 until SetDraining, then 503)
-//	/debug/vars    expvar (Go runtime memstats + a "telemetry" snapshot)
-//	/debug/pprof/  the standard pprof profiles (heap, profile, trace, ...)
+//	/debug/vars    JSON: cmdline, Go runtime memstats and a "telemetry" snapshot
+//	/debug/pprof/  the runtime/pprof profiles, CPU profile, trace, symbol, cmdline
 //
-// Tools can mount extra endpoints (e.g. /debug/traces) with Handle.
-// Close shuts it down gracefully and leaks no goroutines.
+// Tools can mount extra endpoints (e.g. /debug/traces) with Handle. Each
+// connection carries one request (GET, or POST for symbol) and is closed
+// after the response. Close shuts it down gracefully and leaks no
+// goroutines.
 type Server struct {
 	ln       net.Listener
-	srv      *http.Server
-	mux      *http.ServeMux
+	reg      *Registry
 	draining atomic.Bool
-	done     chan struct{}
-}
+	stop     chan struct{} // closed when Close stops waiting for requests in flight
 
-// expvarReg is the registry the process-global expvar "telemetry" variable
-// snapshots. expvar.Publish is global and panics on re-publish, so the
-// variable is installed once and reads whichever registry the most recent
-// StartServer supplied.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
+	mu      sync.Mutex // guards routes, conns and closing
+	routes  map[string]Handler
+	conns   map[net.Conn]struct{}
+	closing bool
+	wg      sync.WaitGroup // the accept loop and every connection
+}
 
 // StartServer listens on addr (":0" picks a free port; see Addr) and
 // serves the debug endpoints for reg in a background goroutine.
@@ -46,59 +62,41 @@ func StartServer(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	expvarReg.Store(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("telemetry", expvar.Func(func() any {
-			return expvarReg.Load().Report("expvar")
-		}))
-	})
-
-	mux := http.NewServeMux()
 	s := &Server{
-		ln:   ln,
-		mux:  mux,
-		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second},
-		done: make(chan struct{}),
+		ln:    ln,
+		reg:   reg,
+		stop:  make(chan struct{}),
+		conns: make(map[net.Conn]struct{}),
 	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprint(w, "twosmart telemetry\n\n/metrics\n/healthz\n/debug/vars\n/debug/pprof/\n")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprint(w, "ok\n")
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		defer close(s.done)
-		s.srv.Serve(ln) // returns http.ErrServerClosed on Shutdown
-	}()
+	s.routes = map[string]Handler{
+		"/":                     s.index,
+		"/metrics":              s.metrics,
+		"/healthz":              s.healthz,
+		"/debug/vars":           s.vars,
+		pprofPrefix:             pprofIndex,
+		pprofPrefix + "cmdline": pprofCmdline,
+		pprofPrefix + "profile": pprofProfile,
+		symbolPath:              pprofSymbol,
+		pprofPrefix + "trace":   pprofTrace,
+	}
+	s.wg.Add(1)
+	go s.accept()
 	return s, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Handle mounts an extra handler on the debug mux (e.g. /debug/traces).
-// Safe to call after the server started serving; panics (like
-// http.ServeMux) on a duplicate pattern.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+// Handle mounts h at exactly path (e.g. /debug/traces). Safe to call
+// after the server started serving; panics on a path already served.
+func (s *Server) Handle(path string, h Handler) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.routes[path]; dup {
+		panic("telemetry: duplicate handler for " + path)
+	}
+	s.routes[path] = h
+}
 
 // SetDraining flips /healthz to 503 so external orchestration stops
 // routing to this process while its graceful drain runs. The metrics and
@@ -108,15 +106,270 @@ func (s *Server) SetDraining() { s.draining.Store(true) }
 // Draining reports whether SetDraining was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close drains in-flight requests (bounded at 5 s, then hard-closes) and
-// waits for the serve goroutine to exit.
+// Close stops accepting, waits up to 5 s for requests in flight, then
+// ends the rest (a running CPU profile or trace stops early) and closes
+// their connections. It returns once every connection's goroutine has
+// exited, with an error when requests had to be cut off.
 func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err := s.srv.Shutdown(ctx)
-	if err != nil {
-		s.srv.Close()
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		return nil
 	}
-	<-s.done
-	return err
+	s.closing = true
+	s.mu.Unlock()
+	s.ln.Close()
+
+	idle := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(idle)
+	}()
+	grace := time.NewTimer(closeGrace)
+	defer grace.Stop()
+	select {
+	case <-idle:
+		return nil
+	case <-grace.C:
+	}
+	close(s.stop)
+	s.mu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+	<-idle
+	return fmt.Errorf("telemetry: requests still in flight after %s were cut off", closeGrace)
+}
+
+func (s *Server) accept() {
+	defer s.wg.Done()
+	for {
+		c, err := s.ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			time.Sleep(50 * time.Millisecond) // e.g. out of file descriptors
+			continue
+		}
+		s.mu.Lock()
+		if s.closing {
+			s.mu.Unlock()
+			c.Close()
+			continue
+		}
+		s.conns[c] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go s.serveConn(c)
+	}
+}
+
+// serveConn answers the connection's one request and closes it.
+func (s *Server) serveConn(c net.Conn) {
+	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
+		c.Close()
+	}()
+	c.SetReadDeadline(time.Now().Add(headTimeout))
+	if !s.exchange(c, c) {
+		return
+	}
+	// A refused request may leave unread bytes, and closing over them
+	// resets the connection, which can discard the answer before the
+	// client reads it. Half-close, and let the client hang up first.
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.CloseWrite()
+		c.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		io.Copy(io.Discard, io.LimitReader(c, maxHead+maxBody))
+	}
+}
+
+// exchange reads one request from r and writes its response to w. A
+// connection that ends before its first byte is closed unanswered. It
+// reports whether the request was refused with an error status.
+func (s *Server) exchange(r io.Reader, w io.Writer) (refused bool) {
+	resp := newResponse(w)
+	req, err := readRequest(r)
+	var ref *refusal
+	switch {
+	case err == nil:
+		req.done = s.stop
+		s.dispatch(resp, req)
+	case errors.As(err, &ref):
+		resp.Error(ref.code, ref.msg)
+		refused = true
+	default:
+		return false
+	}
+	resp.finish()
+	return refused
+}
+
+// dispatch routes req to its handler. A handler that panics ends its own
+// request, not the process.
+func (s *Server) dispatch(w *Response, req *Request) {
+	h := s.route(req.Path)
+	if h == nil {
+		w.Error(404, "404 page not found")
+		return
+	}
+	if req.Method != "GET" && (req.Method != "POST" || req.Path != symbolPath) {
+		w.allow = "GET"
+		if req.Path == symbolPath {
+			w.allow = "GET, POST"
+		}
+		w.Error(405, "method not allowed")
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			slog.Error("telemetry handler panicked", "path", req.Path, "panic", p, "stack", string(debug.Stack()))
+			if !w.sent {
+				w.Error(500, "internal error")
+			}
+		}
+	}()
+	h(w, req)
+}
+
+// route returns the handler for path: an exact match, else the pprof
+// index for any other name under /debug/pprof/.
+func (s *Server) route(path string) Handler {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h, ok := s.routes[path]; ok {
+		return h
+	}
+	if strings.HasPrefix(path, pprofPrefix) {
+		return s.routes[pprofPrefix]
+	}
+	return nil
+}
+
+func (s *Server) index(w *Response, _ *Request) {
+	s.mu.Lock()
+	var paths []string
+	for p := range s.routes {
+		if p != "/" && (p == pprofPrefix || !strings.HasPrefix(p, pprofPrefix)) {
+			paths = append(paths, p)
+		}
+	}
+	s.mu.Unlock()
+	sort.Strings(paths)
+	fmt.Fprintf(w, "twosmart telemetry\n\n%s\n", strings.Join(paths, "\n"))
+}
+
+func (s *Server) metrics(w *Response, _ *Request) {
+	w.SetContentType("text/plain; version=0.0.4; charset=utf-8")
+	s.reg.WritePrometheus(w)
+}
+
+func (s *Server) healthz(w *Response, _ *Request) {
+	if s.draining.Load() {
+		w.Error(503, "draining")
+		return
+	}
+	io.WriteString(w, "ok\n")
+}
+
+// vars serves what expvar's handler did: the command line, the runtime's
+// memstats and this server's registry as a run report.
+func (s *Server) vars(w *Response, _ *Request) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	w.SetContentType("application/json; charset=utf-8")
+	json.NewEncoder(w).Encode(struct {
+		Cmdline   []string          `json:"cmdline"`
+		Memstats  *runtime.MemStats `json:"memstats"`
+		Telemetry *RunReport        `json:"telemetry"`
+	}{os.Args, &ms, s.reg.Report("expvar")})
+}
+
+// pprofIndex lists the profiles at /debug/pprof/ and serves each named
+// one below it: ?debug=N for text, gc=1 to collect before a heap profile.
+func pprofIndex(w *Response, r *Request) {
+	if name := strings.TrimPrefix(r.Path, pprofPrefix); name != "" {
+		pprofNamed(w, r, name)
+		return
+	}
+	io.WriteString(w, "/debug/pprof/ profiles (count, then path; ?debug=1 for text)\n\n")
+	for _, p := range pprof.Profiles() {
+		fmt.Fprintf(w, "%-12s %6d  %s%s\n", p.Name(), p.Count(), pprofPrefix, p.Name())
+	}
+	for _, p := range []string{"profile?seconds=30", "trace?seconds=1", "cmdline", "symbol"} {
+		name, _, _ := strings.Cut(p, "?")
+		fmt.Fprintf(w, "%-12s %6s  %s%s\n", name, "-", pprofPrefix, p)
+	}
+}
+
+func pprofNamed(w *Response, r *Request, name string) {
+	p := pprof.Lookup(name)
+	if p == nil {
+		w.Error(404, "unknown profile")
+		return
+	}
+	if r.Query.Get("seconds") != "" {
+		w.Error(400, "delta profiles (seconds=N) are not supported; omit seconds for the cumulative profile")
+		return
+	}
+	if gc, _ := strconv.Atoi(r.Query.Get("gc")); name == "heap" && gc > 0 {
+		runtime.GC()
+	}
+	level, _ := strconv.Atoi(r.Query.Get("debug"))
+	if level == 0 {
+		w.SetContentType("application/octet-stream")
+	}
+	p.WriteTo(w, level)
+}
+
+// pprofProfile serves a CPU profile of ?seconds=N (default 30).
+func pprofProfile(w *Response, r *Request) {
+	pprofTimed(w, r, 30, pprof.StartCPUProfile, pprof.StopCPUProfile)
+}
+
+// pprofTrace serves an execution trace of ?seconds=N (default 1).
+func pprofTrace(w *Response, r *Request) { pprofTimed(w, r, 1, trace.Start, trace.Stop) }
+
+// pprofTimed streams what start records to w for ?seconds=N (default
+// def), cut short when the server closes.
+func pprofTimed(w *Response, r *Request, def float64, start func(io.Writer) error, stop func()) {
+	sec, err := strconv.ParseFloat(r.Query.Get("seconds"), 64)
+	if sec <= 0 || err != nil {
+		sec = def
+	}
+	w.SetContentType("application/octet-stream")
+	if err := start(w); err != nil {
+		w.Error(500, "could not start recording: "+err.Error())
+		return
+	}
+	r.sleep(time.Duration(sec * float64(time.Second)))
+	stop()
+}
+
+// pprofSymbol maps the '+'-separated program counters in a POST body or
+// a GET query to function names, as go tool pprof expects.
+func pprofSymbol(w *Response, r *Request) {
+	in := string(r.Body)
+	if r.Method == "GET" {
+		in = r.rawQuery
+	}
+	io.WriteString(w, "num_symbols: 1\n")
+	for _, word := range strings.Split(in, "+") {
+		pc, _ := strconv.ParseUint(word, 0, 64)
+		if pc == 0 {
+			continue
+		}
+		if f := runtime.FuncForPC(uintptr(pc)); f != nil {
+			fmt.Fprintf(w, "%#x %s\n", pc, f.Name())
+		}
+	}
+}
+
+func pprofCmdline(w *Response, _ *Request) {
+	io.WriteString(w, strings.Join(os.Args, "\x00"))
 }

@@ -16,9 +16,10 @@ package trace
 
 import (
 	"encoding/json"
-	"net/http"
 	"sync"
 	"sync/atomic"
+
+	"twosmart/internal/telemetry"
 )
 
 // Hop indexes one attributed latency segment inside Record.Hops.
@@ -221,11 +222,11 @@ func (t *Tracer) DumpState() Dump {
 
 // Handler serves the ring contents as JSON, shaped as Dump. Mounted at
 // /debug/traces by the serving tools. Works on a nil tracer.
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+func (t *Tracer) Handler() telemetry.Handler {
+	return func(w *telemetry.Response, _ *telemetry.Request) {
+		w.SetContentType("application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(t.DumpState())
-	})
+	}
 }

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"encoding/json"
-	"net/http/httptest"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
+
+	"twosmart/internal/telemetry"
 )
 
 func TestNewDisabled(t *testing.T) {
@@ -140,14 +143,24 @@ func TestHandlerJSON(t *testing.T) {
 	tr := New(Config{SampleEvery: 4, Depth: 8})
 	tr.Add(Record{TraceID: 42, Tier: TierShard, App: "vim", Stream: 7, Seq: 9,
 		Hops: [NumHops]int64{0, 10, 20, 30, 40}, TotalNanos: 100})
-	rec := httptest.NewRecorder()
-	tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
+	srv, err := telemetry.StartServer("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Handle("/debug/traces", tr.Handler())
+	resp, err := http.Get("http://" + srv.Addr() + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
 		t.Fatalf("content-type = %q", ct)
 	}
 	var d Dump
-	if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
-		t.Fatalf("response not JSON: %v\n%s", err, rec.Body.String())
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatalf("response not JSON: %v\n%s", err, body)
 	}
 	if d.SampleEvery != 4 || d.Depth != 8 || len(d.HopNames) != NumHops {
 		t.Fatalf("dump header = %+v", d)

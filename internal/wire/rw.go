@@ -162,3 +162,6 @@ func (w *Writer) WriteRaw(frames []byte) error {
 
 // Flush pushes all buffered frames to the underlying writer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
+
+// Buffered reports how many encoded bytes wait for the next Flush.
+func (w *Writer) Buffered() int { return w.bw.Buffered() }
