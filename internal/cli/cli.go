@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"twosmart/internal/telemetry"
@@ -41,7 +42,7 @@ type App struct {
 
 	stop   context.CancelFunc
 	server *telemetry.Server
-	mounts []mount // DebugHandle calls made before Start
+	mounts []mount // the DebugHandle calls, mounted by Start
 }
 
 // mount is one extra debug endpoint.
@@ -97,24 +98,20 @@ func (a *App) Start() context.Context {
 			<-ctx.Done()
 			srv.SetDraining()
 		}()
-		endpoints := "/metrics /healthz /debug/vars /debug/pprof/"
 		for _, m := range a.mounts {
 			srv.Handle(m.path, m.h)
-			endpoints += " " + m.path
 		}
-		a.Log.Info("telemetry server listening", "addr", srv.Addr(), "endpoints", endpoints)
+		a.Log.Info("telemetry server listening", "addr", srv.Addr(), "endpoints", strings.Join(srv.Paths(), " "))
 	}
-	a.mounts = nil
 	return ctx
 }
 
-// DebugHandle mounts an extra handler (e.g. /debug/traces) on the debug
-// server. Called before Start, the endpoint is listed in the start-up
-// log. A no-op when -telemetry-addr is unset.
+// DebugHandle registers an extra handler (e.g. /debug/traces) that Start
+// mounts on the debug server when -telemetry-addr is set. Call it before
+// Start; it panics after.
 func (a *App) DebugHandle(path string, h telemetry.Handler) {
-	if a.server != nil {
-		a.server.Handle(path, h)
-		return
+	if a.Log != nil {
+		panic("cli: DebugHandle called after Start")
 	}
 	a.mounts = append(a.mounts, mount{path, h})
 }

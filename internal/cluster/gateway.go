@@ -469,15 +469,11 @@ func (f *forwarder) OpenStream(id uint32, app string) (session.Stream, error) {
 }
 
 // RoundEnd flushes every live upstream's buffered frames, then the agent
-// connection — one syscall per peer per round. An upstream flush that
-// writes counts in cluster_upstream_flushes_total.
+// connection — one syscall per peer per round.
 func (f *forwarder) RoundEnd() error {
 	for addr, up := range f.ups {
 		if up.dead.Load() {
 			continue
-		}
-		if up.cli.Pending() > 0 {
-			f.g.upstreamFlushes.Inc()
 		}
 		if err := up.cli.Flush(); err != nil {
 			up.fail()
@@ -511,6 +507,7 @@ func (f *forwarder) upstreamFor(addr string) (*upstream, error) {
 	if err != nil {
 		return nil, err
 	}
+	cli.CountFlushes(g.upstreamFlushes) // cluster_upstream_flushes_total
 	up := &upstream{
 		f:      f,
 		sh:     g.shards[addr],

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"twosmart/internal/telemetry"
 	"twosmart/internal/wire"
 )
 
@@ -23,8 +24,9 @@ type Client struct {
 	r       *wire.Reader
 	welcome wire.Welcome
 
-	wmu sync.Mutex
-	w   *wire.Writer
+	wmu     sync.Mutex
+	w       *wire.Writer
+	flushes telemetry.Counter // Flushes that wrote bytes
 }
 
 // Dial connects to a streaming detection server and completes the
@@ -60,7 +62,7 @@ func dialClient(ctx context.Context, addr, agent string, retry bool) (*Client, e
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	c := &Client{nc: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc)}
+	c := &Client{nc: nc, r: wire.NewReader(nc), w: wire.NewWriter(nc), flushes: telemetry.NopCounter}
 	if err := c.handshake(agent); err != nil {
 		nc.Close()
 		return nil, err
@@ -145,17 +147,21 @@ func (c *Client) Heartbeat(nanos uint64) error {
 	return c.write(wire.Heartbeat{Nanos: nanos})
 }
 
-// Pending reports how many outbound bytes wait for the next Flush.
-func (c *Client) Pending() int {
+// CountFlushes makes every later Flush that writes bytes bump n.
+func (c *Client) CountFlushes(n telemetry.Counter) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.w.Buffered()
+	c.flushes = n
 }
 
-// Flush pushes buffered frames to the server.
+// Flush pushes buffered frames to the server, and counts the flush (see
+// CountFlushes) when there were any.
 func (c *Client) Flush() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.w.Buffered() > 0 {
+		c.flushes.Inc()
+	}
 	return c.w.Flush()
 }
 

@@ -188,6 +188,10 @@ func TestServerHealthz(t *testing.T) {
 	if code, body := get("/"); code != http.StatusOK || !strings.Contains(body, "/debug/extra") {
 		t.Fatalf("/ = %d %q, want an index naming the mounted path", code, body)
 	}
+	want := "/debug/extra /debug/panic /debug/pprof/ /debug/vars /healthz /metrics"
+	if got := strings.Join(srv.Paths(), " "); got != want {
+		t.Fatalf("Paths() = %q, want %q", got, want)
+	}
 	srv.SetDraining()
 	if !srv.Draining() {
 		t.Fatal("Draining() false after SetDraining")

@@ -251,7 +251,9 @@ func (s *Server) route(path string) Handler {
 	return nil
 }
 
-func (s *Server) index(w *Response, _ *Request) {
+// Paths lists the endpoints the server answers, sorted: every mounted
+// path but "/" and the names below /debug/pprof/.
+func (s *Server) Paths() []string {
 	s.mu.Lock()
 	var paths []string
 	for p := range s.routes {
@@ -261,7 +263,11 @@ func (s *Server) index(w *Response, _ *Request) {
 	}
 	s.mu.Unlock()
 	sort.Strings(paths)
-	fmt.Fprintf(w, "twosmart telemetry\n\n%s\n", strings.Join(paths, "\n"))
+	return paths
+}
+
+func (s *Server) index(w *Response, _ *Request) {
+	fmt.Fprintf(w, "twosmart telemetry\n\n%s\n", strings.Join(s.Paths(), "\n"))
 }
 
 func (s *Server) metrics(w *Response, _ *Request) {
