@@ -317,6 +317,19 @@ func (g *Gateway) refreshWelcomeLocked() {
 	}
 }
 
+// seedWelcomeLocked takes a newly dialed probe's Welcome as the agent
+// template. A template that already exists keeps its version: which
+// version agents see is refreshWelcomeLocked's to choose from the healthy
+// shards' heartbeat echoes, and a re-dialed shard says nothing new about
+// the fleet. Caller holds g.mu.
+func (g *Gateway) seedWelcomeLocked(w wire.Welcome) {
+	if old := g.welcome.Load(); old != nil {
+		w.ModelVersion = old.ModelVersion
+	}
+	g.welcome.Store(&w)
+	g.refreshWelcomeLocked()
+}
+
 // checkShard runs one health probe: ensure a probe connection exists
 // (dial + handshake), then round-trip a Heartbeat under a deadline.
 func (g *Gateway) checkShard(ctx context.Context, sh *shard) bool {
@@ -331,10 +344,9 @@ func (g *Gateway) checkShard(ctx context.Context, sh *shard) bool {
 			g.healthFailures.Inc()
 			return false
 		}
-		w := c.Welcome()
-		g.welcome.Store(&w)
 		g.mu.Lock()
 		sh.probe = c
+		g.seedWelcomeLocked(c.Welcome())
 		g.mu.Unlock()
 		cli = c
 	}

@@ -27,6 +27,9 @@ type fakeShard struct {
 	addr   string
 	refuse atomic.Bool
 	events chan string // "open", "sample" or "close", in arrival order
+	// version, when set, is the model version the shard reports in its
+	// Welcome and its heartbeat echoes.
+	version atomic.Uint32
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -79,7 +82,7 @@ func (fs *fakeShard) serve(nc net.Conn) {
 	if _, err := r.Next(); err != nil || fs.refuse.Load() {
 		return // closing before the Welcome fails the dial
 	}
-	w.Write(wire.Welcome{Proto: wire.ProtoVersion, NumFeatures: fakeWidth, Model: "fake"})
+	w.Write(wire.Welcome{Proto: wire.ProtoVersion, NumFeatures: fakeWidth, Model: "fake", ModelVersion: fs.version.Load()})
 	w.Flush()
 	samples := make(map[uint32]uint64)
 	for {
@@ -89,6 +92,9 @@ func (fs *fakeShard) serve(nc net.Conn) {
 		}
 		switch fr := f.(type) {
 		case wire.Heartbeat:
+			if v := fs.version.Load(); v != 0 {
+				fr.ModelVersion = v
+			}
 			fs.mu.Lock()
 			w.Write(fr)
 			w.Flush()

@@ -554,6 +554,72 @@ func TestGatewayCanaryLabeling(t *testing.T) {
 	}
 }
 
+// TestGatewayProbeRedialKeepsWelcome: with one shard on each version, a
+// shard whose probe connection was lost and re-dialed must not move the
+// agent Welcome to its version. The re-dial brings that shard's own
+// Welcome, but its live version is unchanged, so the template must keep
+// the version the tie rule chose.
+func TestGatewayProbeRedialKeepsWelcome(t *testing.T) {
+	active, canary := startFakeShard(t), startFakeShard(t)
+	active.version.Store(1)
+	canary.version.Store(2)
+	gw, err := New(Config{
+		Shards:        []string{active.addr, canary.addr},
+		CheckInterval: time.Hour, // health loop never runs; the test drives the passes
+		DialTimeout:   time.Second,
+		Log:           quietLog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
+		for _, sh := range gw.shards {
+			if sh.probe != nil {
+				sh.probe.Close()
+			}
+		}
+	})
+	ctx := context.Background()
+	welcome := func() uint32 { return gw.welcome.Load().ModelVersion }
+	healthy := func(addr string) bool {
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
+		return gw.shards[addr].healthy
+	}
+
+	gw.checkAll(ctx)
+	if !healthy(active.addr) || !healthy(canary.addr) {
+		t.Fatal("first health pass: want both shards healthy")
+	}
+	if w := welcome(); w != 1 {
+		t.Fatalf("first health pass: welcome ModelVersion = %d, want 1", w)
+	}
+
+	// The canary's probe connection drops: one failing pass takes it out
+	// of the fleet, the next re-dials it.
+	canary.mu.Lock()
+	for _, nc := range canary.conns {
+		nc.Close()
+	}
+	canary.mu.Unlock()
+	gw.checkAll(ctx)
+	if healthy(canary.addr) {
+		t.Fatal("pass after the drop: canary still healthy")
+	}
+	if w := welcome(); w != 1 {
+		t.Fatalf("pass after the drop: welcome ModelVersion = %d, want 1", w)
+	}
+	gw.checkAll(ctx)
+	if !healthy(canary.addr) {
+		t.Fatal("re-dial pass: canary not healthy again")
+	}
+	if w := welcome(); w != 1 {
+		t.Fatalf("re-dial pass: welcome ModelVersion = %d, want 1 kept (the re-dialed canary's Welcome moved it)", w)
+	}
+}
+
 // TestGatewayGracefulDrain mirrors TestServeGracefulDrain through a
 // gateway: once the gateway has forwarded every sample it drains, and
 // the shard's verdicts for them still reach the agent, all before the

@@ -73,7 +73,8 @@ type WriterConfig struct {
 	MaxSegments int
 	// QueueDepth bounds the append ring; beyond it the oldest pending
 	// record is shed — a slow disk drops log records, it never stalls
-	// the caller (default 8192).
+	// the caller (default 8192). The ring's storage grows to it only as
+	// records queue.
 	QueueDepth int
 	// Telemetry, when non-nil, receives the samplelog_* families.
 	Telemetry *telemetry.Registry
@@ -123,8 +124,10 @@ type Stats struct {
 type Writer struct {
 	cfg WriterConfig
 
-	mu     sync.Mutex
-	buf    []Record // circular pending queue; Features point into free-list buffers
+	mu sync.Mutex
+	// buf is the circular pending queue, grown up to QueueDepth as it
+	// fills; its Features point into free-list buffers.
+	buf    []Record
 	head   int
 	n      int
 	free   [][]float64
@@ -172,8 +175,6 @@ func OpenWriter(cfg WriterConfig) (*Writer, error) {
 	reg := filled.Telemetry
 	w := &Writer{
 		cfg:       filled,
-		buf:       make([]Record, filled.QueueDepth),
-		free:      make([][]float64, 0, filled.QueueDepth+1),
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 		segIndex:  last,
@@ -260,8 +261,11 @@ func (w *Writer) AppendBatch(recs []Record) int {
 }
 
 // enqueueLocked places one record in the ring, shedding the oldest
-// pending record when full. Caller holds w.mu.
+// pending record when QueueDepth records are pending. Caller holds w.mu.
 func (w *Writer) enqueueLocked(rec Record) {
+	if w.n == len(w.buf) && w.n < w.cfg.QueueDepth {
+		w.grow()
+	}
 	if w.n == len(w.buf) {
 		oldest := &w.buf[w.head]
 		w.free = append(w.free, oldest.Features)
@@ -276,6 +280,21 @@ func (w *Writer) enqueueLocked(rec Record) {
 	rec.Features = buf
 	w.buf[(w.head+w.n)%len(w.buf)] = rec
 	w.n++
+}
+
+// writerFloor is a ring array's first size.
+const writerFloor = 16
+
+// grow doubles the ring array, from writerFloor, up to QueueDepth: a
+// Record holds pointers, and Go makes such an allocation resident as soon
+// as it is made, so a quiet log pays for what it queued, not for its
+// depth. The ring sheds, and so wraps, only once its array is at
+// QueueDepth, and run hands over a fresh array with head 0, so below
+// QueueDepth the pending records are buf[:n]. Caller holds w.mu.
+func (w *Writer) grow() {
+	buf := make([]Record, min(max(2*len(w.buf), writerFloor), w.cfg.QueueDepth))
+	copy(buf, w.buf[:w.n])
+	w.buf = buf
 }
 
 // grab returns a feature buffer of length n from the free list. Caller
@@ -295,10 +314,11 @@ func (w *Writer) grab(n int) []float64 {
 // the full ring by swapping in a spare buffer — an O(1) critical section,
 // so a large drain never stalls AppendBatch — then writes the records
 // straight from the ring it took and hands their feature buffers back to
-// the free list; Close's final wake-up drains the rest and returns.
+// the free list; Close's final wake-up drains the rest and returns. The
+// spare starts empty and grows as the ring does.
 func (w *Writer) run() {
 	defer close(w.done)
-	spare := make([]Record, len(w.buf))
+	var spare []Record
 	for {
 		<-w.kick
 		w.mu.Lock()

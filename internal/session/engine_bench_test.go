@@ -90,6 +90,26 @@ func BenchmarkEngineRound(b *testing.B) {
 	}
 }
 
+// engineSink keeps BenchmarkEngineNew's engines live, so the compiler
+// cannot drop the allocations it measures.
+var engineSink *Engine
+
+// BenchmarkEngineNew times building one connection's engine at the
+// default queue depth. Its B/op is what a connection pays for its ingress
+// queue before it queues a sample: QueueDepth is a bound, not a
+// reservation, so it must not scale with the depth.
+func BenchmarkEngineNew(b *testing.B) {
+	h := newFakeHandler()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e, err := New(Config{Handler: h})
+		if err != nil {
+			b.Fatal(err)
+		}
+		engineSink = e
+	}
+}
+
 // BenchmarkEngineOpenClose times one stream open and close on a warm
 // engine through the real Scoring handler, with 16 or 512 other streams
 // open: the engine's table checks and the handler's per-stream set-up,

@@ -50,9 +50,16 @@ type ctrl struct {
 // buffers cycle through an internal free list, and queued controls are
 // held by value in two arrays that trade places at each drain, so the
 // steady state allocates nothing.
+//
+// depth is a bound, not a reservation: the item array starts empty and
+// doubles, up to depth, only when a push finds it full. item holds
+// pointers, and Go makes such an allocation resident as soon as it is
+// made, so a connection whose queue never fills pays for what it queued,
+// not for depth.
 type ring struct {
 	mu     sync.Mutex
-	buf    []item // fixed capacity, used as a circular queue
+	depth  int    // the most samples queued at once; past it, the oldest is shed
+	buf    []item // a circular queue; head stays 0 until len(buf) reaches depth
 	head   int
 	n      int
 	pushed uint64 // samples ever pushed: the number of the next one
@@ -66,12 +73,21 @@ type ring struct {
 	shedBy  map[uint32]uint64 // sheds of each stream's live incarnation
 }
 
+// ringFloor is the item array's first size.
+const ringFloor = 16
+
 func newRing(depth int) *ring {
-	return &ring{
-		buf:    make([]item, depth),
-		free:   make([][]float64, 0, depth+1),
-		shedBy: make(map[uint32]uint64),
-	}
+	return &ring{depth: depth, shedBy: make(map[uint32]uint64)}
+}
+
+// grow doubles the item array, from ringFloor, up to depth. The ring
+// sheds, and so wraps, only once the array is at depth, and a drain
+// resets head, so below depth the queued items are buf[:n]. Caller must
+// hold r.mu.
+func (r *ring) grow() {
+	buf := make([]item, min(max(2*len(r.buf), ringFloor), r.depth))
+	copy(buf, r.buf[:r.n])
+	r.buf = buf
 }
 
 // grab returns a feature buffer of length n, reusing a recycled one when
@@ -95,12 +111,15 @@ func (r *ring) push(stream, seq uint32, origin int64, at time.Time, features []f
 }
 
 // pushBurst copies a burst of samples, all received at at, into the queue
-// in order under one lock. Each sample that finds the ring full first
-// sheds the oldest queued sample; pushBurst returns how many it shed.
+// in order under one lock. Each sample that finds depth samples queued
+// first sheds the oldest of them; pushBurst returns how many it shed.
 func (r *ring) pushBurst(at time.Time, burst []wire.Sample) (shed int) {
 	r.mu.Lock()
 	for i := range burst {
 		s := &burst[i]
+		if r.n == len(r.buf) && r.n < r.depth {
+			r.grow()
+		}
 		if r.n == len(r.buf) {
 			oldest := &r.buf[r.head]
 			r.shedAll++

@@ -3,6 +3,7 @@ package session
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,29 @@ func TestRingRecycles(t *testing.T) {
 	fv[0] = 99
 	if got := r.drainInto(nil)[0].features[0]; got != 1 {
 		t.Fatalf("ring aliased the caller's buffer: got %v", got)
+	}
+}
+
+// TestNewReservesNoQueue pins that QueueDepth is a bound, not a
+// reservation: an engine built at the default depth allocates what one
+// at depth 16 does, a few KiB, and no item array.
+func TestNewReservesNoQueue(t *testing.T) {
+	h := newFakeHandler()
+	perNew := func(depth int) uint64 {
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := New(Config{Handler: h, QueueDepth: depth}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, deep := perNew(16), perNew(4096)
+	if deep > small+1<<10 || small > 4<<10 {
+		t.Fatalf("New allocates %d B at QueueDepth 4096 and %d B at 16, want the same few KiB", deep, small)
 	}
 }
 

@@ -130,7 +130,8 @@ type Config struct {
 	// Handler supplies per-stream processing. Required.
 	Handler Handler
 	// QueueDepth bounds the ingress ring; beyond it the oldest queued
-	// samples are shed (default 4096).
+	// samples are shed (default 4096). It is a bound, not a reservation:
+	// the ring's storage grows to it only as samples queue.
 	QueueDepth int
 	// OnReject, when non-nil, observes per-stream protocol violations
 	// (duplicate open, unknown close, sample for an unopened stream).
