@@ -40,8 +40,8 @@ import (
 // longer match the digest the manifest recorded; match with errors.Is.
 var ErrIntegrity = errors.New("registry: blob integrity check failed")
 
-// ErrNoActive is returned by ActiveEntry, and by EffectiveEntry and
-// LoadEffective for an unpinned shard, when no version is promoted.
+// ErrNoActive is returned by ActiveEntry, and by LoadEffective for an
+// unpinned shard, when no version is promoted.
 var ErrNoActive = errors.New("registry: no active version")
 
 const (
@@ -280,10 +280,10 @@ func (r *Registry) Unpin(shardID string) error {
 	return r.writeManifest(m)
 }
 
-// EffectiveEntry resolves the entry a shard should serve: its pinned
+// effectiveEntry resolves the entry a shard should serve: its pinned
 // version when the pin table mentions shardID, the active version
 // otherwise (ErrNoActive when neither applies).
-func (r *Registry) EffectiveEntry(shardID string) (Entry, error) {
+func (r *Registry) effectiveEntry(shardID string) (Entry, error) {
 	m, err := r.Manifest()
 	if err != nil {
 		return Entry{}, err
@@ -342,7 +342,7 @@ func (r *Registry) Load(version int) (*core.Detector, Entry, error) {
 // one exists, the active version otherwise. With an empty shardID it
 // loads the active version.
 func (r *Registry) LoadEffective(shardID string) (*core.Detector, Entry, error) {
-	e, err := r.EffectiveEntry(shardID)
+	e, err := r.effectiveEntry(shardID)
 	if err != nil {
 		return nil, Entry{}, err
 	}

@@ -330,7 +330,7 @@ func TestRecoverKeepsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Recover(path)
+	st, err := recoverSegment(path)
 	if err != nil {
 		t.Fatal(err)
 	}

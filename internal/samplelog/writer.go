@@ -203,19 +203,19 @@ func recoverDir(dir string) (uint64, error) {
 		return 0, nil
 	}
 	newest := paths[len(paths)-1]
-	if _, err := Recover(newest); err != nil {
+	if _, err := recoverSegment(newest); err != nil {
 		return 0, fmt.Errorf("samplelog: recovering %s: %w", newest, err)
 	}
 	idx, _ := segmentIndex(filepath.Base(newest))
 	return idx, nil
 }
 
-// Recover scans one segment and physically truncates it at the last
+// recoverSegment scans one segment and physically truncates it at the last
 // valid checksum when a torn tail is present, returning the scan stats.
 // Mid-file corruption is reported, not repaired — a checksum mismatch
 // that is not at the tail means the disk lied, which deserves operator
 // eyes, not silent truncation.
-func Recover(path string) (SegmentStats, error) {
+func recoverSegment(path string) (SegmentStats, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return SegmentStats{}, err

@@ -46,11 +46,12 @@ func testDetector(tb testing.TB) (*core.Detector, [][]float64) {
 // handler with a discarding emitter, at the two round shapes the serving
 // benchmark sees: 512 open streams with 35 samples per round (steady
 // 10 ms traffic, about one sample per touched stream) and 16 streams with
-// 190 (overload, a dozen per stream). Samples go to the streams
-// round-robin. One op is one round; pushing its samples is untimed.
+// 190 (overload, a dozen per stream), and at a full ring: 16 streams with
+// 4096 samples, the default depth. Samples go to the streams round-robin.
+// One op is one round; pushing its samples is untimed.
 func BenchmarkEngineRound(b *testing.B) {
 	det, rows := testDetector(b)
-	for _, sh := range []struct{ streams, samples int }{{512, 35}, {16, 190}} {
+	for _, sh := range []struct{ streams, samples int }{{512, 35}, {16, 190}, {16, 4096}} {
 		b.Run(fmt.Sprintf("streams=%d/samples=%d", sh.streams, sh.samples), func(b *testing.B) {
 			h, err := NewScoring(ScoringConfig{
 				Source: func() Generation { return Generation{Detector: det} },

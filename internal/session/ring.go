@@ -1,28 +1,32 @@
 package session
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"twosmart/internal/wire"
 )
 
-// item is one drained ingress sample or stream control: which stream it
-// belongs to, the client's sequence number, the upstream-tier ingress
-// stamp (unix nanos from the gateway, 0 when the agent sent directly),
-// the local ingress timestamp (for the end-to-end verdict latency
-// histogram) and the feature vector, copied into a ring-owned buffer that
-// is recycled once the sample is scored or shed. A control carries only
-// its stream and ctl, which points into the ring's array of the round's
-// controls. item is the slot of the ring and of the drain buffer, so a
-// control is not held here by value.
+// item is one queued ingress sample: which stream it belongs to, the
+// client's sequence number, the upstream-tier ingress stamp (unix nanos
+// from the gateway, 0 when the agent sent directly) and the local
+// ingress time in nanoseconds since the ring's t0 (for the end-to-end
+// verdict latency histogram; t0 is a time.Now reading, so an at with a
+// monotonic reading comes back with one). Its features are the row of
+// the same index in its side's arena. item holds no pointers
+// (TestItemHoldsNoPointers), so the GC never scans a side, and Go backs
+// a side's pages only as pushes write them.
 type item struct {
-	stream   uint32
-	seq      uint32
-	origin   int64
-	at       time.Time
-	features []float64
-	ctl      *ctrl // nil for a sample
+	stream, seq uint32
+	origin, at  int64
+}
+
+// side is one half of a ring's storage: depth item slots and, for slot
+// k, row k of a depth × width feature arena.
+type side struct {
+	items []item
+	rows  []float64
 }
 
 // ctrl is a stream open or close. Controls are ordered with the samples
@@ -42,65 +46,38 @@ type ctrl struct {
 // ring is a session's bounded ingress queue with explicit load-shedding:
 // pushing into a full ring drops the *oldest* queued sample (the one
 // whose 10 ms-period data is most stale and least worth scoring late)
-// rather than blocking the reader or buffering without bound. Shed
-// samples are counted in total and per stream incarnation so the
-// transport can export shed counters and report per-stream shed counts
-// in StreamSummary frames. Stream controls queue under the same mutex
-// and drain interleaved with the samples in arrival order. Feature
-// buffers cycle through an internal free list, and queued controls are
-// held by value in two arrays that trade places at each drain, so the
-// steady state allocates nothing.
+// rather than blocking the reader or buffering without bound. Each shed
+// is charged to its stream incarnation, whose close reports it in the
+// StreamSummary. Stream controls queue by value under the same mutex,
+// stamped with their position among the samples, and are never shed.
 //
-// depth is a bound, not a reservation: the item array starts empty and
-// doubles, up to depth, only when a push finds it full. item holds
-// pointers, and Go makes such an allocation resident as soon as it is
-// made, so a connection whose queue never fills pays for what it queued,
-// not for depth.
+// The ring has two sides. Pushes copy samples into the in side, a
+// circular queue; a drain hands that side to the worker and gives the
+// pushers the other, so a drain copies nothing and the drained rows stay
+// put until the next drain. The first push into a side allocates it at
+// depth, yet depth stays a bound, not a reservation: a side holds no
+// pointers, so only the pages pushes have written are resident, and a
+// drain restarts the queue at slot 0.
 type ring struct {
 	mu     sync.Mutex
-	depth  int    // the most samples queued at once; past it, the oldest is shed
-	buf    []item // a circular queue; head stays 0 until len(buf) reaches depth
+	depth  int       // the most samples queued at once; past it, the oldest is shed
+	width  int       // features per sample, fixed by the first sample queued
+	t0     time.Time // the first push's clock reading; an item's at counts from it
+	in     side      // the side pushes fill: n items from slot head, wrapping
 	head   int
 	n      int
 	pushed uint64 // samples ever pushed: the number of the next one
 	ctrls  []ctrl // queued controls, in arrival order
-	// round holds the controls of the last drain, which its items point
-	// into. Only the worker drains, so they stay put for its round; the
-	// next drain reuses the array for the controls queued after it.
-	round   []ctrl
-	free    [][]float64
-	shedAll uint64
-	shedBy  map[uint32]uint64 // sheds of each stream's live incarnation
+	// out and round are the last drain's side and controls. Only the
+	// worker drains, so they stay put for its round; the next drain hands
+	// them back to the pushers.
+	out    side
+	round  []ctrl
+	shedBy map[uint32]uint64 // sheds of each stream's live incarnation
 }
-
-// ringFloor is the item array's first size.
-const ringFloor = 16
 
 func newRing(depth int) *ring {
 	return &ring{depth: depth, shedBy: make(map[uint32]uint64)}
-}
-
-// grow doubles the item array, from ringFloor, up to depth. The ring
-// sheds, and so wraps, only once the array is at depth, and a drain
-// resets head, so below depth the queued items are buf[:n]. Caller must
-// hold r.mu.
-func (r *ring) grow() {
-	buf := make([]item, min(max(2*len(r.buf), ringFloor), r.depth))
-	copy(buf, r.buf[:r.n])
-	r.buf = buf
-}
-
-// grab returns a feature buffer of length n, reusing a recycled one when
-// possible. Caller must hold r.mu.
-func (r *ring) grab(n int) []float64 {
-	if k := len(r.free); k > 0 {
-		b := r.free[k-1]
-		r.free = r.free[:k-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]float64, n)
 }
 
 // push queues one sample and reports whether it shed one: the one-sample
@@ -113,31 +90,39 @@ func (r *ring) push(stream, seq uint32, origin int64, at time.Time, features []f
 // pushBurst copies a burst of samples, all received at at, into the queue
 // in order under one lock. Each sample that finds depth samples queued
 // first sheds the oldest of them; pushBurst returns how many it shed.
+// Every sample must have as many features as the first one the ring
+// queued. The read loop refuses a sample of another width, so one here
+// is a caller's bug, and pushBurst panics.
 func (r *ring) pushBurst(at time.Time, burst []wire.Sample) (shed int) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.t0.IsZero() {
+		r.t0 = time.Now()
+	}
+	ns := int64(at.Sub(r.t0))
 	for i := range burst {
 		s := &burst[i]
-		if r.n == len(r.buf) && r.n < r.depth {
-			r.grow()
+		if w := len(s.Features); w != r.width {
+			if r.in.items != nil || r.out.items != nil {
+				panic(fmt.Sprintf("session: a sample of %d features pushed into a ring of width %d", w, r.width))
+			}
+			r.width = w
 		}
-		if r.n == len(r.buf) {
-			oldest := &r.buf[r.head]
-			r.shedAll++
-			r.countShed(oldest.stream, r.pushed-uint64(r.n))
-			r.free = append(r.free, oldest.features)
-			oldest.features = nil
-			r.head = (r.head + 1) % len(r.buf)
+		if r.in.items == nil {
+			r.in = side{items: make([]item, r.depth), rows: make([]float64, r.depth*r.width)}
+		}
+		if r.n == r.depth {
+			r.countShed(r.in.items[r.head].stream, r.pushed-uint64(r.n))
+			r.head = (r.head + 1) % r.depth
 			r.n--
 			shed++
 		}
-		slot := &r.buf[(r.head+r.n)%len(r.buf)]
-		buf := r.grab(len(s.Features))
-		copy(buf, s.Features)
-		*slot = item{stream: s.Stream, seq: s.Seq, origin: int64(s.IngressNanos), at: at, features: buf}
+		k := (r.head + r.n) % r.depth
+		r.in.items[k] = item{stream: s.Stream, seq: s.Seq, origin: int64(s.IngressNanos), at: ns}
+		copy(r.in.rows[k*r.width:(k+1)*r.width], s.Features)
 		r.n++
 		r.pushed++
 	}
-	r.mu.Unlock()
 	return shed
 }
 
@@ -167,47 +152,43 @@ func (r *ring) control(c ctrl) {
 	r.mu.Unlock()
 }
 
-// drainInto appends every queued sample and control to dst in arrival
-// order and empties the ring. The samples' feature buffers are owned by
-// the caller until handed back via recycle; the controls stay valid
-// until the next drainInto.
-func (r *ring) drainInto(dst []item) []item {
+// drained is what one drain handed the worker, valid until the next
+// drain: n samples in arrival order from slot head of a side, the first
+// of them numbered first, and the controls queued with them, each before
+// the sample its pos numbers.
+type drained struct {
+	side
+	width, head, n int
+	first          uint64
+	ctrls          []ctrl
+}
+
+// drain empties the ring into what it returns: the in side goes to the
+// worker and the last drain's side comes back for the pushers to refill,
+// and so do the control arrays. Only the worker drains.
+func (r *ring) drain() drained {
 	r.mu.Lock()
-	ctrls := r.ctrls
-	r.ctrls, r.round = r.round[:0], ctrls
-	first := r.pushed - uint64(r.n) // number of the oldest queued sample
-	c := 0
-	for i := 0; i < r.n; i++ {
-		for ; c < len(ctrls) && ctrls[c].pos <= first+uint64(i); c++ {
-			dst = append(dst, item{stream: ctrls[c].stream, ctl: &ctrls[c]})
-		}
-		slot := &r.buf[(r.head+i)%len(r.buf)]
-		dst = append(dst, *slot)
-		slot.features = nil
-	}
-	for ; c < len(ctrls); c++ {
-		dst = append(dst, item{stream: ctrls[c].stream, ctl: &ctrls[c]})
-	}
+	d := drained{side: r.in, width: r.width, head: r.head, n: r.n, first: r.pushed - uint64(r.n), ctrls: r.ctrls}
+	r.in, r.out = r.out, r.in
+	r.ctrls, r.round = r.round[:0], r.ctrls
 	r.head, r.n = 0, 0
 	r.mu.Unlock()
-	return dst
+	return d
 }
 
-// recycle hands drained feature buffers back for reuse.
-func (r *ring) recycle(bufs ...[]float64) {
-	r.mu.Lock()
-	for _, buf := range bufs {
-		if buf != nil {
-			r.free = append(r.free, buf)
-		}
+// ctrlsBefore returns the end of the run of controls, from c on, that
+// precede sample i: those queued before it was pushed. At i = n it is
+// every control left.
+func (d *drained) ctrlsBefore(c, i int) int {
+	for c < len(d.ctrls) && d.ctrls[c].pos <= d.first+uint64(i) {
+		c++
 	}
-	r.mu.Unlock()
+	return c
 }
 
-// shedCounts returns the total shed-sample count and that of the given
-// stream's live incarnation.
-func (r *ring) shedCounts(stream uint32) (total, forStream uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shedAll, r.shedBy[stream]
+// sample returns drained sample i and its features. The row's capacity
+// ends with it, so an append to it cannot reach the next row.
+func (d *drained) sample(i int) (*item, []float64) {
+	k := (d.head + i) % len(d.items)
+	return &d.items[k], d.rows[k*d.width : (k+1)*d.width : (k+1)*d.width]
 }

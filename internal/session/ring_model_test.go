@@ -20,7 +20,8 @@ type modelEntry struct {
 	open   bool
 	stream uint32
 	seq    uint32
-	pos    uint64 // a control's position: the samples pushed before it
+	at     time.Time // when a sample was received
+	pos    uint64    // a control's position: the samples pushed before it
 	inc    int
 }
 
@@ -28,25 +29,23 @@ type modelEntry struct {
 // control in one slice, in arrival order, and a shed deletes the oldest
 // sample from it.
 type ringModel struct {
-	depth   int
-	queue   []modelEntry
-	queued  int // samples in queue
-	pushed  uint64
-	closes  [modelStreams]int
-	shedOf  map[[2]int]uint64 // sheds of each (stream, incarnation)
-	shedAll uint64
+	depth  int
+	queue  []modelEntry
+	queued int // samples in queue
+	pushed uint64
+	closes [modelStreams]int
+	shedOf map[[2]int]uint64 // sheds of each (stream, incarnation)
 }
 
-func (m *ringModel) push(stream, seq uint32) (shed bool) {
+func (m *ringModel) push(stream, seq uint32, at time.Time) (shed bool) {
 	if m.queued == m.depth {
 		i := slices.IndexFunc(m.queue, func(e modelEntry) bool { return !e.ctl })
 		m.shedOf[[2]int{int(m.queue[i].stream), m.queue[i].inc}]++
-		m.shedAll++
 		m.queue = slices.Delete(m.queue, i, i+1)
 		m.queued--
 		shed = true
 	}
-	m.queue = append(m.queue, modelEntry{stream: stream, seq: seq, inc: m.closes[stream]})
+	m.queue = append(m.queue, modelEntry{stream: stream, seq: seq, at: at, inc: m.closes[stream]})
 	m.queued++
 	m.pushed++
 	return shed
@@ -64,10 +63,10 @@ func (m *ringModel) live(stream uint32) uint64 {
 	return m.shedOf[[2]int{int(stream), m.closes[stream]}]
 }
 
-// modelFeatures is the feature vector of stream's sample seq. Its length
-// depends on the stream, so recycled buffers are sometimes too short.
-func modelFeatures(stream, seq uint32) []float64 {
-	fv := make([]float64, 1+stream%3)
+// modelFeatures is the feature vector, width long, of stream's sample
+// seq.
+func modelFeatures(stream, seq uint32, width int) []float64 {
+	fv := make([]float64, width)
 	for i := range fv {
 		fv[i] = float64(stream)*1e6 + float64(seq)*10 + float64(i)
 	}
@@ -82,37 +81,47 @@ const (
 	opOpen
 	opClose
 	opDrain
-	opRecycle
+	opCheck
 	opCount
 )
 
 // runRingProgram drives a ring of the given depth and a ringModel through
-// the same program and fails t at the first difference: in the sheds a
-// push reports, in the drained samples and controls (order, content,
-// control positions, a close's shed count), or in the total and
-// live-incarnation shed counts. After every step the ring's item array
-// must stay within depth and within twice the most samples ever queued
-// (or ringFloor). Drained feature buffers are held until a recycle step,
-// and must not change while they are held.
-func runRingProgram(t *testing.T, depth int, prog []byte) {
+// the same program, every sample width features long, and fails t at the
+// first difference: in the sheds a push reports, in the drained samples
+// and controls (order, content, control positions, a close's shed
+// count), or in the live-incarnation shed counts. Every drained sample,
+// its item and its row, must stay as pushed until the next drain; a
+// check step and every drain check that the last drain's still are.
+// After every step a side is unallocated or holds depth items and rows.
+func runRingProgram(t *testing.T, depth, width int, prog []byte) {
 	r := newRing(depth)
 	m := &ringModel{depth: depth, shedOf: make(map[[2]int]uint64)}
 	var seqs [modelStreams]uint32
-	at := time.Unix(7, 0)
-	type held struct {
-		stream, seq uint32
-		features    []float64
-	}
-	var holding []held
-	var drained []item
-	peak := 0
+	// Each step that pushes receives its samples at its own time.
+	start := time.Now()
+	var at time.Time
 	// sample builds stream's next sample and queues it in the model.
 	sample := func(stream uint32) (s wire.Sample, shed bool) {
 		seq := seqs[stream]
 		seqs[stream]++
-		shed = m.push(stream, seq)
-		peak = max(peak, m.queued)
-		return wire.Sample{Stream: stream, Seq: seq, IngressNanos: uint64(seq), Features: modelFeatures(stream, seq)}, shed
+		shed = m.push(stream, seq, at)
+		return wire.Sample{Stream: stream, Seq: seq, IngressNanos: uint64(seq), Features: modelFeatures(stream, seq, width)}, shed
+	}
+	// The last drain and the model's samples in it, valid until the next.
+	var last drained
+	var lastWant []modelEntry
+	// held fails t unless every sample of the last drain, its item and its
+	// row, is still as it was pushed.
+	held := func(pc int, when string) {
+		for i, e := range lastWant {
+			it, fv := last.sample(i)
+			if it.stream != e.stream || it.seq != e.seq || it.origin != int64(e.seq) ||
+				!r.t0.Add(time.Duration(it.at)).Equal(e.at) ||
+				!slices.Equal(fv, modelFeatures(e.stream, e.seq, width)) || cap(fv) != width {
+				t.Fatalf("step %d, %s: drained sample %d is %d/%d origin %d at %d %v (cap %d), want %d/%d at %v",
+					pc, when, i, it.stream, it.seq, it.origin, it.at, fv, cap(fv), e.stream, e.seq, e.at.Sub(start))
+			}
+		}
 	}
 	for pc := 0; pc < len(prog); {
 		op := prog[pc] % opCount
@@ -122,6 +131,7 @@ func runRingProgram(t *testing.T, depth int, prog []byte) {
 			}
 			return 0
 		}
+		at = start.Add(time.Duration(pc) * time.Microsecond)
 		switch op {
 		case opBurst:
 			// Sample j goes to stream spread + j*(spread/4): one stream, or
@@ -153,56 +163,50 @@ func runRingProgram(t *testing.T, depth int, prog []byte) {
 			m.control(stream, op == opOpen)
 			pc += 2
 		case opDrain:
-			drained = r.drainInto(drained[:0])
+			held(pc, "before the next drain")
+			last = r.drain()
+			got := flatten(r, last)
 			want := m.queue
 			m.queue, m.queued = nil, 0
-			if len(drained) != len(want) {
-				t.Fatalf("step %d: drained %d items, want %d: %s", pc, len(drained), len(want), describe(drained))
+			if len(got) != len(want) {
+				t.Fatalf("step %d: drained %d entries, want %d: %s", pc, len(got), len(want), describe(got))
 			}
-			for i, it := range drained {
+			lastWant = lastWant[:0]
+			for i, f := range got {
 				e := want[i]
-				if it.stream != e.stream || (it.ctl != nil) != e.ctl {
-					t.Fatalf("step %d: item %d is %s, want stream %d ctl=%v", pc, i, describe(drained[i:i+1]), e.stream, e.ctl)
+				if (f.ctl != nil) != e.ctl {
+					t.Fatalf("step %d: entry %d is %s, want stream %d ctl=%v", pc, i, describe(got[i:i+1]), e.stream, e.ctl)
 				}
-				if e.ctl {
-					wantShed := uint64(0)
-					if !e.open {
-						wantShed = m.shedOf[[2]int{int(e.stream), e.inc}]
-					}
-					if it.ctl.open != e.open || it.ctl.pos != e.pos || it.ctl.shed != wantShed {
-						t.Fatalf("step %d: control %d is %s, want open=%v pos=%d shed=%d",
-							pc, i, describe(drained[i:i+1]), e.open, e.pos, wantShed)
-					}
+				if !e.ctl {
+					lastWant = append(lastWant, e)
 					continue
 				}
-				if it.seq != e.seq || it.origin != int64(e.seq) || !it.at.Equal(at) ||
-					!slices.Equal(it.features, modelFeatures(e.stream, e.seq)) {
-					t.Fatalf("step %d: sample %d is %s, want %d/%d", pc, i, describe(drained[i:i+1]), e.stream, e.seq)
+				wantShed := uint64(0)
+				if !e.open {
+					wantShed = m.shedOf[[2]int{int(e.stream), e.inc}]
 				}
-				holding = append(holding, held{it.stream, it.seq, it.features})
+				if f.ctl.stream != e.stream || f.ctl.open != e.open || f.ctl.pos != e.pos || f.ctl.shed != wantShed {
+					t.Fatalf("step %d: control %d is %s, want stream %d open=%v pos=%d shed=%d",
+						pc, i, describe(got[i:i+1]), e.stream, e.open, e.pos, wantShed)
+				}
 			}
+			held(pc, "drained")
 			pc++
-		case opRecycle:
-			for _, h := range holding {
-				if !slices.Equal(h.features, modelFeatures(h.stream, h.seq)) {
-					t.Fatalf("step %d: held buffer of %d/%d changed to %v: the ring reused it", pc, h.stream, h.seq, h.features)
-				}
-				r.recycle(h.features)
-			}
-			holding = holding[:0]
+		case opCheck:
+			held(pc, "held")
 			pc++
 		}
 		if r.n != m.queued {
 			t.Fatalf("step %d: ring holds %d samples, want %d", pc, r.n, m.queued)
 		}
-		if len(r.buf) > depth || len(r.buf) > max(ringFloor, 2*peak) {
-			t.Fatalf("step %d: item array of %d at depth %d, with at most %d samples ever queued", pc, len(r.buf), depth, peak)
+		for _, sd := range []side{r.in, r.out} {
+			if sd.items != nil && (len(sd.items) != depth || len(sd.rows) != depth*width) {
+				t.Fatalf("step %d: a side of %d items and %d rows at depth %d, width %d", pc, len(sd.items), len(sd.rows), depth, width)
+			}
 		}
 		for s := uint32(0); s < modelStreams; s++ {
-			total, live := r.shedCounts(s)
-			if total != m.shedAll || live != m.live(s) {
-				t.Fatalf("step %d: stream %d shed counts (total %d, live %d), want (%d, %d)",
-					pc, s, total, live, m.shedAll, m.live(s))
+			if live := r.shedBy[s]; live != m.live(s) {
+				t.Fatalf("step %d: stream %d live shed count %d, want %d", pc, s, live, m.live(s))
 			}
 		}
 	}
@@ -218,7 +222,7 @@ func ringProgram(rng *rand.Rand, n int, drain float64) []byte {
 		case p < drain:
 			op = opDrain
 		case p < drain+0.05:
-			op = opRecycle
+			op = opCheck
 		case p < drain+0.12:
 			op = opOpen
 		case p < drain+0.19:
@@ -240,24 +244,29 @@ func ringProgram(rng *rand.Rand, n int, drain float64) []byte {
 }
 
 // TestRingModel checks the ring against ringModel on random programs:
-// depths of 1, around the first array size and across several doublings,
-// powers of two or not; bursts across streams; opens and closes; drains
-// and recycles, often or rarely.
+// depths of 1, small and large, powers of two or not; widths of 1 to 4;
+// bursts across streams; opens and closes; drains and checks of the
+// drained rows, often or rarely.
 func TestRingModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, depth := range []int{1, 2, 3, 15, 16, 17, 31, 64, 100, 257} {
 		for _, drain := range []float64{0.02, 0.1, 0.3} {
-			for range 3 {
-				runRingProgram(t, depth, ringProgram(rng, 300, drain))
+			for k := range 3 {
+				runRingProgram(t, depth, 1+(depth+k)%4, ringProgram(rng, 300, drain))
 			}
 		}
 	}
 }
 
-// FuzzRing runs runRingProgram on arbitrary programs and depths from 1 to
-// 300. The seed corpus is in testdata/fuzz/FuzzRing.
+// FuzzRing runs runRingProgram on arbitrary programs, depths from 1 to
+// 300 and, from the program's first byte, widths from 1 to 4. The seed
+// corpus is in testdata/fuzz/FuzzRing.
 func FuzzRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, depth uint16, prog []byte) {
-		runRingProgram(t, 1+int(depth)%300, prog)
+		width := 1
+		if len(prog) > 0 {
+			width, prog = 1+int(prog[0])%4, prog[1:]
+		}
+		runRingProgram(t, 1+int(depth)%300, width, prog)
 	})
 }

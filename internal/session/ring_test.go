@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,67 +22,103 @@ func TestRingDropOldest(t *testing.T) {
 			t.Fatalf("push %d: shed=%v, want %v", seq, shed, want)
 		}
 	}
-	got := r.drainInto(nil)
-	if len(got) != 3 {
-		t.Fatalf("drained %d items, want 3", len(got))
+	r.control(ctrl{stream: 1})
+	r.control(ctrl{stream: 2})
+	got := flatten(r, r.drain())
+	if len(got) != 5 {
+		t.Fatalf("drained %s, want 3 samples and 2 closes", describe(got))
 	}
 	// Seqs 0 and 1 were shed; the three newest survive in order.
-	for i, it := range got {
-		if want := uint32(i + 2); it.seq != want {
-			t.Fatalf("item %d: seq %d, want %d", i, it.seq, want)
+	for i, f := range got[:3] {
+		if want := uint32(i + 2); f.ctl != nil || f.seq != want {
+			t.Fatalf("entry %d is %s, want seq %d", i, describe(got[i:i+1]), want)
 		}
-		if it.features[0] != float64(it.seq) {
-			t.Fatalf("item %d: features %v do not match seq %d", i, it.features, it.seq)
+		if f.features[0] != float64(f.seq) {
+			t.Fatalf("entry %d: features %v do not match seq %d", i, f.features, f.seq)
 		}
 	}
-	total, forStream := r.shedCounts(1)
-	if total != 2 || forStream != 2 {
-		t.Fatalf("shedCounts = (%d, %d), want (2, 2)", total, forStream)
-	}
-	if _, other := r.shedCounts(2); other != 0 {
-		t.Fatalf("stream 2 shed count = %d, want 0", other)
+	if c1, c2 := got[3].ctl, got[4].ctl; c1.stream != 1 || c1.shed != 2 || c2.stream != 2 || c2.shed != 0 {
+		t.Fatalf("closes %s, want stream 1 with 2 shed, then stream 2 with none", describe(got[3:]))
 	}
 }
 
 func TestRingShedCountsPerStream(t *testing.T) {
 	r := newRing(1)
 	now := time.Now()
-	r.push(1, 0, 0, now, []float64{0})
-	r.push(2, 0, 0, now, []float64{0}) // sheds stream 1's sample
-	r.push(2, 1, 0, now, []float64{0}) // sheds stream 2's
-	total, s1 := r.shedCounts(1)
-	_, s2 := r.shedCounts(2)
-	if total != 2 || s1 != 1 || s2 != 1 {
-		t.Fatalf("total=%d s1=%d s2=%d, want 2/1/1", total, s1, s2)
+	var sheds []bool
+	sheds = append(sheds, r.push(1, 0, 0, now, []float64{0}))
+	sheds = append(sheds, r.push(2, 0, 0, now, []float64{0})) // sheds stream 1's sample
+	sheds = append(sheds, r.push(2, 1, 0, now, []float64{0})) // sheds stream 2's
+	r.control(ctrl{stream: 1})
+	r.control(ctrl{stream: 2})
+	d := r.drain()
+	if !reflect.DeepEqual(sheds, []bool{false, true, true}) || d.ctrls[0].shed != 1 || d.ctrls[1].shed != 1 {
+		t.Fatalf("pushes shed %v, closes %d and %d; want 2 in all, 1 and 1", sheds, d.ctrls[0].shed, d.ctrls[1].shed)
 	}
 }
 
-// TestRingRecycles pins the steady-state allocation story: once warm, the
-// push→drain→recycle cycle reuses feature buffers instead of allocating.
+// TestRingRecycles pins the steady-state allocation story: once both
+// sides exist, a push→drain cycle reuses them instead of allocating.
 func TestRingRecycles(t *testing.T) {
 	r := newRing(4)
 	now := time.Now()
 	fv := []float64{1, 2, 3, 4}
-	var dst []item
 	warm := func() {
 		for seq := uint32(0); seq < 4; seq++ {
 			r.push(1, seq, 0, now, fv)
 		}
-		dst = r.drainInto(dst[:0])
-		for _, it := range dst {
-			r.recycle(it.features)
-		}
+		r.drain()
 	}
 	warm()
+	warm()
 	if allocs := testing.AllocsPerRun(50, warm); allocs > 0 {
-		t.Fatalf("warm push/drain/recycle cycle allocates %.1f times, want 0", allocs)
+		t.Fatalf("warm push/drain cycle allocates %.1f times, want 0", allocs)
 	}
 	// Pushing a copy must not alias the caller's slice.
 	r.push(1, 0, 0, now, fv)
 	fv[0] = 99
-	if got := r.drainInto(nil)[0].features[0]; got != 1 {
+	d := r.drain()
+	if _, got := d.sample(0); got[0] != 1 {
 		t.Fatalf("ring aliased the caller's buffer: got %v", got)
 	}
+}
+
+// TestItemHoldsNoPointers pins that a queued sample holds no pointer, so
+// neither does a side's item array: the GC does not scan it, and Go backs
+// its pages only once pushes write them. A field of pointer kind would
+// make a depth-sized array resident again.
+func TestItemHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: item must hold no pointers", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("item", reflect.TypeOf(item{}))
+}
+
+// TestRingWidthMismatchPanics pins that the first sample queued fixes
+// the ring's width: the read loop refuses any other width, so a push of
+// one is a caller's bug and panics with both widths in its message.
+func TestRingWidthMismatchPanics(t *testing.T) {
+	r := newRing(8)
+	r.push(1, 0, 0, time.Now(), []float64{1, 2, 3, 4})
+	r.drain() // the width outlives the side that fixed it
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "3 features") || !strings.Contains(msg, "width 4") {
+			t.Fatalf("a 3-feature push into a 4-wide ring panicked with %q, want both widths named", msg)
+		}
+	}()
+	r.push(1, 1, 0, time.Now(), []float64{1, 2, 3})
 }
 
 // TestNewReservesNoQueue pins that QueueDepth is a bound, not a
@@ -109,23 +146,27 @@ func TestNewReservesNoQueue(t *testing.T) {
 
 // TestRingConcurrentProducerConsumer hammers the ring with parallel
 // producers against a draining consumer (the real reader/worker
-// topology, multiplied) and checks, under -race, that the free-list
-// recycling never hands two live items the same buffer and that the shed
-// accounting balances: every pushed sample is either consumed intact or
-// counted shed, per stream.
+// topology, multiplied) and checks, under -race, that no drained row is
+// overwritten before the next drain while the producers fill the other
+// side, and that the shed accounting balances: every pushed sample is
+// either consumed intact or counted shed, per stream, and the sheds the
+// pushes report add up to those the streams' closes report.
 func TestRingConcurrentProducerConsumer(t *testing.T) {
 	const producers, perProducer = 4, 5000
 	r := newRing(64)
 
 	var wg sync.WaitGroup
+	var shedReported atomic.Uint64
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(stream uint32) {
 			defer wg.Done()
 			for seq := uint32(0); seq < perProducer; seq++ {
 				// Encode (stream, seq) into the payload so the consumer can
-				// detect cross-item buffer corruption.
-				r.push(stream, seq, 0, time.Time{}, []float64{float64(stream), float64(seq), 7})
+				// detect a row overwritten or mixed up with another.
+				if r.push(stream, seq, int64(seq), time.Time{}, []float64{float64(stream), float64(seq), 7}) {
+					shedReported.Add(1)
+				}
 			}
 		}(uint32(p))
 	}
@@ -133,18 +174,31 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 	go func() { wg.Wait(); close(producersDone) }()
 
 	consumedBy := make(map[uint32]uint64, producers)
-	var items []item
-	consume := func() {
-		items = r.drainInto(items[:0])
-		for _, it := range items {
-			if len(it.features) != 3 || it.features[0] != float64(it.stream) ||
-				it.features[1] != float64(it.seq) || it.features[2] != 7 {
-				t.Errorf("stream %d seq %d: corrupted payload %v (free-list buffer shared?)",
-					it.stream, it.seq, it.features)
+	shedBy := make(map[uint32]uint64, producers)
+	intact := func(d *drained, when string) {
+		for i := 0; i < d.n; i++ {
+			it, fv := d.sample(i)
+			if len(fv) != 3 || fv[0] != float64(it.stream) || fv[1] != float64(it.seq) ||
+				fv[2] != 7 || it.origin != int64(it.seq) {
+				t.Fatalf("%s: stream %d seq %d origin %d: row %v", when, it.stream, it.seq, it.origin, fv)
 			}
-			consumedBy[it.stream]++
-			r.recycle(it.features)
 		}
+	}
+	var last drained
+	consume := func() {
+		// The last drain's rows must be as drained, after the producers
+		// ran on while they were held.
+		intact(&last, "held until the next drain")
+		last = r.drain()
+		intact(&last, "drained")
+		for i := 0; i < last.n; i++ {
+			it, _ := last.sample(i)
+			consumedBy[it.stream]++
+		}
+		for _, c := range last.ctrls {
+			shedBy[c.stream] += c.shed
+		}
+		runtime.Gosched()
 	}
 	running := true
 	for running {
@@ -155,23 +209,21 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 		}
 		consume()
 	}
+	for p := uint32(0); p < producers; p++ {
+		r.control(ctrl{stream: p})
+	}
 	consume() // final drain: nothing is in flight anymore
 
-	for p := uint32(0); p < producers; p++ {
-		_, shed := r.shedCounts(p)
-		if got := consumedBy[p] + shed; got != perProducer {
-			t.Fatalf("stream %d: consumed %d + shed %d = %d, want %d",
-				p, consumedBy[p], shed, got, perProducer)
-		}
-	}
-	total, _ := r.shedCounts(0)
 	var per uint64
 	for p := uint32(0); p < producers; p++ {
-		_, shed := r.shedCounts(p)
-		per += shed
+		if got := consumedBy[p] + shedBy[p]; got != perProducer {
+			t.Fatalf("stream %d: consumed %d + shed %d = %d, want %d",
+				p, consumedBy[p], shedBy[p], got, perProducer)
+		}
+		per += shedBy[p]
 	}
-	if total != per {
-		t.Fatalf("total shed %d != sum of per-stream sheds %d", total, per)
+	if total := shedReported.Load(); total != per {
+		t.Fatalf("pushes reported %d sheds, the closes %d", total, per)
 	}
 }
 
@@ -236,10 +288,10 @@ func TestRingBurstMatchesSinglePushes(t *testing.T) {
 			if shedBursty != tc.shed || shedSingle != tc.shed {
 				t.Errorf("burst push reported %d sheds, single pushes %d, want %d", shedBursty, shedSingle, tc.shed)
 			}
-			if !reflect.DeepEqual(bursty.shedBy, single.shedBy) || bursty.shedAll != single.shedAll {
-				t.Errorf("shed counts: burst %d %v, single %d %v", bursty.shedAll, bursty.shedBy, single.shedAll, single.shedBy)
+			if !reflect.DeepEqual(bursty.shedBy, single.shedBy) {
+				t.Errorf("shed counts: burst %v, single %v", bursty.shedBy, single.shedBy)
 			}
-			got, want := bursty.drainInto(nil), single.drainInto(nil)
+			got, want := flatten(bursty, bursty.drain()), flatten(single, single.drain())
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("drained:\n burst  %s\n single %s", describe(got), describe(want))
 			}
@@ -247,15 +299,41 @@ func TestRingBurstMatchesSinglePushes(t *testing.T) {
 	}
 }
 
-// describe renders drained items for a failure message.
-func describe(items []item) string {
+// flat is a drained sample, with its features and its receive time in
+// unix nanoseconds, or a control.
+type flat struct {
+	ctl         *ctrl
+	stream, seq uint32
+	origin, at  int64
+	features    []float64
+}
+
+// flatten lists the samples and controls of r's drain d in the order
+// Engine.round walks them.
+func flatten(r *ring, d drained) []flat {
+	var out []flat
+	for i, c := 0, 0; ; i++ {
+		for end := d.ctrlsBefore(c, i); c < end; c++ {
+			out = append(out, flat{ctl: &d.ctrls[c]})
+		}
+		if i == d.n {
+			return out
+		}
+		it, fv := d.sample(i)
+		at := r.t0.Add(time.Duration(it.at)).UnixNano()
+		out = append(out, flat{stream: it.stream, seq: it.seq, origin: it.origin, at: at, features: fv})
+	}
+}
+
+// describe renders drained samples and controls for a failure message.
+func describe(entries []flat) string {
 	var b strings.Builder
-	for _, it := range items {
-		if it.ctl != nil {
-			fmt.Fprintf(&b, "[ctl %d open=%v pos=%d shed=%d] ", it.stream, it.ctl.open, it.ctl.pos, it.ctl.shed)
+	for _, f := range entries {
+		if f.ctl != nil {
+			fmt.Fprintf(&b, "[ctl %d open=%v pos=%d shed=%d] ", f.ctl.stream, f.ctl.open, f.ctl.pos, f.ctl.shed)
 			continue
 		}
-		fmt.Fprintf(&b, "[%d/%d %v] ", it.stream, it.seq, it.features)
+		fmt.Fprintf(&b, "[%d/%d %v] ", f.stream, f.seq, f.features)
 	}
 	return b.String()
 }

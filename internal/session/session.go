@@ -8,10 +8,11 @@
 //     armed idle deadline, reject→wire.Error mapping, the framed writer,
 //     the Emitter that turns scored chunks into Verdict/StreamSummary
 //     frames, and graceful drain;
-//   - the bounded drop-oldest ingress ring with a feature-buffer free
-//     list and per-stream shed accounting (the backpressure model from
-//     DESIGN §10); stream opens and closes queue in the same ring, in
-//     arrival order, and are never shed,
+//   - the bounded drop-oldest ingress ring, which holds no pointers and
+//     hands the worker one side while the reader fills the other, with
+//     per-stream shed accounting (the backpressure model from DESIGN
+//     §10); stream opens and closes queue in the same ring, in arrival
+//     order, and are never shed,
 //   - the worker loop that coalesces whatever accumulated since its last
 //     round into adaptive per-stream micro-batches,
 //   - stream-table bookkeeping: duplicate-id/duplicate-app rejection,
@@ -47,8 +48,8 @@ import (
 // Batch is one stream's pending micro-batch, handed to Stream.Process.
 // The slices are engine-owned and valid only for the duration of the
 // call: Samples[i] (with client sequence Seqs[i], received at Ats[i]) is
-// a recycled ring buffer that goes back on the free list as soon as
-// Process returns. Handlers that retain samples must copy.
+// a row of the ingress ring's drained side, which the reader refills
+// after the worker's next drain. Handlers that retain samples must copy.
 //
 // Origins[i] is the upstream tier's unix-nano ingress stamp for the
 // sample (0 when the agent talked to this process directly); DrainedAt
@@ -105,7 +106,7 @@ const (
 	// RejectUnknownClose is a CloseStream for an id that is not open.
 	RejectUnknownClose
 	// RejectUnknownSample is a queued sample for an id that is not open;
-	// the sample is dropped and its buffer recycled.
+	// the sample is dropped.
 	RejectUnknownSample
 )
 
@@ -131,7 +132,8 @@ type Config struct {
 	Handler Handler
 	// QueueDepth bounds the ingress ring; beyond it the oldest queued
 	// samples are shed (default 4096). It is a bound, not a reservation:
-	// the ring's storage grows to it only as samples queue.
+	// the ring's storage holds no pointers, so only the rows its queue
+	// has filled are resident.
 	QueueDepth int
 	// OnReject, when non-nil, observes per-stream protocol violations
 	// (duplicate open, unknown close, sample for an unopened stream).
@@ -167,8 +169,8 @@ type entry struct {
 	app string
 	h   Stream
 
-	// pending micro-batch, refilled each round; samples hold ring-owned
-	// buffers that are recycled after Process returns.
+	// pending micro-batch, refilled each round; samples are rows of the
+	// ring's drained side.
 	samples [][]float64
 	seqs    []uint32
 	ats     []time.Time
@@ -186,7 +188,6 @@ type Engine struct {
 	streams map[uint32]*entry // worker-owned after construction
 	apps    map[string]uint32 // app → id of each open stream, worker-owned
 	free    []*entry          // closed streams' entries, worker-owned
-	drain   []item            // reusable drain buffer
 	touched []*entry          // reusable per-round stream list
 }
 
@@ -248,12 +249,6 @@ func (e *Engine) wake() {
 	}
 }
 
-// ShedCounts returns the ring's total shed-sample count and that of the
-// stream's live incarnation (a queued Close takes over its count).
-func (e *Engine) ShedCounts(stream uint32) (total, forStream uint64) {
-	return e.q.shedCounts(stream)
-}
-
 // Run is the worker loop: every wake-up it processes one adaptive
 // micro-batch round; when done closes it runs a final round over
 // whatever is still queued (the graceful-drain flush) and returns. A
@@ -276,30 +271,33 @@ func (e *Engine) Run(done <-chan struct{}) error {
 // applies at its position, samples join their stream's micro-batch, and
 // a Close processes its stream's pending batch before closing it. The
 // remaining batches are processed in first-touch order, then the handler
-// flushes.
+// flushes. The batches' rows stay put until the next round's drain.
 func (e *Engine) round() error {
-	e.drain = e.q.drainInto(e.drain[:0])
+	d := e.q.drain()
 	drainedAt := time.Now()
 	e.touched = e.touched[:0]
-	samples := 0
-	for i := range e.drain {
-		it := &e.drain[i]
-		var err error
-		switch {
-		case it.ctl == nil:
-			samples++
-			e.add(it)
-		case it.ctl.open:
-			err = e.openStream(it.stream, it.ctl.app)
-		default:
-			err = e.closeStream(it.stream, it.ctl.shed, drainedAt)
+	// Sample i comes after the controls queued before it, and the controls
+	// queued after the last sample apply at i = n.
+	for i, c := 0, 0; ; i++ {
+		for end := d.ctrlsBefore(c, i); c < end; c++ {
+			ctl := &d.ctrls[c]
+			var err error
+			if ctl.open {
+				err = e.openStream(ctl.stream, ctl.app)
+			} else {
+				err = e.closeStream(ctl.stream, ctl.shed, drainedAt)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
+		if i == d.n {
+			break
 		}
+		e.add(d.sample(i))
 	}
-	if samples > 0 {
-		e.cfg.BatchSize.Observe(float64(samples))
+	if d.n > 0 {
+		e.cfg.BatchSize.Observe(float64(d.n))
 	}
 	// An entry closed and reopened within the round is in touched twice,
 	// once per stream it served: the first visit processes the new
@@ -312,31 +310,29 @@ func (e *Engine) round() error {
 	return e.cfg.Handler.RoundEnd()
 }
 
-// add appends a drained sample to its stream's pending micro-batch.
-func (e *Engine) add(it *item) {
+// add appends a drained sample and its features to its stream's pending
+// micro-batch.
+func (e *Engine) add(it *item, features []float64) {
 	st := e.streams[it.stream]
 	if st == nil {
 		e.reject(it.stream, "", RejectUnknownSample)
-		e.q.recycle(it.features)
 		return
 	}
 	if len(st.samples) == 0 {
 		e.touched = append(e.touched, st)
 	}
-	st.samples = append(st.samples, it.features)
+	st.samples = append(st.samples, features)
 	st.seqs = append(st.seqs, it.seq)
-	st.ats = append(st.ats, it.at)
+	st.ats = append(st.ats, e.q.t0.Add(time.Duration(it.at)))
 	st.origins = append(st.origins, it.origin)
 }
 
-// process hands st's pending micro-batch, if any, to its handler and
-// recycles the batch's ring buffers.
+// process hands st's pending micro-batch, if any, to its handler.
 func (e *Engine) process(st *entry, drainedAt time.Time) error {
 	if len(st.samples) == 0 {
 		return nil
 	}
 	err := st.h.Process(Batch{Samples: st.samples, Seqs: st.seqs, Ats: st.ats, Origins: st.origins, DrainedAt: drainedAt})
-	e.q.recycle(st.samples...)
 	st.samples = st.samples[:0]
 	st.seqs = st.seqs[:0]
 	st.ats = st.ats[:0]

@@ -193,9 +193,6 @@ func TestServerHealthz(t *testing.T) {
 		t.Fatalf("Paths() = %q, want %q", got, want)
 	}
 	srv.SetDraining()
-	if !srv.Draining() {
-		t.Fatal("Draining() false after SetDraining")
-	}
 	if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining /healthz = %d, want 503", code)
 	}

@@ -103,9 +103,6 @@ func (s *Server) Handle(path string, h Handler) {
 // debug endpoints keep serving — a draining process is still observable.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
-// Draining reports whether SetDraining was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops accepting, waits up to 5 s for requests in flight, then
 // ends the rest (a running CPU profile or trace stops early) and closes
 // their connections. It returns once every connection's goroutine has

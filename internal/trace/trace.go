@@ -205,9 +205,9 @@ type Dump struct {
 	Records     []Record `json:"records"`
 }
 
-// DumpState snapshots the tracer into a serializable Dump. Valid on a
+// dumpState snapshots the tracer into a serializable Dump. Valid on a
 // nil tracer (empty dump).
-func (t *Tracer) DumpState() Dump {
+func (t *Tracer) dumpState() Dump {
 	d := Dump{HopNames: HopNames[:], Records: []Record{}}
 	if t == nil {
 		return d
@@ -227,6 +227,6 @@ func (t *Tracer) Handler() telemetry.Handler {
 		w.SetContentType("application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(t.DumpState())
+		enc.Encode(t.dumpState())
 	}
 }

@@ -31,9 +31,9 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.SampleEvery() != 0 {
 		t.Fatal("nil accessors should be zero")
 	}
-	d := tr.DumpState()
+	d := tr.dumpState()
 	if len(d.Records) != 0 || len(d.HopNames) != NumHops {
-		t.Fatalf("nil DumpState = %+v", d)
+		t.Fatalf("nil dumpState = %+v", d)
 	}
 }
 
